@@ -4,12 +4,10 @@ Unlike the table/figure benches, these use pytest-benchmark's normal
 multi-round statistics — they measure the throughput of the pieces the
 experiments are built from (sampling, one DP-SGD step, CELF, accounting).
 
-All randomness is seeded through :func:`repro.utils.rng.bench_seed` and the
-parallel-sampling benches honour the ``--workers`` command-line option, so
-serial (``--workers 1``) and parallel (``--workers 4``) timings of the
-*same* workload — same graphs, same walks, bit-identical output — can be
-compared directly.  Worker count and engine counters (cap-hit/rejection
-rates, per-stage wall time) are recorded in ``extra_info``.
+All randomness is seeded through :func:`repro.utils.rng.bench_seed`.
+Sampling parallelism lives in the sharded engine (``--shards`` /
+``--shard-workers``), measured by ``bench_training_throughput.py
+--merge-transport-gates``.
 """
 
 import numpy as np
@@ -18,21 +16,15 @@ from repro.core.trainer import DPGNNTrainer, DPTrainingConfig
 from repro.datasets.registry import load_dataset
 from repro.dp.accountant import PrivacyAccountant
 from repro.gnn.models import build_gnn
-from repro.graphs.generators import barabasi_albert_graph
 from repro.im.celf import celf_coverage
 from repro.sampling.dual_stage import DualStageSamplingConfig, extract_subgraphs_dual_stage
 from repro.sampling.naive import NaiveSamplingConfig, extract_subgraphs_naive
-from repro.sampling.parallel import sample_dual_stage, sample_naive
+from repro.sampling.parallel import sample_dual_stage
 from repro.utils.rng import bench_seed
 
 
 def _graph():
     return load_dataset("lastfm", scale=0.1)
-
-
-def _parallel_graph():
-    """A >= 50k-edge synthetic heavy-tailed graph for the parallel benches."""
-    return barabasi_albert_graph(6000, 10, rng=bench_seed())
 
 
 def test_bench_dual_stage_sampling(benchmark):
@@ -47,52 +39,6 @@ def test_bench_naive_sampling(benchmark):
     config = NaiveSamplingConfig(subgraph_size=30, sampling_rate=0.4)
     container, _ = benchmark(extract_subgraphs_naive, graph, config, bench_seed())
     assert container is not None
-
-
-def _record_stats(benchmark, stats):
-    benchmark.extra_info["seed"] = bench_seed()
-    benchmark.extra_info["workers"] = stats.workers
-    benchmark.extra_info["walks_attempted"] = stats.walks_attempted
-    benchmark.extra_info["walks_rejected"] = stats.walks_rejected
-    benchmark.extra_info["cap_hit_rate"] = round(stats.cap_hit_rate, 4)
-    benchmark.extra_info["stage_seconds"] = {
-        stage: round(seconds, 4) for stage, seconds in stats.stage_seconds.items()
-    }
-
-
-def test_bench_parallel_dual_stage_sampling(benchmark, bench_workers):
-    """Dual-stage sampling on a 50k+-edge graph at ``--workers N``."""
-    graph = _parallel_graph()
-    config = DualStageSamplingConfig(
-        subgraph_size=20,
-        threshold=4,
-        sampling_rate=0.05,
-        walk_length=150,
-        workers=bench_workers,
-    )
-    run = benchmark.pedantic(
-        sample_dual_stage, args=(graph, config, bench_seed()), rounds=3, iterations=1
-    )
-    _record_stats(benchmark, run.stats)
-    assert len(run.container) > 0
-    assert run.container.max_occurrence(graph.num_nodes) <= config.threshold
-
-
-def test_bench_parallel_naive_sampling(benchmark, bench_workers):
-    """Naive RWR sampling on a 50k+-edge graph at ``--workers N``."""
-    graph = _parallel_graph()
-    config = NaiveSamplingConfig(
-        subgraph_size=20,
-        hops=2,
-        sampling_rate=0.05,
-        walk_length=150,
-        workers=bench_workers,
-    )
-    run = benchmark.pedantic(
-        sample_naive, args=(graph, config, bench_seed()), rounds=3, iterations=1
-    )
-    _record_stats(benchmark, run.stats)
-    assert len(run.container) > 0
 
 
 def test_bench_observed_dual_stage_sampling(benchmark, record_run_summary):

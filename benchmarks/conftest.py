@@ -9,10 +9,8 @@ regenerating that artefact — and the regenerated rows/series are printed so
 the run log doubles as the reproduction record.
 
 All benchmark randomness is seeded through :func:`repro.utils.rng.bench_seed`
-(override with ``REPRO_BENCH_SEED``), and the sampling worker count is a
-command-line option (``--workers N``, default 1), so serial and parallel
-timings of the same workload are directly comparable.  Both values are
-recorded in every result artefact and in pytest-benchmark's ``extra_info``.
+(override with ``REPRO_BENCH_SEED``); the seed is recorded in every result
+artefact and in pytest-benchmark's ``extra_info``.
 """
 
 from __future__ import annotations
@@ -57,26 +55,10 @@ def record_run_summary(benchmark):
 _PROFILE_NAME = os.environ.get("REPRO_BENCH_PROFILE", "quick")
 
 
-def pytest_addoption(parser):
-    parser.addoption(
-        "--workers",
-        type=int,
-        default=1,
-        help="sampling worker processes for parallel-sampling benches "
-        "(1=serial reference, 0=one per CPU)",
-    )
-
-
 @pytest.fixture(scope="session")
 def profile():
     """The benchmark scale profile."""
     return get_profile(_PROFILE_NAME)
-
-
-@pytest.fixture(scope="session")
-def bench_workers(request) -> int:
-    """Worker count for the parallel-sampling benches (``--workers``)."""
-    return int(request.config.getoption("--workers"))
 
 
 _RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results", _PROFILE_NAME)
@@ -92,17 +74,13 @@ def regen(benchmark, request):
     experiment's report (or list of reports) so the bench can assert on
     its shape.
     """
-    workers = int(request.config.getoption("--workers"))
 
     def _run(fn, *args, **kwargs):
         result = benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)
         benchmark.extra_info["seed"] = bench_seed()
-        benchmark.extra_info["workers"] = workers
         reports = result if isinstance(result, list) else [result]
         rendered = "\n\n".join(report.render() for report in reports)
-        header = (
-            f"# profile={_PROFILE_NAME} seed={bench_seed()} workers={workers}"
-        )
+        header = f"# profile={_PROFILE_NAME} seed={bench_seed()}"
         print()
         print(rendered)
         os.makedirs(_RESULTS_DIR, exist_ok=True)

@@ -54,9 +54,6 @@ def _build_parser() -> argparse.ArgumentParser:
     train.add_argument("--iterations", type=int, default=40)
     train.add_argument("--k", type=int, default=20)
     train.add_argument("--seed", type=int, default=0)
-    train.add_argument("--workers", type=int, default=1,
-                       help="sampling worker processes (1=serial, 0=one per CPU); "
-                            "results are bit-identical for any value")
     train.add_argument("--grad-workers", type=int, default=1,
                        help="gradient fan-out processes per training iteration "
                             "(1=serial, 0=one per CPU); results are "
@@ -76,20 +73,22 @@ def _build_parser() -> argparse.ArgumentParser:
     train.add_argument("--resume", action="store_true",
                        help="restore --checkpoint before training if it exists")
     train.add_argument("--shards", type=int, default=1,
-                       help="edge-cut shards for the sharded sampling engine "
-                            "(default 1 = flat single-graph engine; results "
+                       help="edge-cut shards the sampling engine walks "
+                            "(default 1 = the whole graph in process; results "
                             "are bit-identical either way)")
     train.add_argument("--shard-workers", type=int, default=1,
-                       help="worker processes hosting shards (0 = all cores)")
+                       help="worker processes hosting shards (0 = all cores); "
+                            "the only sampling parallelism")
     train.add_argument("--shard-dir", metavar="DIR",
                        help="persisted shard-set directory: loaded when it "
                             "already holds a shard set, otherwise built from "
                             "the graph and saved here (see 'repro partition')")
     train.add_argument("--shard-transport", default=None,
-                       choices=["local", "fork", "tcp"],
-                       help="shard channel: in-process, forked pipe workers, "
-                            "or TCP shard hosts (default: local for 1 worker, "
-                            "fork beyond); results are bit-identical for all")
+                       choices=["local", "tcp"],
+                       help="shard channel: in-process or TCP shard hosts "
+                            "(default: local for 1 worker, spawned loopback "
+                            "TCP hosts beyond); results are bit-identical "
+                            "for both")
     train.add_argument("--shard-hosts", metavar="HOST:PORT[,..]",
                        help="comma-separated addresses of running "
                             "'repro shard-host' servers (implies "
@@ -191,7 +190,6 @@ def _build_parser() -> argparse.ArgumentParser:
     publish.add_argument("--threshold", type=int, default=4)
     publish.add_argument("--iterations", type=int, default=40)
     publish.add_argument("--seed", type=int, default=0)
-    publish.add_argument("--workers", type=int, default=1)
     publish.add_argument("--grad-workers", type=int, default=1)
     publish.add_argument("--subgraph-store", metavar="DIR",
                          help="spill the sampled pool to an on-disk store "
@@ -264,7 +262,6 @@ def _command_train(args: argparse.Namespace) -> int:
         subgraph_size=args.subgraph_size,
         threshold=args.threshold,
         iterations=args.iterations,
-        workers=args.workers,
         grad_workers=args.grad_workers,
         grad_mode=args.grad_mode,
         num_shards=args.shards,
@@ -311,7 +308,8 @@ def _command_train(args: argparse.Namespace) -> int:
     print(f"subgraphs      : {result.num_subgraphs} (N_g={result.max_occurrences})")
     if result.sampling_stats is not None:
         stats = result.sampling_stats
-        print(f"sampling       : {stats.workers} worker(s), "
+        print(f"sampling       : {stats.num_shards} shard(s) on "
+              f"{stats.workers} worker(s), "
               f"{stats.walks_attempted} walks, {stats.walks_rejected} cap-rejected "
               f"({100 * stats.cap_hit_rate:.1f}% cap-hit), "
               f"{stats.total_seconds:.2f}s")
@@ -478,7 +476,6 @@ def _build_pipeline(args: argparse.Namespace):
         subgraph_size=args.subgraph_size,
         threshold=args.threshold,
         iterations=args.iterations,
-        workers=args.workers,
         grad_workers=args.grad_workers,
         grad_mode=args.grad_mode,
         subgraph_store=args.subgraph_store,

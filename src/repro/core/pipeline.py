@@ -32,7 +32,14 @@ from repro.obs import Observability, PrivacyLedger, ensure_obs
 from repro.sampling.container import SubgraphContainer
 from repro.sampling.dual_stage import DualStageSamplingConfig
 from repro.sampling.naive import NaiveSamplingConfig
-from repro.sampling.parallel import SamplingStats, sample_dual_stage, sample_naive
+from repro.sampling.parallel import SamplingStats
+from repro.sharding import (
+    ShardSet,
+    build_shard_set,
+    sample_dual_stage_sharded,
+    sample_naive_sharded,
+    whole_graph_shard_set,
+)
 from repro.utils.rng import ensure_rng, spawn_rngs
 
 
@@ -63,26 +70,21 @@ class PrivIMConfig:
         clip_bound: per-subgraph clip norm ``C``.
         penalty: Eq. 5's λ.
         diffusion_steps: Eq. 5's j (paper evaluates j = 1).
-        workers: worker processes for subgraph sampling (1 = serial
-            reference path, 0 = one per CPU).  The sampled container is
-            bit-identical for any value under a fixed seed, so this is a
-            pure throughput knob — see :mod:`repro.sampling.parallel`.
         grad_workers: worker processes for the per-subgraph gradient
             fan-out inside each training iteration (1 = serial, 0 = one
-            per CPU).  Same guarantee as ``workers``: bit-identical
-            weights, losses, and ε for any value — see
-            :mod:`repro.core.grad_fanout`.
+            per CPU).  A pure throughput knob: bit-identical weights,
+            losses, and ε for any value — see :mod:`repro.core.grad_fanout`.
         grad_mode: gradient execution strategy — ``"vectorized"`` (one
             disjoint-union pass per batch, the default) or ``"loop"`` (one
             pass per subgraph); byte-identical results either way.
-        num_shards: edge-cut shards for the sharded sampling engine
-            (:mod:`repro.sharding`); 1 (default) keeps the flat single-
-            graph engine.  Sharded sampling is bit-identical to the flat
-            path under a fixed seed — shards are a memory/throughput
-            layout, never a sampling parameter.
+        num_shards: edge-cut shards the sampling engine
+            (:mod:`repro.sharding`) walks; 1 (default) samples the graph
+            as one in-process shard.  Sharded sampling is bit-identical to
+            the flat path under a fixed seed — shards are a memory/
+            throughput layout, never a sampling parameter.
         shard_workers: worker processes hosting shards when sharding is
             active (shards are placed round-robin; also a pure throughput
-            knob).
+            knob).  This is the only sampling parallelism.
         shard_dir: directory holding (or to hold) the persisted shard set.
             An existing shard set is loaded and reused (workers then mmap
             their own shard files); otherwise the set is built from the
@@ -92,10 +94,10 @@ class PrivIMConfig:
         shard_method: partition assignment method (``"bfs"`` or
             ``"hash"``) when the shard set has to be built.
         shard_transport: shard channel when sharding is active —
-            ``"local"`` (in-process), ``"fork"`` (forked pipe workers), or
-            ``"tcp"`` (socket shard hosts).  ``None`` (default) picks
-            local for one worker, fork beyond.  Another pure throughput
-            knob: every transport samples bit-identically.
+            ``"local"`` (in-process) or ``"tcp"`` (socket shard hosts).
+            ``None`` (default) picks local for one worker and spawned
+            loopback TCP hosts beyond.  Another pure throughput knob:
+            every transport samples bit-identically.
         shard_hosts: comma-separated ``host:port`` list of running
             ``repro shard-host`` servers for the TCP transport; when
             unset, TCP spawns loopback hosts itself.
@@ -141,7 +143,6 @@ class PrivIMConfig:
     penalty: float = 0.5
     diffusion_steps: int = 1
     phi: str = "clamp"
-    workers: int = 1
     grad_workers: int = 1
     grad_mode: str = "vectorized"
     num_shards: int = 1
@@ -187,8 +188,9 @@ class PipelineResult:
         preprocessing_seconds: sampling (+ projection) wall time.
         training_seconds: total Algorithm 2 wall time.
         stage1_count / stage2_count: dual-stage split (0/0 for naive).
-        sampling_stats: the sampling engine's counters (worker count,
-            walks attempted / failed / cap-rejected, per-stage wall time).
+        sampling_stats: the sampling engine's counters (shard and worker
+            counts, walks attempted / failed / cap-rejected, per-stage wall
+            time).
         clip_bound: the per-subgraph clip norm the trainer actually used
             (``None`` in the non-private mode, which neither clips nor
             noises).
@@ -327,13 +329,14 @@ class _BasePipeline:
         return config.num_shards > 1 or bool(config.shard_dir)
 
     def _shard_set(self, graph: Graph):
-        """Shard set for ``graph``: loaded from ``shard_dir`` when one is
-        already persisted there, otherwise built (and saved when a
-        ``shard_dir`` is configured).  Cached for the pipeline's lifetime."""
+        """Shard set for ``graph``: the graph itself as one shard when not
+        sharded; else loaded from ``shard_dir`` when one is already
+        persisted there, otherwise built (and saved when a ``shard_dir`` is
+        configured) and cached for the pipeline's lifetime."""
+        if not self._sharded:
+            return whole_graph_shard_set(graph)
         if self._shard_set_cache is not None:
             return self._shard_set_cache
-        from repro.sharding import ShardSet, build_shard_set
-
         config = self.config
         shard_set = None
         if config.shard_dir and os.path.exists(
@@ -372,7 +375,6 @@ class _BasePipeline:
             iterations=config.iterations,
             batch_size=config.batch_size,
             model=config.model,
-            workers=config.workers,
         )
         sink = None
         if config.subgraph_store:
@@ -584,25 +586,17 @@ class PrivIM(_BasePipeline):
             sampling_rate=config.resolved_sampling_rate(graph.num_nodes),
             walk_length=config.walk_length,
             restart_probability=config.restart_probability,
-            workers=config.workers,
         )
-        if self._sharded:
-            from repro.sharding import sample_naive_sharded
-
-            run = sample_naive_sharded(
-                self._shard_set(graph),
-                sampling,
-                self._sampling_rng,
-                workers=config.shard_workers,
-                obs=self.obs,
-                sink=sink,
-                transport=config.shard_transport,
-                shard_hosts=config.shard_hosts,
-            )
-        else:
-            run = sample_naive(
-                graph, sampling, self._sampling_rng, obs=self.obs, sink=sink
-            )
+        run = sample_naive_sharded(
+            self._shard_set(graph),
+            sampling,
+            self._sampling_rng,
+            workers=config.shard_workers,
+            obs=self.obs,
+            sink=sink,
+            transport=config.shard_transport,
+            shard_hosts=config.shard_hosts,
+        )
         bound = max_occurrences_naive(config.theta, config.num_layers)
         return run.container, bound, len(run.container), 0, run.stats
 
@@ -643,25 +637,17 @@ class PrivIMStar(_BasePipeline):
             restart_probability=config.restart_probability,
             boundary_divisor=config.boundary_divisor,
             include_boundary=self.include_boundary,
-            workers=config.workers,
         )
-        if self._sharded:
-            from repro.sharding import sample_dual_stage_sharded
-
-            run = sample_dual_stage_sharded(
-                self._shard_set(graph),
-                sampling,
-                self._sampling_rng,
-                workers=config.shard_workers,
-                obs=self.obs,
-                sink=sink,
-                transport=config.shard_transport,
-                shard_hosts=config.shard_hosts,
-            )
-        else:
-            run = sample_dual_stage(
-                graph, sampling, self._sampling_rng, obs=self.obs, sink=sink
-            )
+        run = sample_dual_stage_sharded(
+            self._shard_set(graph),
+            sampling,
+            self._sampling_rng,
+            workers=config.shard_workers,
+            obs=self.obs,
+            sink=sink,
+            transport=config.shard_transport,
+            shard_hosts=config.shard_hosts,
+        )
         bound = max_occurrences_dual_stage(config.threshold)
         return run.container, bound, run.stage1_count, run.stage2_count, run.stats
 

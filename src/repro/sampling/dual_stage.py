@@ -41,15 +41,12 @@ class DualStageSamplingConfig:
         boundary_divisor: ``s`` — stage 2 uses subgraphs of size ``n / s``.
         include_boundary: run stage 2 (disable to get "PrivIM+SCS").
         direction: walk traversal direction.
-        workers: worker processes for the sampling engine.  ``1`` (default)
-            runs serially in-process and is the reference oracle; ``0``
-            means one worker per CPU.  Any value produces bit-identical
-            output for a fixed seed (see :mod:`repro.sampling.parallel`).
         chunk_size: start nodes per frequency-snapshot synchronisation
             chunk.  Part of the algorithm definition for the dual-stage
             sampler (walks inside a chunk see the same snapshot), so it
-            must be held fixed when comparing worker counts; larger values
-            expose more parallelism but raise the cap-hit rejection rate.
+            must be held fixed when comparing shard or worker counts;
+            larger values expose more parallelism but raise the cap-hit
+            rejection rate.
     """
 
     subgraph_size: int = 40
@@ -61,7 +58,6 @@ class DualStageSamplingConfig:
     boundary_divisor: int = 2
     include_boundary: bool = True
     direction: str = "both"
-    workers: int = 1
     chunk_size: int = 32
 
     def validate(self) -> None:
@@ -82,8 +78,6 @@ class DualStageSamplingConfig:
             raise SamplingError(
                 f"boundary_divisor s must be >= 1, got {self.boundary_divisor}"
             )
-        if self.workers < 0:
-            raise SamplingError(f"workers must be >= 0, got {self.workers}")
         if self.chunk_size < 1:
             raise SamplingError(f"chunk_size must be >= 1, got {self.chunk_size}")
 
@@ -125,9 +119,9 @@ def extract_subgraphs_dual_stage(
     ``result.container`` is guaranteed ≤ ``config.threshold`` (this is the
     invariant the privacy analysis needs, and both the coordinator's cap
     validation and the frequency vector enforce it with hard errors rather
-    than clipping).  Both stages run on the chunk-synchronous engine in
-    :mod:`repro.sampling.parallel`, so the result is bit-identical for any
-    ``config.workers`` value under a fixed seed.
+    than clipping).  Both stages run on the chunk-synchronous engine of
+    :mod:`repro.sharding.coordinator`, so the result is bit-identical to a
+    sharded run of the same seed on any shard layout.
     """
     from repro.sampling.parallel import sample_dual_stage
 

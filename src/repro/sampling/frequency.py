@@ -71,12 +71,25 @@ class FrequencyVector:
         return int(self.counts.max()) if len(self.counts) else 0
 
 
+def adaptive_neighbor_weights(
+    frequencies: np.ndarray,
+    threshold: int,
+    decay: float,
+) -> np.ndarray:
+    """Eq. 9's unnormalised weights ``e_v = 1 / (f_v + 1)^μ`` (0 at the
+    cap ``M``), elementwise over ``frequencies``."""
+    if decay < 0:
+        raise SamplingError(f"decay mu must be >= 0, got {decay}")
+    freq = np.asarray(frequencies, dtype=np.float64)
+    return np.where(freq < threshold, 1.0 / np.power(freq + 1.0, decay), 0.0)
+
+
 def adaptive_neighbor_probabilities(
     frequencies: np.ndarray,
     threshold: int,
     decay: float,
 ) -> np.ndarray:
-    """Eq. 9's unnormalised weights ``e_v`` for a candidate set.
+    """Eq. 9's weights ``e_v`` for a candidate set, normalised.
 
     Args:
         frequencies: ``f_v`` for each candidate.
@@ -87,10 +100,7 @@ def adaptive_neighbor_probabilities(
         Normalised probabilities (sums to 1), or an all-zero vector when
         every candidate is saturated.
     """
-    if decay < 0:
-        raise SamplingError(f"decay mu must be >= 0, got {decay}")
-    freq = np.asarray(frequencies, dtype=np.float64)
-    weights = np.where(freq < threshold, 1.0 / np.power(freq + 1.0, decay), 0.0)
+    weights = adaptive_neighbor_weights(frequencies, threshold, decay)
     total = weights.sum()
     if total <= 0:
         return np.zeros_like(weights)

@@ -39,10 +39,6 @@ class NaiveSamplingConfig:
             occurrence bound (ancestor counts through out-edges are
             unbounded) — use it only with the dual-stage sampler, whose
             frequency cap enforces the bound directly.
-        workers: worker processes for the sampling engine.  ``1`` (default)
-            runs serially in-process and is the reference oracle; ``0``
-            means one worker per CPU.  Any value produces bit-identical
-            output for a fixed seed (see :mod:`repro.sampling.parallel`).
         chunk_size: start nodes per scheduling chunk.  Purely a scheduling
             knob for the naive sampler; results do not depend on it.
     """
@@ -54,7 +50,6 @@ class NaiveSamplingConfig:
     walk_length: int = 200
     restart_probability: float = 0.3
     direction: str = "out"
-    workers: int = 1
     chunk_size: int = 32
 
     def validate(self) -> None:
@@ -71,8 +66,6 @@ class NaiveSamplingConfig:
             raise SamplingError(f"walk_length must be >= 1, got {self.walk_length}")
         if not 0.0 <= self.restart_probability < 1.0:
             raise SamplingError("restart_probability must be in [0, 1)")
-        if self.workers < 0:
-            raise SamplingError(f"workers must be >= 0, got {self.workers}")
         if self.chunk_size < 1:
             raise SamplingError(f"chunk_size must be >= 1, got {self.chunk_size}")
 

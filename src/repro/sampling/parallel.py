@@ -1,56 +1,42 @@
-"""Process-pool subgraph-sampling engine with serial-equivalence guarantees.
+"""The samplers' entry points on a flat graph, and their shared records.
 
-Random-walk subgraph extraction dominates PrivIM's end-to-end wall time, so
-this module fans the walks of Algorithm 1 (naive RWR) and Algorithm 3
-(dual-stage SCS+BES) out over worker processes.  Three design rules keep
-the privacy analysis intact:
+Algorithm 1 (naive RWR) and Algorithm 3 (dual-stage SCS+BES) have one
+engine, the chunk-synchronous coordinator of
+:mod:`repro.sharding.coordinator`.  :func:`sample_naive` and
+:func:`sample_dual_stage` hand it the graph as a single shard that owns
+every node — the graph's own CSR arrays, no halo, no partition pass
+(:func:`~repro.sharding.partition.whole_graph_shard_set`) — hosted in
+process.  Two rules keep the privacy analysis intact for every layout:
 
 1. **One child generator per start node.**  All walk randomness comes from
    :func:`repro.utils.rng.child_generator` keyed by ``(root_entropy,
-   start_node)``, so a walk's outcome is independent of which worker runs
-   it and in which order.  ``workers=1`` and ``workers=k`` therefore
-   produce *bit-identical* :class:`SubgraphContainer`\\ s for a fixed seed
-   — the serial path is the reference oracle for the pool.
+   start_node)``, so a walk's outcome is independent of which shard or
+   worker runs it: flat and sharded runs of one seed produce
+   bit-identical :class:`SubgraphContainer`\\ s.
 
-2. **Read-only graph sharing.**  The walk graph is shipped to workers via
-   ``fork`` (zero-copy page sharing of the CSR arrays built once in
-   :mod:`repro.graphs.graph`); on platforms without ``fork`` the dual-CSR
-   arrays are sent once per worker and rebuilt with :meth:`Graph.from_csr`
-   — never pickled per task.
-
-3. **Chunk-synchronous cap validation.**  The dual-stage sampler's Eq. 9
-   probabilities depend on the shared frequency vector, which workers
-   cannot mutate.  Start nodes are processed in fixed-size chunks: workers
-   propose walks against a frequency *snapshot* (published through
-   ``multiprocessing.shared_memory``), then the coordinator validates each
-   proposal, in start-node order, against the *live*
-   :class:`FrequencyVector` and rejects any walk that would push a node
-   past the cap ``M``.  The occurrence bound ``N_g* = M`` therefore holds
-   exactly regardless of worker count; staleness only costs rejected walks
-   (reported in :class:`SamplingStats`), never privacy.
-
-Chunk boundaries depend only on ``chunk_size`` — not on ``workers`` — so
-the proposal/validation schedule, and hence the output, is identical for
-every worker count.
+2. **Chunk-synchronous cap validation.**  Eq. 9's probabilities depend on
+   the shared frequency vector.  Start nodes are processed in fixed-size
+   chunks: walks propose against a frequency *snapshot* taken at the
+   chunk's start, then the coordinator validates each proposal, in
+   start-node order, against the *live* :class:`FrequencyVector` and
+   rejects any walk that would push a node past the cap ``M``.  The
+   occurrence bound ``N_g* = M`` therefore holds exactly; staleness only
+   costs rejected walks (reported in :class:`SamplingStats`), never
+   privacy.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.errors import SamplingError
-from repro.obs import Observability, ensure_obs
-from repro.graphs.degree import project_in_degree
 from repro.graphs.graph import Graph
-from repro.graphs.neighborhoods import k_hop_nodes
-from repro.sampling.container import Subgraph, SubgraphContainer
-from repro.sampling.frequency import FrequencyVector, make_frequency_chooser
-from repro.sampling.random_walk import random_walk_nodes
-from repro.utils.rng import child_generator, derive_root_entropy, ensure_rng
+from repro.obs import Observability
+from repro.sampling.container import SubgraphContainer
+from repro.sampling.frequency import FrequencyVector
 
 __all__ = [
     "SamplingStats",
@@ -62,21 +48,19 @@ __all__ = [
 ]
 
 
-# --------------------------------------------------------------------------- #
-# Statistics
-# --------------------------------------------------------------------------- #
 @dataclass
 class SamplingStats:
-    """Lightweight counters the engine keeps while sampling.
+    """Counters the engine keeps while sampling.
 
     Attributes:
-        workers: resolved worker-process count (1 = in-process serial).
+        workers: shard-worker processes that hosted the shards
+            (1 = in-process).
         chunk_size: start nodes per synchronisation chunk.
         starts_selected: nodes that passed the Bernoulli(q) selection.
         starts_skipped: selected starts not walked (r-hop ball smaller than
             ``n`` for the naive sampler; start already saturated in the
             snapshot for the dual-stage sampler).
-        walks_attempted: walks actually run by workers.
+        walks_attempted: walks actually run.
         walks_failed: walks that exhausted the step budget ``L``.
         walks_rejected: proposals the coordinator rejected because a stale
             snapshot let them include a node at the cap ``M`` (dual-stage
@@ -86,6 +70,14 @@ class SamplingStats:
             naive; ``stage1`` / ``stage2`` for dual-stage).  Every stage
             key of the algorithm that ran is always present — a skipped
             stage (e.g. BES on SCS-only configs) reads 0.0.
+        num_shards: shards the graph was split into (1 = flat).
+        frontier_forwards / exchange_rounds: walks handed to another
+            shard, and the poll rounds that carried them.
+        shard_seconds / shard_walks: per-shard host time and walk batches.
+        transport: shard channel (``local`` or ``tcp``).
+        frames_sent / frames_received / bytes_sent / bytes_received: wire
+            accounting of the TCP transport (0 in process).
+        exchange_wait_seconds: coordinator time spent in the walk loop.
     """
 
     workers: int = 1
@@ -97,6 +89,17 @@ class SamplingStats:
     walks_rejected: int = 0
     subgraphs_emitted: int = 0
     stage_seconds: dict[str, float] = field(default_factory=dict)
+    num_shards: int = 1
+    frontier_forwards: int = 0
+    exchange_rounds: int = 0
+    shard_seconds: dict[int, float] = field(default_factory=dict)
+    shard_walks: dict[int, int] = field(default_factory=dict)
+    transport: str = "local"
+    frames_sent: int = 0
+    frames_received: int = 0
+    bytes_sent: int = 0
+    bytes_received: int = 0
+    exchange_wait_seconds: float = 0.0
 
     @property
     def cap_hit_rate(self) -> float:
@@ -128,7 +131,9 @@ class NaiveSamplingRun:
 
 @dataclass
 class DualStageRun:
-    """Output of :func:`sample_dual_stage` (wrapped by ``DualStageResult``).
+    """Output of :func:`sample_dual_stage` and
+    :func:`~repro.sharding.sample_dual_stage_sharded` (wrapped by
+    ``DualStageResult``).
 
     ``container`` is the caller-supplied sink (see
     :class:`NaiveSamplingRun`); in-memory container by default.
@@ -142,7 +147,7 @@ class DualStageRun:
 
 
 def resolve_workers(workers: int) -> int:
-    """Resolve a config ``workers`` value (0 = one per CPU) to a count ≥ 1."""
+    """Resolve a ``workers`` value (0 = one per CPU) to a count ≥ 1."""
     if workers < 0:
         raise SamplingError(f"workers must be >= 0, got {workers}")
     if workers == 0:
@@ -150,283 +155,6 @@ def resolve_workers(workers: int) -> int:
     return workers
 
 
-# --------------------------------------------------------------------------- #
-# Worker-side state and proposal tasks
-# --------------------------------------------------------------------------- #
-# Populated by _worker_init — in the parent for the serial path, in each
-# worker process (via fork inheritance or the pool initializer) otherwise.
-_STATE: dict = {}
-
-
-class _SnapshotFrequency:
-    """Duck-typed read-only stand-in for :class:`FrequencyVector`.
-
-    Workers only need ``counts`` / ``threshold`` for the Eq. 9 chooser; the
-    live vector (and its hard-error recording) stays with the coordinator.
-    """
-
-    __slots__ = ("counts", "threshold")
-
-    def __init__(self, counts: np.ndarray, threshold: int) -> None:
-        self.counts = counts
-        self.threshold = int(threshold)
-
-
-def _attach_shared_memory(name: str):
-    """Attach to an existing shared-memory segment without tracking it.
-
-    The coordinator owns the segment's lifetime (create + unlink); if the
-    attaching worker also registered it with the resource tracker, the
-    tracker — shared with the parent under ``fork`` — would receive
-    duplicate unregister/unlink messages and spew KeyError noise at exit.
-    Python 3.13+ exposes ``track=False`` for exactly this; earlier versions
-    need the registration call suppressed during attach.
-    """
-    from multiprocessing import shared_memory
-
-    try:
-        return shared_memory.SharedMemory(name=name, track=False)
-    except TypeError:  # Python < 3.13
-        pass
-    from multiprocessing import resource_tracker
-
-    original_register = resource_tracker.register
-
-    def _skip_shared_memory(resource_name, rtype):
-        if rtype != "shared_memory":
-            original_register(resource_name, rtype)
-
-    resource_tracker.register = _skip_shared_memory
-    try:
-        return shared_memory.SharedMemory(name=name)
-    finally:
-        resource_tracker.register = original_register
-
-
-def _worker_init(graph, csr_payload, snapshot_spec) -> None:
-    """Install the shared walk graph and frequency snapshot in this process.
-
-    Exactly one of ``graph`` (fork: inherited zero-copy) and ``csr_payload``
-    (spawn: dual-CSR arrays, rebuilt without re-sorting) is non-``None``.
-    ``snapshot_spec`` is ``None`` (naive sampler), ``("array", arr)``
-    (serial path) or ``("shm", name, length)`` (pool path).
-    """
-    if graph is None and csr_payload is not None:
-        num_nodes, out_csr, in_csr, directed = csr_payload
-        graph = Graph.from_csr(num_nodes, out_csr, in_csr, directed=directed)
-    _STATE["graph"] = graph
-    _STATE["snapshot"] = None
-    _STATE["shm"] = None
-    if snapshot_spec is not None:
-        kind = snapshot_spec[0]
-        if kind == "array":
-            _STATE["snapshot"] = snapshot_spec[1]
-        else:
-            shm = _attach_shared_memory(snapshot_spec[1])
-            _STATE["shm"] = shm
-            _STATE["snapshot"] = np.ndarray(
-                (snapshot_spec[2],), dtype=np.int64, buffer=shm.buf
-            )
-
-
-def _propose_naive_chunk(task):
-    """Walk a chunk of start nodes for Algorithm 1 (no shared state).
-
-    Returns ``[(start, nodes-or-None, skipped), ...]`` in start order, where
-    ``skipped`` flags starts whose r-hop ball is smaller than ``n``.
-    """
-    nodes, root, params = task
-    subgraph_size, hops, walk_length, restart_probability, direction = params
-    graph = _STATE["graph"]
-    out = []
-    for node in nodes:
-        node = int(node)
-        generator = child_generator(root, node)
-        ball = k_hop_nodes(graph, node, hops, direction=direction)
-        if len(ball) < subgraph_size:
-            out.append((node, None, True))
-            continue
-        walked = random_walk_nodes(
-            graph,
-            node,
-            subgraph_size,
-            walk_length=walk_length,
-            restart_probability=restart_probability,
-            rng=generator,
-            allowed=ball,
-            direction=direction,
-        )
-        out.append((node, walked, False))
-    return out
-
-
-def _propose_frequency_chunk(task):
-    """Walk a chunk of start nodes for Algorithm 3 against a snapshot.
-
-    ``task`` may carry an explicit snapshot array (no-shared-memory
-    fallback); otherwise the process-local snapshot view is used.  Returns
-    ``[(start, nodes-or-None, skipped), ...]``; ``skipped`` flags starts
-    already saturated in the snapshot.
-    """
-    nodes, root, params, snapshot = task
-    subgraph_size, walk_length, restart_probability, decay, threshold, direction = params
-    graph = _STATE["graph"]
-    if snapshot is None:
-        snapshot = _STATE["snapshot"]
-    frequency = _SnapshotFrequency(snapshot, threshold)
-    chooser = make_frequency_chooser(frequency, decay)
-    out = []
-    for node in nodes:
-        node = int(node)
-        if snapshot[node] >= threshold:
-            out.append((node, None, True))
-            continue
-        generator = child_generator(root, node)
-        walked = random_walk_nodes(
-            graph,
-            node,
-            subgraph_size,
-            walk_length=walk_length,
-            restart_probability=restart_probability,
-            rng=generator,
-            chooser=chooser,
-            direction=direction,
-        )
-        out.append((node, walked, False))
-    return out
-
-
-# --------------------------------------------------------------------------- #
-# Runtime: serial in-process execution or a forked process pool
-# --------------------------------------------------------------------------- #
-class _SamplingRuntime:
-    """Runs proposal tasks either in-process or on a process pool.
-
-    The runtime also owns the frequency-snapshot channel: a plain array for
-    the serial path, a ``SharedMemory`` segment the coordinator rewrites
-    between chunks for the pool path (falling back to shipping the snapshot
-    inside each task if shared memory is unavailable).
-    """
-
-    def __init__(self, graph: Graph, workers: int, snapshot_len: int | None) -> None:
-        self._workers = workers
-        self._pool = None
-        self._shm = None
-        self.snapshot: np.ndarray | None = None
-        self._ship_snapshot = False
-
-        snapshot_spec = None
-        if snapshot_len is not None:
-            if workers > 1:
-                try:
-                    from multiprocessing import shared_memory
-
-                    self._shm = shared_memory.SharedMemory(
-                        create=True, size=max(8 * snapshot_len, 8)
-                    )
-                    self.snapshot = np.ndarray(
-                        (snapshot_len,), dtype=np.int64, buffer=self._shm.buf
-                    )
-                    snapshot_spec = ("shm", self._shm.name, snapshot_len)
-                except Exception:
-                    self.snapshot = np.zeros(snapshot_len, dtype=np.int64)
-                    self._ship_snapshot = True
-            else:
-                self.snapshot = np.zeros(snapshot_len, dtype=np.int64)
-                snapshot_spec = ("array", self.snapshot)
-
-        if workers > 1:
-            methods = multiprocessing.get_all_start_methods()
-            if "fork" in methods:
-                context = multiprocessing.get_context("fork")
-                initargs = (graph, None, snapshot_spec)
-            else:  # pragma: no cover - non-fork platforms
-                context = multiprocessing.get_context()
-                payload = (graph.num_nodes, graph.out_csr(), graph.in_csr(), graph.is_directed)
-                initargs = (None, payload, snapshot_spec)
-            self._pool = context.Pool(
-                processes=workers, initializer=_worker_init, initargs=initargs
-            )
-        else:
-            _worker_init(graph, None, snapshot_spec)
-
-    def write_snapshot(self, counts: np.ndarray) -> None:
-        """Publish the live frequency counts to the workers' snapshot."""
-        self.snapshot[:] = counts
-
-    def snapshot_for_task(self) -> np.ndarray | None:
-        """Snapshot to embed in tasks (fallback transport only)."""
-        if self._ship_snapshot:
-            return self.snapshot.copy()
-        return None
-
-    def map(self, fn, tasks: list) -> list:
-        """Run ``fn`` over ``tasks`` preserving order."""
-        if self._pool is None:
-            return [fn(task) for task in tasks]
-        return self._pool.map(fn, tasks)
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.terminate()
-            self._pool.join()
-            self._pool = None
-        if self._shm is not None:
-            self._shm.close()
-            self._shm.unlink()
-            self._shm = None
-        _STATE.clear()
-
-    def __enter__(self) -> "_SamplingRuntime":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-def _publish_stats(obs: Observability, algorithm: str, stats: SamplingStats) -> None:
-    """Mirror the engine counters into the metrics registry and run record."""
-    if not obs.enabled:
-        return
-    obs.counter("sampling.starts_selected").inc(stats.starts_selected)
-    obs.counter("sampling.starts_skipped").inc(stats.starts_skipped)
-    obs.counter("sampling.walks_attempted").inc(stats.walks_attempted)
-    obs.counter("sampling.walks_failed").inc(stats.walks_failed)
-    obs.counter("sampling.walks_rejected").inc(stats.walks_rejected)
-    obs.counter("sampling.subgraphs_emitted").inc(stats.subgraphs_emitted)
-    obs.gauge("sampling.cap_hit_rate").set(stats.cap_hit_rate)
-    obs.event(
-        "sampling",
-        algorithm=algorithm,
-        workers=stats.workers,
-        chunk_size=stats.chunk_size,
-        starts_selected=stats.starts_selected,
-        starts_skipped=stats.starts_skipped,
-        walks_attempted=stats.walks_attempted,
-        walks_failed=stats.walks_failed,
-        walks_rejected=stats.walks_rejected,
-        subgraphs_emitted=stats.subgraphs_emitted,
-        cap_hit_rate=stats.cap_hit_rate,
-        stage_seconds=dict(stats.stage_seconds),
-    )
-
-
-def _chunks(values: np.ndarray, chunk_size: int) -> list[np.ndarray]:
-    """Split ``values`` into contiguous chunks of ``chunk_size``."""
-    return [values[i : i + chunk_size] for i in range(0, len(values), chunk_size)]
-
-
-def _split_for_workers(chunk: np.ndarray, workers: int) -> list[np.ndarray]:
-    """Split one chunk into per-worker slices (order-preserving)."""
-    parts = min(workers, len(chunk))
-    if parts <= 1:
-        return [chunk]
-    return [part for part in np.array_split(chunk, parts) if len(part)]
-
-
-# --------------------------------------------------------------------------- #
-# Algorithm 1 — naive RWR sampling
-# --------------------------------------------------------------------------- #
 def sample_naive(
     graph: Graph,
     config,
@@ -435,13 +163,12 @@ def sample_naive(
     obs: Observability | None = None,
     sink=None,
 ) -> NaiveSamplingRun:
-    """Run Algorithm 1 with ``config.workers`` processes.
+    """Run Algorithm 1 on ``graph``.
 
-    ``config`` is a :class:`repro.sampling.naive.NaiveSamplingConfig`.  Walks
-    are embarrassingly parallel here (no shared frequency state): the master
-    generator draws the θ-projection, the Bernoulli(q) selection mask, and
-    one root entropy value; each selected start then walks under its own
-    child generator, so the output is invariant to the worker count.
+    ``config`` is a :class:`repro.sampling.naive.NaiveSamplingConfig`.  The
+    master generator draws the θ-projection, the Bernoulli(q) selection
+    mask, and one root entropy value; each selected start then walks its
+    r-hop ball under its own child generator.
 
     ``obs`` receives ``sampling.projection`` / ``sampling.walks`` stage
     spans and the engine counters; the observability layer never touches
@@ -454,129 +181,20 @@ def sample_naive(
     emitted *sequence* is identical for every sink, so a store-backed run
     trains bit-identically to an in-memory one.
     """
-    config.validate()
-    obs = ensure_obs(obs)
-    generator = ensure_rng(rng)
-    workers = resolve_workers(config.workers)
-    stats = SamplingStats(workers=workers, chunk_size=config.chunk_size)
+    from repro.sharding.coordinator import sample_naive_sharded
+    from repro.sharding.partition import whole_graph_shard_set
 
-    with obs.span("sampling.projection") as span:
-        projected = project_in_degree(graph, config.theta, generator)
-    stats.stage_seconds["projection"] = span.seconds
-
-    selected = np.flatnonzero(
-        generator.random(projected.num_nodes) < config.sampling_rate
+    run = sample_naive_sharded(
+        whole_graph_shard_set(graph),
+        config,
+        rng,
+        obs=obs,
+        sink=sink,
+        return_projection=True,
     )
-    root = derive_root_entropy(generator)
-    stats.starts_selected = int(len(selected))
-
-    container = SubgraphContainer() if sink is None else sink
-    with obs.span("sampling.walks") as span:
-        if len(selected):
-            params = (
-                config.subgraph_size,
-                config.hops,
-                config.walk_length,
-                config.restart_probability,
-                config.direction,
-            )
-            tasks = [
-                (chunk, root, params) for chunk in _chunks(selected, config.chunk_size)
-            ]
-            with _SamplingRuntime(projected, workers, None) as runtime:
-                for proposals in runtime.map(_propose_naive_chunk, tasks):
-                    for _node, nodes, skipped in proposals:
-                        if skipped:
-                            stats.starts_skipped += 1
-                            continue
-                        stats.walks_attempted += 1
-                        if nodes is None:
-                            stats.walks_failed += 1
-                            continue
-                        subgraph, node_map = projected.subgraph(nodes)
-                        container.add(Subgraph(subgraph, node_map))
-                        stats.subgraphs_emitted += 1
-    stats.stage_seconds["walks"] = span.seconds
-    _publish_stats(obs, "naive", stats)
-    return NaiveSamplingRun(container=container, projected=projected, stats=stats)
-
-
-# --------------------------------------------------------------------------- #
-# Algorithm 3 — dual-stage SCS + BES sampling
-# --------------------------------------------------------------------------- #
-def _frequency_pass(
-    walk_graph: Graph,
-    source_graph: Graph,
-    frequency: FrequencyVector,
-    node_ids: np.ndarray,
-    subgraph_size: int,
-    config,
-    generator: np.random.Generator,
-    workers: int,
-    container: SubgraphContainer,
-    stats: SamplingStats,
-) -> int:
-    """One chunk-synchronous ``FreqSampling`` pass (Algorithm 3, lines 9–28).
-
-    ``walk_graph`` uses local ids; ``node_ids[i]`` maps local node ``i``
-    back to the original id the global ``frequency`` uses; ``source_graph``
-    provides the edges of emitted subgraphs.  Workers propose walks against
-    a snapshot of the local counts; this coordinator then validates each
-    proposal in start order against the live counts — a proposal touching
-    any node at the cap is rejected outright, so ``N_g* = M`` holds exactly.
-    Returns the number of subgraphs emitted.
-    """
-    live_counts = frequency.counts[node_ids].copy()
-    selected = np.flatnonzero(
-        generator.random(walk_graph.num_nodes) < config.sampling_rate
+    return NaiveSamplingRun(
+        container=run.container, projected=run.reassemble_projected(), stats=run.stats
     )
-    root = derive_root_entropy(generator)
-    stats.starts_selected += int(len(selected))
-    if not len(selected):
-        return 0
-
-    params = (
-        subgraph_size,
-        config.walk_length,
-        config.restart_probability,
-        config.decay,
-        config.threshold,
-        config.direction,
-    )
-    emitted = 0
-    with _SamplingRuntime(walk_graph, workers, walk_graph.num_nodes) as runtime:
-        for chunk in _chunks(selected, config.chunk_size):
-            runtime.write_snapshot(live_counts)
-            shipped = runtime.snapshot_for_task()
-            tasks = [
-                (part, root, params, shipped)
-                for part in _split_for_workers(chunk, workers)
-            ]
-            proposals = [
-                proposal
-                for task_result in runtime.map(_propose_frequency_chunk, tasks)
-                for proposal in task_result
-            ]
-            for _node, nodes, skipped in proposals:
-                if skipped:
-                    stats.starts_skipped += 1
-                    continue
-                stats.walks_attempted += 1
-                if nodes is None:
-                    stats.walks_failed += 1
-                    continue
-                local_nodes = np.asarray(nodes, dtype=np.int64)
-                if np.any(live_counts[local_nodes] >= config.threshold):
-                    stats.walks_rejected += 1
-                    continue
-                original_nodes = node_ids[local_nodes]
-                subgraph, _ = source_graph.subgraph(original_nodes)
-                container.add(Subgraph(subgraph, original_nodes))
-                live_counts[local_nodes] += 1
-                frequency.record_subgraph(original_nodes)
-                emitted += 1
-    stats.subgraphs_emitted += emitted
-    return emitted
 
 
 def sample_dual_stage(
@@ -587,12 +205,11 @@ def sample_dual_stage(
     obs: Observability | None = None,
     sink=None,
 ) -> DualStageRun:
-    """Run Algorithm 3 with ``config.workers`` processes.
+    """Run Algorithm 3 on ``graph``.
 
     ``config`` is a :class:`repro.sampling.dual_stage.DualStageSamplingConfig`.
     Both stages use the chunk-synchronous propose/validate scheme, so the
-    occurrence cap ``M`` is enforced exactly by the coordinator for every
-    worker count, and the output is bit-identical across worker counts.
+    occurrence cap ``M`` is enforced exactly by the coordinator.
 
     ``obs`` receives ``sampling.stage1`` / ``sampling.stage2`` stage spans
     and the engine counters.  ``stats.stage_seconds`` always carries *both*
@@ -603,60 +220,9 @@ def sample_dual_stage(
     cap bookkeeping lives in the coordinator's :class:`FrequencyVector`,
     never in the sink, so spilling to disk cannot perturb validation.
     """
-    config.validate()
-    obs = ensure_obs(obs)
-    generator = ensure_rng(rng)
-    workers = resolve_workers(config.workers)
-    stats = SamplingStats(workers=workers, chunk_size=config.chunk_size)
-    # Both stage keys are always present (a skipped BES stage reads 0.0);
-    # downstream timing consumers rely on this invariant.
-    stats.stage_seconds["stage1"] = 0.0
-    stats.stage_seconds["stage2"] = 0.0
+    from repro.sharding.coordinator import sample_dual_stage_sharded
+    from repro.sharding.partition import whole_graph_shard_set
 
-    frequency = FrequencyVector(graph.num_nodes, config.threshold)
-    all_nodes = np.arange(graph.num_nodes, dtype=np.int64)
-    container = SubgraphContainer() if sink is None else sink
-
-    with obs.span("sampling.stage1") as span:
-        stage1_count = _frequency_pass(
-            graph,
-            graph,
-            frequency,
-            all_nodes,
-            config.subgraph_size,
-            config,
-            generator,
-            workers,
-            container,
-            stats,
-        )
-    stats.stage_seconds["stage1"] = span.seconds
-
-    stage2_count = 0
-    if config.include_boundary:
-        with obs.span("sampling.stage2") as span:
-            remaining = frequency.available_nodes()
-            if len(remaining) >= config.boundary_subgraph_size:
-                residual, node_ids = graph.subgraph(remaining)
-                stage2_count = _frequency_pass(
-                    residual,
-                    graph,
-                    frequency,
-                    node_ids,
-                    config.boundary_subgraph_size,
-                    config,
-                    generator,
-                    workers,
-                    container,
-                    stats,
-                )
-        stats.stage_seconds["stage2"] = span.seconds
-
-    _publish_stats(obs, "dual_stage", stats)
-    return DualStageRun(
-        container=container,
-        frequency=frequency,
-        stage1_count=stage1_count,
-        stage2_count=stage2_count,
-        stats=stats,
+    return sample_dual_stage_sharded(
+        whole_graph_shard_set(graph), config, rng, obs=obs, sink=sink
     )

@@ -16,13 +16,15 @@ Modules:
 * :mod:`~repro.sharding.walker` — resumable walk tasks that carry their
   RNG child stream across shard boundaries.
 * :mod:`~repro.sharding.transport` — pluggable shard channels:
-  in-process, forked pipes, or TCP frame servers with a zero-copy
-  no-pickle codec and pipelined scatter/gather.
+  in-process, or TCP frame servers with a zero-copy no-pickle codec and
+  pipelined scatter/gather.
 * :mod:`~repro.sharding.runtime` — shard hosts behind the configured
-  transport, with a shared-memory (or shipped) snapshot channel.
+  transport, with the frequency-snapshot channel.
 * :mod:`~repro.sharding.coordinator` — :func:`sample_naive_sharded` /
-  :func:`sample_dual_stage_sharded`: chunk-synchronous propose/validate
-  across shards with pipelined cross-shard frontier exchange.
+  :func:`sample_dual_stage_sharded`: the sampling engine — chunk-
+  synchronous propose/validate with pipelined cross-shard frontier
+  exchange.  The flat samplers run here too, on
+  :func:`whole_graph_shard_set`.
 * :mod:`~repro.sharding.sink` — :class:`ShardedStoreSink`: per-shard
   subgraph stores merged back into emission order.
 """
@@ -32,10 +34,10 @@ from repro.sharding.partition import (
     ShardSet,
     build_shard_set,
     load_shard,
+    whole_graph_shard_set,
 )
 from repro.sharding.walker import WalkParams, WalkTask
 from repro.sharding.transport import (
-    ForkPipeTransport,
     LocalTransport,
     ShardHostServer,
     ShardTransport,
@@ -47,9 +49,7 @@ from repro.sharding.transport import (
 )
 from repro.sharding.runtime import ShardRuntime
 from repro.sharding.coordinator import (
-    ShardedDualStageRun,
     ShardedNaiveRun,
-    ShardedSamplingStats,
     sample_dual_stage_sharded,
     sample_naive_sharded,
 )
@@ -60,11 +60,11 @@ __all__ = [
     "ShardSet",
     "build_shard_set",
     "load_shard",
+    "whole_graph_shard_set",
     "WalkParams",
     "WalkTask",
     "ShardTransport",
     "LocalTransport",
-    "ForkPipeTransport",
     "TcpTransport",
     "ShardHostServer",
     "TransportStats",
@@ -72,9 +72,7 @@ __all__ = [
     "unpack_message",
     "resolve_transport",
     "ShardRuntime",
-    "ShardedSamplingStats",
     "ShardedNaiveRun",
-    "ShardedDualStageRun",
     "sample_naive_sharded",
     "sample_dual_stage_sharded",
     "ShardedStoreSink",

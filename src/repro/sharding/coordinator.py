@@ -1,11 +1,14 @@
-"""Sharded sampling coordinator: globally exact caps across shards.
+"""The sampling engine: Algorithms 1 and 3 with globally exact caps.
 
-Drives the shard hosts of :mod:`repro.sharding.runtime` through the same
-chunk-synchronous propose/validate protocol ``sampling/parallel.py`` uses,
-extended with cross-shard frontier exchange:
+Every sampler runs here.  A flat graph is one shard that owns every node
+(:func:`~repro.sharding.partition.whole_graph_shard_set`), hosted in
+process; a sharded graph is an edge-cut :class:`ShardSet` whose shards
+are hosted in process or behind TCP shard hosts
+(:mod:`repro.sharding.runtime`).  One chunk-synchronous propose/validate
+protocol serves both, with cross-shard frontier exchange:
 
-1. **Select** starts with the master generator, exactly as the serial
-   sampler does (same draws, same order).
+1. **Select** starts with the master generator (same draws, same order
+   for every layout).
 2. **Propose**: each start walks under its own child RNG stream on the
    shard that owns its current node; a walk stepping onto a halo node is
    suspended and forwarded — carrying its generator — to the owner shard
@@ -16,19 +19,20 @@ extended with cross-shard frontier exchange:
    matter how many shards or workers ran the walks.
 4. **Induce + emit**: accepted node sets are induced distributedly (each
    shard contributes the arcs of its owned rows) and emitted in start
-   order, so the output container is bit-identical to the serial sampler
-   on the reassembled graph — for every (num_shards, workers) pair.
+   order, so the output container is identical for every
+   (num_shards, workers, transport) triple.
 
 The master generator is consumed only for: the θ-projection draws (naive),
 the Bernoulli(q) selection mask per pass, and one root-entropy draw per
-pass — the identical consumption sequence of the serial engine, which is
-what makes the differential tests exact.
+pass — the consumption sequence of the serial oracle in the test suite
+(``random_walk_nodes`` with a chunked cap validation), which is what makes
+the differential tests exact.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,36 +41,17 @@ from repro.graphs.graph import Graph
 from repro.obs import Observability, ensure_obs
 from repro.sampling.container import Subgraph, SubgraphContainer
 from repro.sampling.frequency import FrequencyVector
-from repro.sampling.parallel import SamplingStats, _chunks
-from repro.sharding.partition import GraphShard, ShardSet
+from repro.sampling.parallel import DualStageRun, SamplingStats
+from repro.sharding.partition import GraphShard, ShardSet, _row_gather
 from repro.sharding.runtime import ShardRuntime
 from repro.sharding.walker import WalkParams, WalkTask
 from repro.utils.rng import child_generator, derive_root_entropy, ensure_rng
 
 __all__ = [
-    "ShardedSamplingStats",
     "ShardedNaiveRun",
-    "ShardedDualStageRun",
     "sample_naive_sharded",
     "sample_dual_stage_sharded",
 ]
-
-
-@dataclass
-class ShardedSamplingStats(SamplingStats):
-    """Engine counters plus frontier-exchange accounting."""
-
-    num_shards: int = 1
-    frontier_forwards: int = 0
-    exchange_rounds: int = 0
-    shard_seconds: dict[int, float] = field(default_factory=dict)
-    shard_walks: dict[int, int] = field(default_factory=dict)
-    transport: str = "local"
-    frames_sent: int = 0
-    frames_received: int = 0
-    bytes_sent: int = 0
-    bytes_received: int = 0
-    exchange_wait_seconds: float = 0.0
 
 
 @dataclass
@@ -74,7 +59,7 @@ class ShardedNaiveRun:
     """Outcome of :func:`sample_naive_sharded`."""
 
     container: SubgraphContainer
-    stats: ShardedSamplingStats
+    stats: SamplingStats
     projected_shards: list[GraphShard] | None = None
 
     def reassemble_projected(self) -> Graph:
@@ -96,15 +81,9 @@ class ShardedNaiveRun:
         return shard_set.reassemble()
 
 
-@dataclass
-class ShardedDualStageRun:
-    """Outcome of :func:`sample_dual_stage_sharded`."""
-
-    container: SubgraphContainer
-    frequency: FrequencyVector
-    stage1_count: int
-    stage2_count: int
-    stats: ShardedSamplingStats
+def _chunks(values: np.ndarray, chunk_size: int) -> list[np.ndarray]:
+    """Split ``values`` into contiguous chunks of ``chunk_size``."""
+    return [values[i : i + chunk_size] for i in range(0, len(values), chunk_size)]
 
 
 # --------------------------------------------------------------------------- #
@@ -114,7 +93,7 @@ def _run_walks(
     runtime: ShardRuntime,
     assignment: np.ndarray,
     tasks: list[WalkTask],
-    stats: ShardedSamplingStats,
+    stats: SamplingStats,
 ) -> dict[int, list[int] | None]:
     """Pipelined frontier-exchange loop; returns ``{key: nodes_or_None}``.
 
@@ -156,43 +135,47 @@ def _expand_balls(
     hops: int,
     direction: str,
     use_projected: bool,
-) -> dict[int, set[int]]:
-    """Distributed r-hop balls: lockstep BFS, rows served by owner shards."""
-    balls: dict[int, set[int]] = {int(s): {int(s)} for s in starts}
-    frontiers: dict[int, list[int]] = {int(s): [int(s)] for s in starts}
+) -> list[np.ndarray]:
+    """Distributed r-hop balls of ``starts`` as sorted arrays — the node
+    sets ``k_hop_nodes`` returns.  Lock-step BFS: each depth fetches the
+    rows of every frontier node of the chunk once, from their owner
+    shards, then grows each ball with vectorized set operations."""
+    balls = [np.array([start], dtype=np.int64) for start in starts]
+    frontiers = list(balls)
     for _depth in range(hops):
-        needed = sorted({node for frontier in frontiers.values() for node in frontier})
-        if not needed:
+        needed = np.unique(np.concatenate(frontiers))
+        if not len(needed):
             break
-        by_shard: dict[int, list[int]] = {}
-        for node in needed:
-            by_shard.setdefault(int(assignment[node]), []).append(node)
+        owners = assignment[needed]
+        members = {int(shard_id): owners == shard_id for shard_id in np.unique(owners)}
         responses = runtime.request(
             "ball_rows",
             {
                 shard_id: {
-                    "nodes": np.asarray(nodes, dtype=np.int64),
+                    "nodes": needed[mask],
                     "direction": direction,
                     "use_projected": use_projected,
                 }
-                for shard_id, nodes in by_shard.items()
+                for shard_id, mask in members.items()
             },
         )
-        rows: dict[int, np.ndarray] = {}
-        for shard_id in sorted(responses):
-            rows.update(responses[shard_id])
-        next_frontiers: dict[int, list[int]] = {}
-        for start in frontiers:
-            ball = balls[start]
-            grown: list[int] = []
-            for node in frontiers[start]:
-                for neighbour in rows[node]:
-                    neighbour = int(neighbour)
-                    if neighbour not in ball:
-                        ball.add(neighbour)
-                        grown.append(neighbour)
-            next_frontiers[start] = grown
-        frontiers = next_frontiers
+        # One CSR over ``needed`` from the shards' row blocks.
+        lengths = np.zeros(len(needed), dtype=np.int64)
+        for shard_id, mask in members.items():
+            lengths[mask] = np.diff(responses[shard_id][0])
+        indptr = np.zeros(len(needed) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=indptr[1:])
+        rows = np.empty(int(indptr[-1]), dtype=np.int64)
+        for shard_id, mask in members.items():
+            _, slots = _row_gather(indptr, np.flatnonzero(mask))
+            rows[slots] = responses[shard_id][1]
+        for index, frontier in enumerate(frontiers):
+            if not len(frontier):
+                continue
+            _, gathered = _row_gather(indptr, np.searchsorted(needed, frontier))
+            fresh = np.setdiff1d(rows[gathered], balls[index])
+            balls[index] = np.union1d(balls[index], fresh)
+            frontiers[index] = fresh
     return balls
 
 
@@ -275,27 +258,21 @@ def _distributed_projection(
     fragments to each source's owner; phase D assembles the projected out
     rows.  The projection stays sharded — it is never materialised whole.
     """
-    num_nodes = shard_set.num_nodes
     responses = runtime.broadcast("in_degrees", None)
-    in_degrees = np.zeros(num_nodes, dtype=np.int64)
+    in_degrees = np.zeros(shard_set.num_nodes, dtype=np.int64)
     for shard_id in sorted(responses):
         owned, degrees = responses[shard_id]
         in_degrees[owned] = degrees
 
-    keep_by_shard: dict[int, dict[int, np.ndarray]] = {
-        shard_id: {} for shard_id in range(shard_set.num_shards)
-    }
-    assignment = shard_set.assignment
-    for node in range(num_nodes):
-        degree = int(in_degrees[node])
-        if degree > theta:
-            keep = generator.choice(degree, size=theta, replace=False)
-            keep_by_shard[int(assignment[node])][node] = keep
-
+    over = np.flatnonzero(in_degrees > theta)
+    keep = np.empty((len(over), theta), dtype=np.int64)
+    for row, degree in enumerate(in_degrees[over].tolist()):
+        keep[row] = generator.choice(degree, size=theta, replace=False)
+    owners = shard_set.assignment[over]
     keep_responses = runtime.request(
         "project_keep",
         {
-            shard_id: {"keep": keep_by_shard[shard_id]}
+            shard_id: {"nodes": over[owners == shard_id], "keep": keep[owners == shard_id]}
             for shard_id in range(shard_set.num_shards)
         },
     )
@@ -316,7 +293,7 @@ def _distributed_projection(
 
 
 def _collect_shard_stats(
-    runtime: ShardRuntime, stats: ShardedSamplingStats, obs: Observability
+    runtime: ShardRuntime, stats: SamplingStats, obs: Observability
 ) -> None:
     stats.transport = runtime.transport_name
     wire = runtime.transport.stats
@@ -333,11 +310,15 @@ def _collect_shard_stats(
             )
 
 
-def _publish_sharded_stats(
-    obs: Observability, algorithm: str, stats: ShardedSamplingStats
-) -> None:
+def _publish_stats(obs: Observability, algorithm: str, stats: SamplingStats) -> None:
+    """Mirror the engine counters into the metrics registry and run record.
+
+    ``algorithm`` is ``naive`` / ``dual_stage``; runs over more than one
+    shard report it with a ``_sharded`` suffix."""
     if not obs.enabled:
         return
+    if stats.num_shards > 1:
+        algorithm += "_sharded"
     obs.counter("sampling.starts_selected").inc(stats.starts_selected)
     obs.counter("sampling.starts_skipped").inc(stats.starts_skipped)
     obs.counter("sampling.walks_attempted").inc(stats.walks_attempted)
@@ -381,7 +362,7 @@ def _publish_sharded_stats(
 
 
 # --------------------------------------------------------------------------- #
-# Algorithm 1 — sharded
+# Algorithm 1 — naive RWR sampling
 # --------------------------------------------------------------------------- #
 def sample_naive_sharded(
     shard_set: ShardSet,
@@ -401,15 +382,15 @@ def sample_naive_sharded(
     ``workers`` counts shard-worker *processes* (shards are assigned
     round-robin); ``config`` is the usual
     :class:`~repro.sampling.naive.NaiveSamplingConfig`; ``transport``
-    picks the shard channel (``local``/``fork``/``tcp``, default: local
-    for one worker, fork beyond) and ``shard_hosts`` lists running
-    ``repro shard-host`` addresses for the TCP backend.
+    picks the shard channel (``local``/``tcp``, default: local for one
+    worker, spawned loopback TCP hosts beyond) and ``shard_hosts`` lists
+    running ``repro shard-host`` addresses for the TCP backend.
     """
     config.validate()
     obs = ensure_obs(obs)
     generator = ensure_rng(rng)
     assignment = shard_set.assignment
-    stats = ShardedSamplingStats(
+    stats = SamplingStats(
         chunk_size=config.chunk_size, num_shards=shard_set.num_shards
     )
     stats.stage_seconds["projection"] = 0.0
@@ -453,9 +434,8 @@ def sample_naive_sharded(
                 )
                 statuses: list[tuple[int, bool]] = []
                 tasks: list[WalkTask] = []
-                for node in chunk:
-                    node = int(node)
-                    if len(balls[node]) < config.subgraph_size:
+                for node, ball in zip(chunk.tolist(), balls):
+                    if len(ball) < config.subgraph_size:
                         statuses.append((node, True))
                         continue
                     statuses.append((node, False))
@@ -469,12 +449,11 @@ def sample_naive_sharded(
                             restart_drawn=False,
                             visited=[node],
                             generator=child_generator(root, node),
-                            allowed=frozenset(balls[node]),
+                            allowed=frozenset(ball.tolist()),
                         )
                     )
                 results = _run_walks(runtime, assignment, tasks, stats)
                 accepted: list[np.ndarray] = []
-                accept_order: list[int] = []
                 for node, skipped in statuses:
                     if skipped:
                         stats.starts_skipped += 1
@@ -485,7 +464,6 @@ def sample_naive_sharded(
                         stats.walks_failed += 1
                         continue
                     accepted.append(np.asarray(nodes, dtype=np.int64))
-                    accept_order.append(node)
                 subgraphs = _induce_subgraphs(
                     runtime, assignment, accepted, shard_set.directed, True
                 )
@@ -513,16 +491,16 @@ def sample_naive_sharded(
                 )
         _collect_shard_stats(runtime, stats, obs)
 
-    _publish_sharded_stats(obs, "naive_sharded", stats)
+    _publish_stats(obs, "naive", stats)
     return ShardedNaiveRun(
         container=container, stats=stats, projected_shards=projected_shards
     )
 
 
 # --------------------------------------------------------------------------- #
-# Algorithm 3 — sharded
+# Algorithm 3 — dual-stage SCS + BES sampling
 # --------------------------------------------------------------------------- #
-def _frequency_pass_sharded(
+def _frequency_pass(
     runtime: ShardRuntime,
     assignment: np.ndarray,
     frequency: FrequencyVector,
@@ -532,15 +510,20 @@ def _frequency_pass_sharded(
     config,
     generator: np.random.Generator,
     container,
-    stats: ShardedSamplingStats,
+    stats: SamplingStats,
     directed: bool,
 ) -> int:
-    """One chunk-synchronous FreqSampling pass across shards.
+    """One chunk-synchronous ``FreqSampling`` pass (Algorithm 3, lines
+    9–28).
 
-    Mirrors ``sampling.parallel._frequency_pass`` exactly, with the live
-    counts and the published snapshot held in *global* id space (the
-    serial pass holds walk-local views of the same values, so the draws
-    and validation outcomes coincide draw-for-draw).
+    Walks propose against the snapshot published at the chunk's start;
+    each proposal is then validated in start order against the live
+    counts, and one touching any node at the cap is rejected outright, so
+    ``N_g* = M`` holds exactly.  Counts live in *global* id space.  Stage 2
+    walks the residual graph through the ``availability`` mask: its start
+    ids are positions in ``walk_to_global`` — the residual graph's local
+    ids — which key the child streams, exactly as a walk on the induced
+    residual graph would.  Returns the number of subgraphs emitted.
     """
     live = frequency.counts.copy()
     selected = np.flatnonzero(
@@ -622,7 +605,7 @@ def sample_dual_stage_sharded(
     sink=None,
     transport: str | None = None,
     shard_hosts=None,
-) -> ShardedDualStageRun:
+) -> DualStageRun:
     """Run Algorithm 3 across edge-cut shards with globally exact caps,
     bit-identical to :func:`repro.sampling.sample_dual_stage` on the
     reassembled graph for every (num_shards, workers, transport) triple.
@@ -632,7 +615,7 @@ def sample_dual_stage_sharded(
     generator = ensure_rng(rng)
     assignment = shard_set.assignment
     num_nodes = shard_set.num_nodes
-    stats = ShardedSamplingStats(
+    stats = SamplingStats(
         chunk_size=config.chunk_size, num_shards=shard_set.num_shards
     )
     stats.stage_seconds["stage1"] = 0.0
@@ -651,7 +634,7 @@ def sample_dual_stage_sharded(
     ) as runtime:
         stats.workers = runtime.workers
         with obs.span("sampling.stage1") as span:
-            stage1_count = _frequency_pass_sharded(
+            stage1_count = _frequency_pass(
                 runtime,
                 assignment,
                 frequency,
@@ -673,7 +656,7 @@ def sample_dual_stage_sharded(
                 if len(remaining) >= config.boundary_subgraph_size:
                     availability = np.zeros(num_nodes, dtype=bool)
                     availability[remaining] = True
-                    stage2_count = _frequency_pass_sharded(
+                    stage2_count = _frequency_pass(
                         runtime,
                         assignment,
                         frequency,
@@ -689,8 +672,8 @@ def sample_dual_stage_sharded(
             stats.stage_seconds["stage2"] = span.seconds
         _collect_shard_stats(runtime, stats, obs)
 
-    _publish_sharded_stats(obs, "dual_stage_sharded", stats)
-    return ShardedDualStageRun(
+    _publish_stats(obs, "dual_stage", stats)
+    return DualStageRun(
         container=container,
         frequency=frequency,
         stage1_count=stage1_count,

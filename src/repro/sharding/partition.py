@@ -52,6 +52,7 @@ __all__ = [
     "GraphShard",
     "ShardSet",
     "build_shard_set",
+    "whole_graph_shard_set",
     "load_shard",
     "SHARDSET_INDEX",
 ]
@@ -206,12 +207,6 @@ class GraphShard:
         pos = self.owned_position(node)
         window = slice(int(self.out_indptr[pos]), int(self.out_indptr[pos + 1]))
         return self.global_ids[self.out_local[window]], self.out_weights[window]
-
-    def in_row(self, node: int) -> tuple[np.ndarray, np.ndarray]:
-        """In-neighbours (global ids, parent row order) and weights."""
-        pos = self.owned_position(node)
-        window = slice(int(self.in_indptr[pos]), int(self.in_indptr[pos + 1]))
-        return self.global_ids[self.in_local[window]], self.in_weights[window]
 
     def save(self, path: str | os.PathLike) -> str:
         """Persist this shard in ``write_checksummed`` framing."""
@@ -563,3 +558,31 @@ def build_shard_set(
         stats = shard_set.stats()
         obs.event("sharding.partition", halo_mode=True, **stats.as_dict())
     return shard_set
+
+
+def whole_graph_shard_set(graph: Graph) -> ShardSet:
+    """``graph`` as one shard that owns every node: no halo, local ids equal
+    global ids, and the shard's CSR arrays *are* the graph's — no copy and
+    no partition pass.  This is how the flat samplers run on the shard
+    coordinator."""
+    num_nodes = graph.num_nodes
+    empty = np.empty(0, dtype=np.int64)
+    shard = GraphShard(
+        0,
+        1,
+        num_nodes,
+        graph.is_directed,
+        np.arange(num_nodes, dtype=np.int64),
+        empty,
+        empty,
+        *graph.out_csr(),
+        *graph.in_csr(),
+    )
+    return ShardSet(
+        shards=[shard],
+        assignment=np.zeros(num_nodes, dtype=np.int64),
+        num_nodes=num_nodes,
+        num_arcs=graph.num_edges,
+        directed=graph.is_directed,
+        method="whole",
+    )

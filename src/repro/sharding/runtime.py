@@ -1,26 +1,23 @@
-"""Shard worker runtime: hosts shards behind a pluggable transport.
+"""Shard runtime: hosts shards behind a pluggable transport.
 
 The coordinator (``repro.sharding.coordinator``) speaks one request shape:
 ``request(kind, {shard_id: payload})`` → ``{shard_id: response}``.  A
 :class:`ShardRuntime` maps shards onto *hosts* — plain objects that answer
 requests against one shard's :class:`~repro.sharding.walker.ShardView` —
-and places hosts behind one of three transports
+and places hosts behind one of two transports
 (:mod:`repro.sharding.transport`):
 
-* ``local`` — hosts in the coordinator process, direct calls;
-* ``fork``  — hosts round-robin across forked worker processes connected
-  by pipes (the historical multi-worker path);
+* ``local`` — hosts in the coordinator process, direct calls (one worker,
+  and the flat samplers' whole-graph shard);
 * ``tcp``   — hosts behind ``repro shard-host`` socket servers speaking
-  the checksummed zero-copy frame protocol, on this machine or others.
+  the checksummed zero-copy frame protocol, on this machine or others;
+  with no host list, one loopback host process is spawned per worker.
 
 Each worker owns only the shards it hosts; when a shard set was loaded
 from disk, workers re-map their shard files themselves, so per-process RSS
 stays bounded by the hosted shards, never the whole graph.  The live-count
-snapshot (the chunk-synchronous frequency snapshot of
-``sampling/parallel.py``) is published once per chunk through a shared
-memory segment every forked worker attaches to; when shared memory is
-unavailable — or the hosts are behind TCP — the snapshot ships inside a
-broadcast frame instead: slower, but bit-identical.
+snapshot (the chunk-synchronous frequency snapshot of Algorithm 3) reaches
+every host the same way: once in full, then as per-chunk sparse deltas.
 
 Determinism: requests are dispatched and collected in sorted shard order,
 and every host is a pure function of (shard contents, request payload,
@@ -36,15 +33,10 @@ import numpy as np
 
 from repro.errors import SamplingError
 from repro.obs import ensure_obs
-from repro.sampling.parallel import _attach_shared_memory, resolve_workers
-from repro.sharding.partition import GraphShard, ShardSet, load_shard
-from repro.sharding.transport import (
-    ForkPipeTransport,
-    LocalTransport,
-    TcpTransport,
-    resolve_transport,
-)
-from repro.sharding.walker import ShardView, WalkParams, WalkTask, advance_walk
+from repro.sampling.parallel import resolve_workers
+from repro.sharding.partition import GraphShard, ShardSet
+from repro.sharding.transport import LocalTransport, TcpTransport, resolve_transport
+from repro.sharding.walker import ShardView, WalkTask, advance_walk
 
 __all__ = ["ShardRuntime"]
 
@@ -54,7 +46,6 @@ class _ShardHost:
 
     def __init__(self, shard: GraphShard) -> None:
         self.view = ShardView(shard)
-        self.params: WalkParams | None = None
         self.seconds = 0.0
         self.walks_advanced = 0
         self.forwards_out = 0
@@ -68,9 +59,7 @@ class _ShardHost:
             self.seconds += time.perf_counter() - began
 
     def _handle_stage(self, payload):
-        self.params = payload["params"]
-        availability = payload.get("availability")
-        self.view.availability = availability
+        self.view.begin_pass(payload["params"], payload.get("availability"))
         return True
 
     def _handle_walks(self, payload):
@@ -78,7 +67,7 @@ class _ShardHost:
         forward: dict[int, list[WalkTask]] = {}
         for walk in payload:
             self.walks_advanced += 1
-            status, value = advance_walk(walk, self.params, self.view)
+            status, value = advance_walk(walk, self.view)
             if status == "done":
                 finished.append((walk.key, value))
             else:
@@ -88,12 +77,9 @@ class _ShardHost:
         return {"finished": finished, "forward": forward}
 
     def _handle_ball_rows(self, payload):
-        direction = payload["direction"]
-        use_projected = payload["use_projected"]
-        return {
-            int(node): self.view.ball_neighbors(int(node), direction, use_projected)
-            for node in payload["nodes"]
-        }
+        return self.view.ball_rows(
+            payload["nodes"], payload["direction"], payload["use_projected"]
+        )
 
     def _handle_induce(self, payload):
         use_projected = payload["use_projected"]
@@ -109,70 +95,50 @@ class _ShardHost:
     def _handle_project_keep(self, payload):
         """Phase C of the distributed θ-projection: build the projected
         *in* rows of owned nodes and emit out-arc fragments grouped by the
-        owner shard of each kept source."""
-        keep_map = payload["keep"]
+        owner shard of each kept source.
+
+        ``payload["nodes"]`` are the owned nodes over θ and row ``i`` of
+        ``payload["keep"]`` the in-row positions node ``i`` keeps, in draw
+        order; every other row is kept whole."""
         shard = self.view.shard
-        in_indptr_parts = [0]
-        in_local_parts: list[np.ndarray] = []
-        in_weight_parts: list[np.ndarray] = []
-        fragments: dict[int, list[tuple[np.ndarray, ...]]] = {}
-        for pos in range(shard.num_owned):
-            node = int(shard.owned[pos])
-            window = slice(int(shard.in_indptr[pos]), int(shard.in_indptr[pos + 1]))
-            local_sources = shard.in_local[window]
-            weights = shard.in_weights[window]
-            keep = keep_map.get(node)
-            if keep is not None:
-                local_sources = local_sources[keep]
-                weights = weights[keep]
-            in_indptr_parts.append(in_indptr_parts[-1] + len(local_sources))
-            in_local_parts.append(local_sources)
-            in_weight_parts.append(weights)
-            if len(local_sources) == 0:
-                continue
-            global_sources = shard.global_ids[local_sources]
-            if shard.num_halo:
-                owners = np.where(
-                    local_sources < shard.num_owned,
-                    shard.shard_id,
-                    shard.halo_owner[
-                        np.minimum(
-                            np.maximum(local_sources - shard.num_owned, 0),
-                            shard.num_halo - 1,
-                        )
-                    ],
-                )
-            else:
-                owners = np.full(len(local_sources), shard.shard_id, dtype=np.int64)
-            positions = np.arange(len(global_sources), dtype=np.int64)
-            for owner in np.unique(owners):
-                mask = owners == owner
-                fragments.setdefault(int(owner), []).append(
-                    (
-                        global_sources[mask],
-                        np.full(int(mask.sum()), node, dtype=np.int64),
-                        positions[mask],
-                        weights[mask],
-                    )
-                )
-        in_indptr = np.asarray(in_indptr_parts, dtype=np.int64)
-        in_local = (
-            np.concatenate(in_local_parts)
-            if in_local_parts
-            else np.empty(0, dtype=np.int64)
+        keep = payload["keep"]
+        over = shard.to_local(payload["nodes"])
+        in_indptr = shard.in_indptr
+        lengths = np.diff(in_indptr)
+        lengths[over] = keep.shape[1]
+        kept_indptr = np.zeros(shard.num_owned + 1, dtype=np.int64)
+        np.cumsum(lengths, out=kept_indptr[1:])
+        total = int(kept_indptr[-1])
+        # Arc index per kept slot: whole rows first, then the over-θ rows
+        # overwritten with their kept positions in draw order.
+        take = np.repeat(in_indptr[:-1] - kept_indptr[:-1], lengths) + np.arange(
+            total, dtype=np.int64
         )
-        in_weights = (
-            np.concatenate(in_weight_parts)
-            if in_weight_parts
-            else np.empty(0, dtype=np.float64)
+        take[(kept_indptr[over][:, None] + np.arange(keep.shape[1])).ravel()] = (
+            in_indptr[over][:, None] + keep
+        ).ravel()
+        in_local = shard.in_local[take]
+        in_weights = shard.in_weights[take]
+        self._projected_in = (kept_indptr, in_local, in_weights)
+
+        sources = shard.global_ids[in_local]
+        targets = np.repeat(shard.owned, lengths)
+        positions = np.arange(total, dtype=np.int64) - np.repeat(
+            kept_indptr[:-1], lengths
         )
-        self._projected_in = (in_indptr, in_local, in_weights)
-        merged: dict[int, tuple[np.ndarray, ...]] = {}
-        for owner, parts in fragments.items():
-            merged[owner] = tuple(
-                np.concatenate([part[i] for part in parts]) for i in range(4)
+        owners = np.full(total, shard.shard_id, dtype=np.int64)
+        halo = in_local >= shard.num_owned
+        owners[halo] = shard.halo_owner[in_local[halo] - shard.num_owned]
+        fragments: dict[int, tuple[np.ndarray, ...]] = {}
+        for owner in np.unique(owners):
+            mask = owners == owner
+            fragments[int(owner)] = (
+                sources[mask],
+                targets[mask],
+                positions[mask],
+                in_weights[mask],
             )
-        return merged
+        return fragments
 
     def _handle_project_out(self, payload):
         """Phase D: assemble the projected *out* rows from fragments and
@@ -201,13 +167,8 @@ class _ShardHost:
         out_local = shard.to_local(targets)
         in_indptr, in_local, in_weights = self._projected_in
         del self._projected_in
-        self.view.projection = (
-            out_indptr,
-            out_local,
-            weights,
-            in_indptr,
-            in_local,
-            in_weights,
+        self.view.install_projection(
+            (out_indptr, out_local, weights, in_indptr, in_local, in_weights)
         )
         return True
 
@@ -215,7 +176,7 @@ class _ShardHost:
         return self.view.projection
 
     def _handle_drop_projection(self, payload):
-        self.view.projection = None
+        self.view.install_projection(None)
         return True
 
     def _handle_snapshot(self, payload):
@@ -239,38 +200,6 @@ class _ShardHost:
         }
 
 
-def _shard_worker_main(connection, shard_specs, snapshot_name) -> None:
-    """Worker process loop: map shards, attach snapshot, serve requests."""
-    hosts: dict[int, _ShardHost] = {}
-    for shard_id, spec in shard_specs:
-        shard = load_shard(spec) if isinstance(spec, str) else spec
-        hosts[shard_id] = _ShardHost(shard)
-    segment = None
-    if snapshot_name is not None:
-        segment = _attach_shared_memory(snapshot_name)
-        snapshot = np.frombuffer(segment.buf, dtype=np.int64)
-        for host in hosts.values():
-            host.view.snapshot = snapshot
-    try:
-        while True:
-            message = connection.recv()
-            if message is None:
-                break
-            kind, by_shard = message
-            response = {
-                shard_id: hosts[shard_id].handle(kind, payload)
-                for shard_id, payload in sorted(by_shard.items())
-            }
-            connection.send(response)
-    finally:
-        for host in hosts.values():
-            host.view.snapshot = None
-        if segment is not None:
-            del snapshot
-            segment.close()
-        connection.close()
-
-
 class ShardRuntime:
     """Places shard hosts behind the configured transport."""
 
@@ -290,35 +219,13 @@ class ShardRuntime:
         self.workers = max(1, min(resolve_workers(workers), self.num_shards))
         self.obs = ensure_obs(obs)
         self.transport_name = resolve_transport(transport, self.workers)
-        self._segment = None
-        self._snapshot_array: np.ndarray | None = None
-        self._snapshot_shipped: np.ndarray | None = None
+        self._snapshot = snapshot
+        self._shipped: np.ndarray | None = None
         self.transport = None
         try:
             if self.transport_name == "local":
                 self.transport = LocalTransport(shard_set)
-                if snapshot:
-                    # In-process hosts share the coordinator's array.
-                    self._snapshot_array = np.zeros(
-                        max(int(shard_set.num_nodes), 1), dtype=np.int64
-                    )
-                    for host in self.transport.hosts.values():
-                        host.view.snapshot = self._snapshot_array
-            elif self.transport_name == "fork":
-                snapshot_name = None
-                if snapshot:
-                    snapshot_name = self._create_snapshot_segment()
-                self.transport = ForkPipeTransport(
-                    shard_set,
-                    self.workers,
-                    snapshot_name=snapshot_name,
-                    obs=self.obs,
-                )
             else:
-                if snapshot:
-                    self._snapshot_array = np.zeros(
-                        max(int(shard_set.num_nodes), 1), dtype=np.int64
-                    )
                 kwargs = {} if timeout is None else {"timeout": timeout}
                 self.transport = TcpTransport(
                     shard_set,
@@ -332,47 +239,25 @@ class ShardRuntime:
             raise
 
     # ------------------------------------------------------------------ #
-    def _create_snapshot_segment(self) -> str | None:
-        """Back the snapshot with shared memory; fall back to shipping."""
-        length = max(int(self.shard_set.num_nodes), 1)
-        try:
-            from multiprocessing import shared_memory
-
-            self._segment = shared_memory.SharedMemory(create=True, size=8 * length)
-            self._snapshot_array = np.frombuffer(self._segment.buf, dtype=np.int64)
-            self._snapshot_array[:] = 0
-            return self._segment.name
-        except (ImportError, OSError):
-            self._segment = None
-            self._snapshot_array = np.zeros(length, dtype=np.int64)
-            return None
-
-    # ------------------------------------------------------------------ #
     def write_snapshot(self, counts: np.ndarray) -> None:
         """Publish the chunk's live-count snapshot to every host.
 
-        Shared-memory transports see the in-place write immediately.  A
-        shipping transport gets the full array once, then per-chunk sparse
-        deltas — between chunks only the nodes of the chunk's accepted
-        subgraphs change, so the delta is tiny next to the snapshot.
+        Hosts get the full array once, then per-chunk sparse deltas —
+        between chunks only the nodes of the chunk's accepted subgraphs
+        change, so the delta is tiny next to the snapshot.  In-process
+        hosts take the same two messages as direct calls.
         """
-        if self._snapshot_array is None:
+        if not self._snapshot:
             raise SamplingError("runtime was created without a snapshot channel")
-        if not self.transport.ships_snapshot:
-            self._snapshot_array[: len(counts)] = counts
+        if self._shipped is None:
+            self._shipped = np.array(counts, dtype=np.int64)
+            self.broadcast("snapshot", self._shipped)
             return
-        if self._snapshot_shipped is None:
-            self._snapshot_array[: len(counts)] = counts
-            self.broadcast("snapshot", self._snapshot_array.copy())
-            self._snapshot_shipped = self._snapshot_array.copy()
-            return
-        previous = self._snapshot_shipped[: len(counts)]
-        changed = np.flatnonzero(previous != counts)
-        self._snapshot_array[: len(counts)] = counts
+        changed = np.flatnonzero(self._shipped != counts)
         if changed.size:
             values = np.asarray(counts)[changed]
             self.broadcast("snapshot_delta", (changed, values))
-            previous[changed] = values
+            self._shipped[changed] = values
 
     def request(self, kind: str, payload_by_shard: dict[int, object]) -> dict[int, object]:
         """Send one request per addressed shard; gather responses."""
@@ -407,16 +292,7 @@ class ShardRuntime:
                 self.transport.close()
                 self.transport = None
         finally:
-            # Shared memory must unlink on every path — a failed transport
-            # teardown must not leak the segment.
-            self._snapshot_array = None
-            if self._segment is not None:
-                try:
-                    self._segment.close()
-                    self._segment.unlink()
-                except (FileNotFoundError, OSError):
-                    pass
-                self._segment = None
+            self._shipped = None
 
     def __enter__(self) -> "ShardRuntime":
         return self

@@ -1,21 +1,20 @@
-"""Pluggable shard channels: in-process calls, forked pipes, or TCP frames.
+"""Pluggable shard channels: in-process calls or TCP frames.
 
 The sharded coordinator speaks one request shape — ``(kind, {shard_id:
 payload})`` → ``{shard_id: response}`` — and a :class:`ShardTransport`
 decides how those requests reach the shard hosts:
 
-* :class:`LocalTransport`   — hosts live in the coordinator process; a
-  request is a direct method call (the ``workers == 1`` fast path).
-* :class:`ForkPipeTransport` — hosts live in forked worker processes
-  connected by ``multiprocessing`` pipes (single machine, many cores).
-* :class:`TcpTransport`     — hosts live behind socket servers (run with
-  ``repro shard-host``), on this machine or any other, speaking a
+* :class:`LocalTransport` — hosts live in the coordinator process; a
+  request is a direct method call (one worker, and the flat samplers).
+* :class:`TcpTransport`   — hosts live behind socket servers (run with
+  ``repro shard-host``, or spawned over loopback, one per worker), on
+  this machine or any other, speaking a
   length-prefixed checksummed frame protocol that ships numpy payloads as
   raw buffers: **no pickle on the hot path**, ``np.frombuffer`` zero-copy
   views on receive.
 
 Every transport is a pure channel: the bytes on the wire never influence
-the draws, so all three produce bit-identical containers, frequency
+the draws, so both produce bit-identical containers, frequency
 counts, and θ-projections for a fixed seed — the property the sharding
 differential tests enforce per transport.
 
@@ -71,7 +70,6 @@ _RECV_CHUNK = 1 << 18
 __all__ = [
     "DEFAULT_TIMEOUT",
     "FRAME_MAGIC",
-    "ForkPipeTransport",
     "LocalTransport",
     "ShardHostServer",
     "ShardTransport",
@@ -141,7 +139,8 @@ def _pack_ndarray(array: np.ndarray, out: bytearray, seen: dict) -> None:
     for extent in contiguous.shape:
         out += _U64.pack(extent)
     out += _U64.pack(contiguous.nbytes)
-    out += memoryview(contiguous).cast("B")
+    # Flattened first: memoryview cannot cast an N-d view with a zero extent.
+    out += memoryview(contiguous.reshape(-1)).cast("B")
 
 
 def _pack_walk_batch(tasks: list, out: bytearray, seen: dict) -> None:
@@ -639,14 +638,11 @@ class ShardTransport:
     ``scatter`` enqueues one request per addressed shard and returns
     without waiting; ``poll`` hands back ``(shard_id, response)`` pairs as
     they arrive.  ``request`` is the synchronous convenience built on the
-    two.  Subclasses set :attr:`name`, :attr:`workers`, and
-    :attr:`ships_snapshot` (whether the live-count snapshot must travel
-    as an explicit broadcast rather than shared memory).
+    two.  Subclasses set :attr:`name` and :attr:`workers`.
     """
 
     name = "abstract"
     workers = 1
-    ships_snapshot = True
 
     def __init__(self) -> None:
         self.stats = TransportStats()
@@ -698,7 +694,6 @@ class LocalTransport(ShardTransport):
     """Hosts in the coordinator process; requests are direct calls."""
 
     name = "local"
-    ships_snapshot = False
 
     def __init__(self, shard_set) -> None:
         super().__init__()
@@ -726,129 +721,6 @@ class LocalTransport(ShardTransport):
             host.view.snapshot = None
         self.hosts = {}
         self._ready.clear()
-
-
-class ForkPipeTransport(ShardTransport):
-    """Forked worker processes connected by pipes (single machine)."""
-
-    name = "fork"
-
-    def __init__(
-        self,
-        shard_set,
-        workers: int,
-        *,
-        snapshot_name: str | None = None,
-        obs=None,
-    ) -> None:
-        super().__init__()
-        import multiprocessing
-
-        from repro.sharding.runtime import _shard_worker_main
-
-        self.workers = max(1, min(workers, shard_set.num_shards))
-        self.obs = ensure_obs(obs)
-        self.ships_snapshot = snapshot_name is None
-        self._worker_of = {
-            shard_id: shard_id % self.workers
-            for shard_id in range(shard_set.num_shards)
-        }
-        self._shards_of: dict[int, list[int]] = {w: [] for w in range(self.workers)}
-        for shard_id, worker in self._worker_of.items():
-            self._shards_of[worker].append(shard_id)
-        try:
-            context = multiprocessing.get_context("fork")
-        except ValueError:
-            context = multiprocessing.get_context("spawn")
-        paths = shard_set.shard_paths()
-        specs_by_worker: dict[int, list] = {w: [] for w in range(self.workers)}
-        for shard_id in range(shard_set.num_shards):
-            if paths is not None and os.path.exists(paths[shard_id]):
-                spec = paths[shard_id]
-            else:
-                spec = shard_set.shards[shard_id]
-            specs_by_worker[self._worker_of[shard_id]].append((shard_id, spec))
-        self._processes = []
-        self._connections = []
-        self._inflight: list[int] = [0] * self.workers
-        for worker_index in range(self.workers):
-            parent_end, child_end = context.Pipe()
-            process = context.Process(
-                target=_shard_worker_main,
-                args=(child_end, specs_by_worker[worker_index], snapshot_name),
-                daemon=True,
-            )
-            process.start()
-            child_end.close()
-            self._processes.append(process)
-            self._connections.append(parent_end)
-
-    def _scatter(self, kind: str, payload_by_shard: dict[int, object]) -> None:
-        by_worker: dict[int, dict[int, object]] = {}
-        for shard_id, payload in payload_by_shard.items():
-            by_worker.setdefault(self._worker_of[shard_id], {})[shard_id] = payload
-        for worker_index in sorted(by_worker):
-            try:
-                self._connections[worker_index].send((kind, by_worker[worker_index]))
-            except (BrokenPipeError, OSError) as error:
-                raise TransportError(
-                    f"shard worker {worker_index} (shards "
-                    f"{self._shards_of[worker_index]}) is gone: {error}"
-                ) from error
-            self._inflight[worker_index] += 1
-            self.stats.frames_sent += 1
-
-    def _poll(self, block: bool) -> list[tuple[int, object]]:
-        from multiprocessing.connection import wait
-
-        waiting = [
-            self._connections[w] for w in range(self.workers) if self._inflight[w]
-        ]
-        if not waiting:
-            return []
-        ready = wait(waiting, timeout=None if block else 0)
-        responses: list[tuple[int, object]] = []
-        for connection in ready:
-            worker_index = self._connections.index(connection)
-            try:
-                message = connection.recv()
-            except (EOFError, OSError) as error:
-                raise TransportError(
-                    f"shard worker {worker_index} (shards "
-                    f"{self._shards_of[worker_index]}) died mid-round "
-                    f"({type(error).__name__}); its walks are lost"
-                ) from error
-            self._inflight[worker_index] -= 1
-            self.stats.frames_received += 1
-            for shard_id in sorted(message):
-                responses.append((shard_id, message[shard_id]))
-        return responses
-
-    def close(self) -> None:
-        for worker_index, connection in enumerate(self._connections):
-            try:
-                connection.send(None)
-            except (BrokenPipeError, OSError) as error:
-                # A dead worker is not silently ignorable: surface the
-                # shard ids so run records show which channel was broken.
-                self.obs.event(
-                    "sharding.worker_channel_error",
-                    worker=worker_index,
-                    shards=self._shards_of[worker_index],
-                    error=f"{type(error).__name__}: {error}",
-                )
-        for process in self._processes:
-            process.join(timeout=5.0)
-            if process.is_alive():
-                process.terminate()
-                process.join(timeout=5.0)
-        for connection in self._connections:
-            try:
-                connection.close()
-            except OSError:
-                pass
-        self._connections = []
-        self._processes = []
 
 
 class _HostConnection:
@@ -1272,14 +1144,14 @@ def _spawned_host_main(connection, shard_specs) -> None:
 # --------------------------------------------------------------------------- #
 # resolution
 # --------------------------------------------------------------------------- #
-TRANSPORTS = ("local", "fork", "tcp")
+TRANSPORTS = ("local", "tcp")
 
 
 def resolve_transport(transport: str | None, workers: int) -> str:
-    """Resolve the transport name; ``None`` keeps the historical default
-    (in-process for one worker, forked pipes beyond that)."""
+    """Resolve the transport name; ``None`` means in-process for one
+    worker and spawned loopback TCP hosts beyond that."""
     if transport is None:
-        return "local" if workers <= 1 else "fork"
+        return "local" if workers <= 1 else "tcp"
     if transport not in TRANSPORTS:
         raise TransportError(
             f"unknown shard transport {transport!r}; choose from {TRANSPORTS}"

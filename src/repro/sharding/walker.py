@@ -1,13 +1,15 @@
-"""Resumable random-walk state machine for sharded sampling.
+"""Resumable random-walk state machine: the sampling engine's one walk.
 
-The serial oracle is :func:`repro.sampling.random_walk.random_walk_nodes`:
-one restart draw, one chooser draw per step, candidates consumed in CSR row
-order ("out"/"in") or sorted-unique order ("both").  A :class:`WalkTask`
-carries exactly the state that loop holds between steps — current node,
-step count, visited list, and the walk's own child RNG — so a walk can be
-suspended mid-step when it lands on a node another shard owns, forwarded to
-that shard's worker, and resumed there **without losing or reordering a
-single RNG draw**.
+Every sampler walks here, flat graphs included (as one whole-graph
+shard).  The serial oracle is
+:func:`repro.sampling.random_walk.random_walk_nodes`: one restart draw, one
+chooser draw per step, candidates consumed in CSR row order ("out"/"in")
+or sorted-unique order ("both").  A :class:`WalkTask` carries exactly the
+state that loop holds between steps — current node, step count, visited
+list, and the walk's own child RNG — so a walk can be suspended mid-step
+when it lands on a node another shard owns, forwarded to that shard's
+host, and resumed there **without losing or reordering a single RNG
+draw**.
 
 The one subtlety is the restart draw: it happens *before* we know which
 node the step leaves from (a restart teleports the walk back to its start).
@@ -19,11 +21,12 @@ local shard's rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.sampling.frequency import adaptive_neighbor_probabilities
+from repro.sampling.frequency import adaptive_neighbor_weights
+from repro.sharding.partition import _row_gather
 
 __all__ = ["WalkParams", "WalkTask", "ShardView", "advance_walk"]
 
@@ -59,76 +62,110 @@ class WalkTask:
 
 
 class ShardView:
-    """Worker-side wrapper around one shard: rows, residency, snapshots."""
+    """Worker-side wrapper around one shard: rows, residency, snapshots.
+
+    Walk candidates are cached per owned node for the current pass, with
+    the pass's stage-2 availability mask already applied: a walk step
+    costs one dict lookup however many shards there are, and residency
+    is tested only on a cache miss.
+    """
 
     def __init__(self, shard) -> None:
         self.shard = shard
-        self.shard_id = shard.shard_id
+        self.params: WalkParams | None = None
         # Stage-2 availability mask over GLOBAL ids (bool[num_global_nodes])
         # or None when walking the full graph.
         self.availability: np.ndarray | None = None
-        # Live-count snapshot over GLOBAL ids, shared across hosts (the
-        # chunk-synchronous frequency snapshot of sampling/parallel.py).
+        # Live-count snapshot over GLOBAL ids: the chunk-synchronous
+        # frequency snapshot the Eq. 9 chooser reads.
         self.snapshot: np.ndarray | None = None
         # Projected CSR installed by the distributed θ-projection:
         # (out_indptr, out_local, out_weights, in_indptr, in_local, in_weights)
         self.projection: tuple | None = None
+        self._candidates: dict[int, np.ndarray] = {}
+        # Eq. 9 weight per occurrence count 0..M (counts never pass M).
+        self.weight_of_count: np.ndarray | None = None
 
-    # ------------------------------------------------------------------ #
-    # residency
-    # ------------------------------------------------------------------ #
-    def is_owned(self, node: int) -> bool:
-        return self.shard.is_owned(node)
+    def begin_pass(self, params: WalkParams, availability: np.ndarray | None) -> None:
+        """Install one pass's walk parameters and availability mask."""
+        self.params = params
+        self.availability = availability
+        self._candidates = {}
+        if params.kind == "frequency":
+            self.weight_of_count = adaptive_neighbor_weights(
+                np.arange(params.threshold + 1), params.threshold, params.decay
+            )
 
-    def owner_of(self, node: int) -> int:
-        return self.shard.owner_of(node)
+    def install_projection(self, projection: tuple | None) -> None:
+        self.projection = projection
+        self._candidates = {}
 
     # ------------------------------------------------------------------ #
     # rows
     # ------------------------------------------------------------------ #
-    def _out_row(self, node: int, use_projected: bool) -> np.ndarray:
+    def _csr(self, kind: str, use_projected: bool):
+        """``(indptr, local ids, weights)`` of the out or in rows walked:
+        the installed θ-projection, or the shard's own rows."""
         if use_projected and self.projection is not None:
-            indptr, local, _ = self.projection[0], self.projection[1], None
-            pos = self.shard.owned_position(node)
-            window = slice(int(indptr[pos]), int(indptr[pos + 1]))
-            return self.shard.global_ids[local[window]]
-        row, _ = self.shard.out_row(node)
+            offset = 0 if kind == "out" else 3
+            return self.projection[offset : offset + 3]
+        shard = self.shard
+        if kind == "out":
+            return shard.out_indptr, shard.out_local, shard.out_weights
+        return shard.in_indptr, shard.in_local, shard.in_weights
+
+    def _row(self, node: int, kind: str, use_projected: bool) -> np.ndarray:
+        indptr, local, _ = self._csr(kind, use_projected)
+        pos = self.shard.owned_position(node)
+        return self.shard.global_ids[local[indptr[pos] : indptr[pos + 1]]]
+
+    def candidates(self, node: int) -> np.ndarray | None:
+        """Global candidate ids of an owned node for the current pass,
+        ordered exactly as the serial walker sees them (row order for
+        "out"/"in", sorted-unique for "both"), availability applied;
+        ``None`` when another shard owns ``node``."""
+        row = self._candidates.get(node)
+        if row is None:
+            if not self.shard.is_owned(node):
+                return None
+            direction = self.params.direction
+            use_projected = self.params.use_projected
+            if direction == "both":
+                row = np.unique(
+                    np.concatenate(
+                        [
+                            self._row(node, "out", use_projected),
+                            self._row(node, "in", use_projected),
+                        ]
+                    )
+                )
+            else:
+                row = self._row(node, direction, use_projected)
+            if self.availability is not None and len(row):
+                row = row[self.availability[row]]
+            self._candidates[node] = row
         return row
 
-    def _in_row(self, node: int, use_projected: bool) -> np.ndarray:
-        if use_projected and self.projection is not None:
-            indptr, local = self.projection[3], self.projection[4]
-            pos = self.shard.owned_position(node)
-            window = slice(int(indptr[pos]), int(indptr[pos + 1]))
-            return self.shard.global_ids[local[window]]
-        row, _ = self.shard.in_row(node)
-        return row
-
-    def walk_candidates(
-        self, node: int, direction: str, use_projected: bool
-    ) -> np.ndarray:
-        """Global candidate ids, ordered exactly as the serial walker sees
-        them: row order for "out"/"in", sorted-unique for "both"."""
-        if direction == "out":
-            return self._out_row(node, use_projected)
-        if direction == "in":
-            return self._in_row(node, use_projected)
-        out_row = self._out_row(node, use_projected)
-        in_row = self._in_row(node, use_projected)
-        if len(out_row) == 0 and len(in_row) == 0:
-            return out_row
-        return np.unique(np.concatenate([out_row, in_row]))
-
-    def ball_neighbors(self, node: int, direction: str, use_projected: bool) -> np.ndarray:
-        """Neighbour multiset for BFS ball growth (set semantics: order and
-        duplicates do not matter, matching ``k_hop_nodes``)."""
-        if direction == "out":
-            return self._out_row(node, use_projected)
-        if direction == "in":
-            return self._in_row(node, use_projected)
-        return np.concatenate(
-            [self._out_row(node, use_projected), self._in_row(node, use_projected)]
-        )
+    def ball_rows(
+        self, nodes: np.ndarray, direction: str, use_projected: bool
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Neighbour rows of owned ``nodes`` for r-hop ball growth, as a
+        CSR ``(indptr, global ids)`` in ``nodes`` order.  Set semantics,
+        as in ``k_hop_nodes``: order and duplicates within a row do not
+        matter."""
+        positions = self.shard.to_local(nodes)
+        kinds = ("out", "in") if direction == "both" else (direction,)
+        owners, values = [], []
+        for kind in kinds:
+            indptr, local, _ = self._csr(kind, use_projected)
+            row_indptr, flat = _row_gather(indptr, positions)
+            owners.append(np.repeat(np.arange(len(nodes)), np.diff(row_indptr)))
+            values.append(self.shard.global_ids[local[flat]])
+        owner = np.concatenate(owners)
+        order = np.argsort(owner, kind="stable")
+        indptr = np.zeros(len(nodes) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(owner, minlength=len(nodes)), out=indptr[1:])
+        return indptr, np.concatenate(values)[order]
 
     def induced_arcs(
         self, nodes_sorted: np.ndarray, use_projected: bool
@@ -136,41 +173,18 @@ class ShardView:
         """Arcs of the induced subgraph on ``nodes_sorted`` whose source
         this shard owns, as ``(sources, targets, weights)`` in ascending
         source order with original within-row order preserved."""
-        members = np.intersect1d(self.shard.owned, nodes_sorted, assume_unique=True)
-        sources: list[np.ndarray] = []
-        targets: list[np.ndarray] = []
-        weights: list[np.ndarray] = []
-        for node in members:
-            node = int(node)
-            if use_projected and self.projection is not None:
-                indptr, local, row_weights = (
-                    self.projection[0],
-                    self.projection[1],
-                    self.projection[2],
-                )
-                pos = self.shard.owned_position(node)
-                window = slice(int(indptr[pos]), int(indptr[pos + 1]))
-                row = self.shard.global_ids[local[window]]
-                row_w = row_weights[window]
-            else:
-                row, row_w = self.shard.out_row(node)
-            if len(row) == 0:
-                continue
-            keep = np.isin(row, nodes_sorted)
-            if not np.any(keep):
-                continue
-            kept = row[keep]
-            sources.append(np.full(len(kept), node, dtype=np.int64))
-            targets.append(kept)
-            weights.append(row_w[keep])
-        if not sources:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty.copy(), np.empty(0, dtype=np.float64)
-        return (
-            np.concatenate(sources),
-            np.concatenate(targets),
-            np.concatenate(weights),
-        )
+        shard = self.shard
+        owned_at = np.searchsorted(shard.owned, nodes_sorted)
+        owned = np.zeros(len(nodes_sorted), dtype=bool)
+        inside = owned_at < shard.num_owned
+        owned[inside] = shard.owned[owned_at[inside]] == nodes_sorted[inside]
+        indptr, local, weights = self._csr("out", use_projected)
+        row_indptr, flat = _row_gather(indptr, owned_at[owned])
+        sources = np.repeat(nodes_sorted[owned], np.diff(row_indptr))
+        targets = shard.global_ids[local[flat]]
+        at = np.minimum(np.searchsorted(nodes_sorted, targets), len(nodes_sorted) - 1)
+        keep = nodes_sorted[at] == targets
+        return sources[keep], targets[keep], weights[flat[keep]]
 
 
 def _choose(
@@ -185,16 +199,19 @@ def _choose(
     if params.kind == "uniform":
         index = int(generator.integers(0, len(candidates)))
         return int(candidates[index])
-    probabilities = adaptive_neighbor_probabilities(
-        view.snapshot[candidates], params.threshold, params.decay
-    )
-    if probabilities.sum() <= 0:
+    # adaptive_neighbor_probabilities, then generator.choice(len, p=...)
+    # inlined without its per-call validation of p: the same weights, the
+    # same cdf and the same one draw.
+    weights = view.weight_of_count[view.snapshot[candidates]]
+    total = weights.sum()
+    if total <= 0:
         return None
-    choice = generator.choice(len(candidates), p=probabilities)
-    return int(candidates[int(choice)])
+    cdf = (weights / total).cumsum()
+    cdf /= cdf[-1]
+    return int(candidates[int(cdf.searchsorted(generator.random(), side="right"))])
 
 
-def advance_walk(walk: WalkTask, params: WalkParams, view: ShardView):
+def advance_walk(walk: WalkTask, view: ShardView):
     """Advance ``walk`` on this shard until it finishes or leaves.
 
     Returns ``("done", nodes_or_None)`` when the walk terminates (success
@@ -202,6 +219,7 @@ def advance_walk(walk: WalkTask, params: WalkParams, view: ShardView):
     current node belongs to another shard; the caller forwards the mutated
     task there.  Mirrors ``random_walk_nodes`` step-for-step.
     """
+    params = view.params
     generator = walk.generator
     visited = walk.visited
     visited_set = set(visited)
@@ -213,18 +231,16 @@ def advance_walk(walk: WalkTask, params: WalkParams, view: ShardView):
                 walk.current = walk.start
             walk.restart_drawn = True
         current = walk.current
-        if not view.is_owned(current):
+        candidates = view.candidates(current)
+        if candidates is None:
             # A restart can teleport to a start node this shard has never
             # seen (not even as a halo); its owner travels with the task.
             if current == walk.start:
                 return ("forward", walk.start_owner)
-            return ("forward", view.owner_of(current))
-        candidates = view.walk_candidates(current, params.direction, params.use_projected)
-        if view.availability is not None and len(candidates):
-            candidates = candidates[view.availability[candidates]]
+            return ("forward", view.shard.owner_of(current))
         if walk.allowed is not None and len(candidates):
             keep = np.fromiter(
-                (int(candidate) in walk.allowed for candidate in candidates),
+                (candidate in walk.allowed for candidate in candidates.tolist()),
                 dtype=bool,
                 count=len(candidates),
             )

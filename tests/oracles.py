@@ -1,4 +1,4 @@
-"""Differential-testing oracle harness for the training stack.
+"""Differential-testing oracles for the training stack and the samplers.
 
 The repo's correctness story for every execution knob (``grad_mode``,
 ``grad_workers``, the kernel toggle, checkpoint/resume) is the same
@@ -17,16 +17,33 @@ configurations it compares:
 The serial per-subgraph loop (``grad_mode="loop"``, ``grad_workers=1``)
 is the permanent oracle; every other configuration is differential-tested
 against it.
+
+The samplers have their own serial oracle, :func:`serial_naive` and
+:func:`serial_dual_stage`: Algorithms 1 and 3 written directly over a
+:class:`Graph` — ``project_in_degree``, ``k_hop_nodes``,
+``random_walk_nodes`` with the uniform or Eq. 9 chooser, chunked cap
+validation against a :class:`FrequencyVector`, and ``Graph.subgraph``
+induction.  The sampling engine (the shard coordinator, flat or sharded,
+on any transport) must reproduce it bit for bit.
 """
 
 from __future__ import annotations
 
 import dataclasses
 
+from types import SimpleNamespace
+
 import numpy as np
 
 from repro.core.trainer import DPGNNTrainer, DPTrainingConfig
 from repro.gnn.models import build_gnn
+from repro.graphs.degree import project_in_degree
+from repro.graphs.neighborhoods import k_hop_nodes
+from repro.sampling import FrequencyVector, Subgraph, SubgraphContainer
+from repro.sampling.frequency import make_frequency_chooser
+from repro.sampling.parallel import SamplingStats
+from repro.sampling.random_walk import random_walk_nodes
+from repro.utils.rng import child_generator, derive_root_entropy, ensure_rng
 
 __all__ = [
     "TrainOutcome",
@@ -35,6 +52,9 @@ __all__ = [
     "train_outcome",
     "resumed_outcome",
     "assert_outcomes_identical",
+    "SerialSample",
+    "serial_naive",
+    "serial_dual_stage",
 ]
 
 
@@ -145,4 +165,111 @@ def assert_outcomes_identical(candidate: TrainOutcome, oracle: TrainOutcome,
     )
     assert candidate.weights == oracle.weights, (
         f"{label}: final weights are not byte-equal to the oracle"
+    )
+
+
+# --------------------------------------------------------------------------- #
+# serial sampling oracle
+# --------------------------------------------------------------------------- #
+@dataclasses.dataclass
+class SerialSample:
+    """What the serial samplers produce (``projected`` for Algorithm 1,
+    ``frequency`` and the stage split for Algorithm 3)."""
+
+    container: SubgraphContainer
+    stats: SamplingStats
+    projected: object = None
+    frequency: FrequencyVector | None = None
+    stage1_count: int = 0
+    stage2_count: int = 0
+
+
+def serial_naive(graph, config, rng) -> SerialSample:
+    """Algorithm 1: θ-projection, Bernoulli(q) starts, one child stream per
+    start walking its r-hop ball."""
+    generator = ensure_rng(rng)
+    stats = SamplingStats(chunk_size=config.chunk_size)
+    projected = project_in_degree(graph, config.theta, generator)
+    selected = np.flatnonzero(generator.random(projected.num_nodes) < config.sampling_rate)
+    root = derive_root_entropy(generator)
+    stats.starts_selected = len(selected)
+    container = SubgraphContainer()
+    for start in selected.tolist():
+        ball = k_hop_nodes(projected, start, config.hops, direction=config.direction)
+        if len(ball) < config.subgraph_size:
+            stats.starts_skipped += 1
+            continue
+        stats.walks_attempted += 1
+        walked = random_walk_nodes(
+            projected, start, config.subgraph_size,
+            walk_length=config.walk_length,
+            restart_probability=config.restart_probability,
+            rng=child_generator(root, start), allowed=ball,
+            direction=config.direction,
+        )
+        if walked is None:
+            stats.walks_failed += 1
+            continue
+        container.add(Subgraph(*projected.subgraph(walked)))
+        stats.subgraphs_emitted += 1
+    return SerialSample(container, stats, projected=projected)
+
+
+def serial_dual_stage(graph, config, rng) -> SerialSample:
+    """Algorithm 3: SCS on ``graph``, then BES on the residual graph of the
+    nodes below the cap, each pass proposing a chunk of walks against the
+    counts at the chunk's start and validating them in start order."""
+    generator = ensure_rng(rng)
+    stats = SamplingStats(chunk_size=config.chunk_size)
+    frequency = FrequencyVector(graph.num_nodes, config.threshold)
+    container = SubgraphContainer()
+
+    def frequency_pass(walk_graph, node_ids, size) -> int:
+        live = frequency.counts[node_ids].copy()
+        selected = np.flatnonzero(
+            generator.random(walk_graph.num_nodes) < config.sampling_rate
+        )
+        root = derive_root_entropy(generator)
+        stats.starts_selected += len(selected)
+        emitted = 0
+        for begin in range(0, len(selected), config.chunk_size):
+            snapshot = SimpleNamespace(counts=live.copy(), threshold=config.threshold)
+            chooser = make_frequency_chooser(snapshot, config.decay)
+            for start in selected[begin : begin + config.chunk_size].tolist():
+                if snapshot.counts[start] >= config.threshold:
+                    stats.starts_skipped += 1
+                    continue
+                stats.walks_attempted += 1
+                walked = random_walk_nodes(
+                    walk_graph, start, size,
+                    walk_length=config.walk_length,
+                    restart_probability=config.restart_probability,
+                    rng=child_generator(root, start), chooser=chooser,
+                    direction=config.direction,
+                )
+                if walked is None:
+                    stats.walks_failed += 1
+                    continue
+                if np.any(live[walked] >= config.threshold):
+                    stats.walks_rejected += 1
+                    continue
+                live[walked] += 1
+                nodes = node_ids[walked]
+                frequency.record_subgraph(nodes)
+                container.add(Subgraph(graph.subgraph(nodes)[0], nodes))
+                emitted += 1
+        stats.subgraphs_emitted += emitted
+        return emitted
+
+    stage1 = frequency_pass(
+        graph, np.arange(graph.num_nodes, dtype=np.int64), config.subgraph_size
+    )
+    stage2 = 0
+    if config.include_boundary:
+        remaining = frequency.available_nodes()
+        if len(remaining) >= config.boundary_subgraph_size:
+            residual, node_ids = graph.subgraph(remaining)
+            stage2 = frequency_pass(residual, node_ids, config.boundary_subgraph_size)
+    return SerialSample(
+        container, stats, frequency=frequency, stage1_count=stage1, stage2_count=stage2
     )

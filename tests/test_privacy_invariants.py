@@ -3,9 +3,9 @@
 Lemma 1: the naive sampler (Algorithm 1, out-directed walks on the
 θ-in-bounded graph) never lets a node join more than ``N_g = Σ_{i=0..r} θ^i``
 subgraphs.  Algorithm 3's frequency cap gives the hard bound ``N_g* = M``.
-These invariants must hold for *every* graph, config, and seed — and, after
-the parallel refactor, for every worker count — so hypothesis drives random
-graphs and configs through both the serial and the parallel engines.
+These invariants must hold for *every* graph, config, and seed — and for
+every shard layout — so hypothesis drives random graphs and configs through
+the flat samplers and through two-shard sets.
 """
 
 import numpy as np
@@ -19,6 +19,11 @@ from repro.sampling.dual_stage import (
     extract_subgraphs_dual_stage,
 )
 from repro.sampling.naive import NaiveSamplingConfig, extract_subgraphs_naive
+from repro.sharding import (
+    build_shard_set,
+    sample_dual_stage_sharded,
+    sample_naive_sharded,
+)
 
 
 def random_graph(seed: int, num_nodes: int, num_edges: int) -> Graph:
@@ -42,10 +47,10 @@ class TestNaiveOccurrenceBound:
         theta=st.integers(1, 8),
         hops=st.integers(1, 3),
         subgraph_size=st.integers(2, 10),
-        workers=st.sampled_from([1, 2]),
+        num_shards=st.sampled_from([1, 2]),
     )
     def test_lemma1_holds_for_all_engines(
-        self, params, theta, hops, subgraph_size, workers
+        self, params, theta, hops, subgraph_size, num_shards
     ):
         seed, num_nodes, num_edges = params
         graph = random_graph(seed, num_nodes, num_edges)
@@ -55,10 +60,18 @@ class TestNaiveOccurrenceBound:
             hops=hops,
             sampling_rate=1.0,
             walk_length=120,
-            workers=workers,
             chunk_size=8,
         )
-        container, projected = extract_subgraphs_naive(graph, config, rng=seed)
+        if num_shards == 1:
+            container, projected = extract_subgraphs_naive(graph, config, rng=seed)
+        else:
+            run = sample_naive_sharded(
+                build_shard_set(graph, num_shards, rng=seed),
+                config,
+                rng=seed,
+                return_projection=True,
+            )
+            container, projected = run.container, run.reassemble_projected()
         bound = max_occurrences_naive(theta, hops)
         assert container.max_occurrence(graph.num_nodes) <= bound
         assert projected.in_degrees().max(initial=0) <= theta
@@ -72,10 +85,10 @@ class TestDualStageOccurrenceBound:
         subgraph_size=st.integers(2, 12),
         decay=st.floats(0.0, 3.0),
         chunk_size=st.integers(1, 64),
-        workers=st.sampled_from([1, 2]),
+        num_shards=st.sampled_from([1, 2]),
     )
     def test_cap_m_holds_for_all_engines(
-        self, params, threshold, subgraph_size, decay, chunk_size, workers
+        self, params, threshold, subgraph_size, decay, chunk_size, num_shards
     ):
         seed, num_nodes, num_edges = params
         graph = random_graph(seed, num_nodes, num_edges)
@@ -85,10 +98,14 @@ class TestDualStageOccurrenceBound:
             decay=decay,
             sampling_rate=1.0,
             walk_length=120,
-            workers=workers,
             chunk_size=chunk_size,
         )
-        result = extract_subgraphs_dual_stage(graph, config, rng=seed)
+        if num_shards == 1:
+            result = extract_subgraphs_dual_stage(graph, config, rng=seed)
+        else:
+            result = sample_dual_stage_sharded(
+                build_shard_set(graph, num_shards, rng=seed), config, rng=seed
+            )
         bound = max_occurrences_dual_stage(threshold)
         assert result.container.max_occurrence(graph.num_nodes) <= bound
         assert result.frequency.max_frequency() <= threshold

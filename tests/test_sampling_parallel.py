@@ -1,9 +1,11 @@
-"""Serial-vs-parallel equivalence tests for the sampling engine.
+"""Engine-vs-oracle equivalence tests for the sampling engine.
 
-The contract of :mod:`repro.sampling.parallel` is that ``workers`` is a
-pure throughput knob: for a fixed seed, every worker count produces a
-bit-identical :class:`SubgraphContainer` (same subgraphs, same order, same
-node maps, same edges).  ``workers=1`` is the serial reference oracle.
+Every sampler runs on the shard coordinator: the flat entry points hand
+it the graph as one in-process shard, the sharded ones an edge-cut shard
+set on ``workers`` shard-host processes.  The contract is that for a fixed
+seed every layout reproduces the serial oracle of :mod:`tests.oracles`
+bit for bit (same subgraphs, same order, same node maps, same edges), so
+shard workers are a pure throughput knob.
 """
 
 import numpy as np
@@ -22,6 +24,12 @@ from repro.sampling.parallel import (
     sample_dual_stage,
     sample_naive,
 )
+from repro.sharding import (
+    build_shard_set,
+    sample_dual_stage_sharded,
+    sample_naive_sharded,
+)
+from tests.oracles import serial_dual_stage, serial_naive
 
 WORKER_COUNTS = [1, 2, 4]
 
@@ -34,89 +42,100 @@ def assert_containers_identical(first, second):
         assert a.graph == b.graph
 
 
+def shards_for(graph, workers):
+    """``workers`` shards of ``graph`` (empty shards where it has fewer
+    nodes), so each of ``workers`` shard hosts serves one."""
+    if graph.num_nodes >= workers:
+        return build_shard_set(graph, workers, rng=1)
+    return build_shard_set(
+        graph, workers, assignment=np.zeros(graph.num_nodes, dtype=np.int64)
+    )
+
+
 class TestNaiveEquivalence:
+    CONFIG = NaiveSamplingConfig(subgraph_size=8, sampling_rate=0.5, walk_length=300)
+
     @pytest.fixture
     def reference(self, clustered_graph):
-        config = NaiveSamplingConfig(
-            subgraph_size=8, sampling_rate=0.5, walk_length=300, workers=1
-        )
-        container, projected = extract_subgraphs_naive(clustered_graph, config, rng=7)
-        assert len(container) > 0
-        return container, projected
+        oracle = serial_naive(clustered_graph, self.CONFIG, rng=7)
+        assert len(oracle.container) > 0
+        return oracle
 
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     def test_bit_identical_across_worker_counts(
         self, clustered_graph, reference, workers
     ):
-        config = NaiveSamplingConfig(
-            subgraph_size=8, sampling_rate=0.5, walk_length=300, workers=workers
+        container, projected = extract_subgraphs_naive(
+            clustered_graph, self.CONFIG, rng=7
         )
-        container, projected = extract_subgraphs_naive(clustered_graph, config, rng=7)
-        assert_containers_identical(container, reference[0])
-        assert projected == reference[1]
+        assert_containers_identical(container, reference.container)
+        assert projected == reference.projected
+        run = sample_naive_sharded(
+            shards_for(clustered_graph, workers), self.CONFIG, rng=7, workers=workers
+        )
+        assert_containers_identical(run.container, reference.container)
+        assert run.stats.workers == workers
 
     def test_stats_identical_across_worker_counts(self, clustered_graph):
-        runs = [
-            sample_naive(
-                clustered_graph,
-                NaiveSamplingConfig(subgraph_size=8, sampling_rate=0.5, workers=w),
-                rng=3,
+        config = NaiveSamplingConfig(subgraph_size=8, sampling_rate=0.5)
+        oracle = serial_naive(clustered_graph, config, rng=3).stats
+        runs = [sample_naive(clustered_graph, config, rng=3)] + [
+            sample_naive_sharded(
+                shards_for(clustered_graph, w), config, rng=3, workers=w
             )
             for w in (1, 4)
         ]
-        serial, parallel = runs
-        assert parallel.stats.walks_attempted == serial.stats.walks_attempted
-        assert parallel.stats.walks_failed == serial.stats.walks_failed
-        assert parallel.stats.starts_selected == serial.stats.starts_selected
-        assert parallel.stats.subgraphs_emitted == len(parallel.container)
+        for run in runs:
+            assert run.stats.walks_attempted == oracle.walks_attempted
+            assert run.stats.walks_failed == oracle.walks_failed
+            assert run.stats.starts_selected == oracle.starts_selected
+            assert run.stats.subgraphs_emitted == len(run.container)
 
 
 class TestDualStageEquivalence:
+    CONFIG = DualStageSamplingConfig(
+        subgraph_size=10, threshold=3, sampling_rate=1.0, walk_length=300
+    )
+
     @pytest.fixture
     def reference(self, clustered_graph):
-        config = DualStageSamplingConfig(
-            subgraph_size=10, threshold=3, sampling_rate=1.0, walk_length=300, workers=1
-        )
-        result = extract_subgraphs_dual_stage(clustered_graph, config, rng=7)
-        assert len(result.container) > 0
-        return result
+        oracle = serial_dual_stage(clustered_graph, self.CONFIG, rng=7)
+        assert len(oracle.container) > 0
+        return oracle
 
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     def test_bit_identical_across_worker_counts(
         self, clustered_graph, reference, workers
     ):
-        config = DualStageSamplingConfig(
-            subgraph_size=10,
-            threshold=3,
-            sampling_rate=1.0,
-            walk_length=300,
-            workers=workers,
+        flat = extract_subgraphs_dual_stage(clustered_graph, self.CONFIG, rng=7)
+        sharded = sample_dual_stage_sharded(
+            shards_for(clustered_graph, workers), self.CONFIG, rng=7, workers=workers
         )
-        result = extract_subgraphs_dual_stage(clustered_graph, config, rng=7)
-        assert_containers_identical(result.container, reference.container)
-        assert result.stage1_count == reference.stage1_count
-        assert result.stage2_count == reference.stage2_count
-        np.testing.assert_array_equal(
-            result.frequency.counts, reference.frequency.counts
-        )
+        for result in (flat, sharded):
+            assert_containers_identical(result.container, reference.container)
+            assert result.stage1_count == reference.stage1_count
+            assert result.stage2_count == reference.stage2_count
+            np.testing.assert_array_equal(
+                result.frequency.counts, reference.frequency.counts
+            )
 
     def test_validation_counters_identical(self, clustered_graph):
-        configs = [
-            DualStageSamplingConfig(
-                subgraph_size=10, threshold=2, sampling_rate=1.0, workers=w
-            )
-            for w in (1, 2)
-        ]
-        serial = sample_dual_stage(clustered_graph, configs[0], rng=11).stats
-        parallel = sample_dual_stage(clustered_graph, configs[1], rng=11).stats
-        assert parallel.walks_attempted == serial.walks_attempted
-        assert parallel.walks_rejected == serial.walks_rejected
-        assert parallel.starts_skipped == serial.starts_skipped
-        assert parallel.cap_hit_rate == serial.cap_hit_rate
+        config = DualStageSamplingConfig(subgraph_size=10, threshold=2, sampling_rate=1.0)
+        oracle = serial_dual_stage(clustered_graph, config, rng=11).stats
+        for stats in (
+            sample_dual_stage(clustered_graph, config, rng=11).stats,
+            sample_dual_stage_sharded(
+                shards_for(clustered_graph, 2), config, rng=11, workers=2
+            ).stats,
+        ):
+            assert stats.walks_attempted == oracle.walks_attempted
+            assert stats.walks_rejected == oracle.walks_rejected
+            assert stats.starts_skipped == oracle.starts_skipped
+            assert stats.cap_hit_rate == oracle.cap_hit_rate
 
     def test_chunk_size_is_part_of_the_algorithm(self, clustered_graph):
-        """Worker counts must be compared at a fixed chunk size; the chunk
-        size itself (snapshot granularity) may change which walks win."""
+        """Layouts must be compared at a fixed chunk size; the chunk size
+        itself (snapshot granularity) may change which walks win."""
         small = DualStageSamplingConfig(
             subgraph_size=10, threshold=3, sampling_rate=1.0, chunk_size=1
         )
@@ -130,43 +149,49 @@ class TestEdgeCases:
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     def test_empty_graph(self, workers):
         graph = Graph(0, [])
-        container, _ = extract_subgraphs_naive(
-            graph, NaiveSamplingConfig(workers=workers), rng=0
-        )
+        container, _ = extract_subgraphs_naive(graph, NaiveSamplingConfig(), rng=0)
         assert len(container) == 0
-        result = extract_subgraphs_dual_stage(
-            graph, DualStageSamplingConfig(workers=workers), rng=0
-        )
+        result = extract_subgraphs_dual_stage(graph, DualStageSamplingConfig(), rng=0)
         assert len(result.container) == 0
+        shard_set = shards_for(graph, workers)
+        naive = sample_naive_sharded(
+            shard_set, NaiveSamplingConfig(), rng=0, workers=workers
+        )
+        assert len(naive.container) == 0
+        dual = sample_dual_stage_sharded(
+            shard_set, DualStageSamplingConfig(), rng=0, workers=workers
+        )
+        assert len(dual.container) == 0
 
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     def test_single_node_graph(self, workers):
         graph = Graph(1, [])
-        naive = NaiveSamplingConfig(
-            subgraph_size=1, sampling_rate=1.0, workers=workers
-        )
+        shard_set = shards_for(graph, workers)
+        naive = NaiveSamplingConfig(subgraph_size=1, sampling_rate=1.0)
         container, _ = extract_subgraphs_naive(graph, naive, rng=0)
-        assert len(container) == 1
-        assert container[0].node_map.tolist() == [0]
+        sharded = sample_naive_sharded(shard_set, naive, rng=0, workers=workers)
+        for pool in (container, sharded.container):
+            assert len(pool) == 1
+            assert pool[0].node_map.tolist() == [0]
 
-        dual = DualStageSamplingConfig(
-            subgraph_size=1, sampling_rate=1.0, workers=workers
-        )
-        result = extract_subgraphs_dual_stage(graph, dual, rng=0)
-        assert result.container.max_occurrence(1) <= dual.threshold
+        dual = DualStageSamplingConfig(subgraph_size=1, sampling_rate=1.0)
+        reference = serial_dual_stage(graph, dual, rng=0)
+        for result in (
+            extract_subgraphs_dual_stage(graph, dual, rng=0),
+            sample_dual_stage_sharded(shard_set, dual, rng=0, workers=workers),
+        ):
+            assert result.container.max_occurrence(1) <= dual.threshold
+            assert_containers_identical(result.container, reference.container)
 
     def test_workers_exceed_start_nodes(self, tiny_graph):
-        """More workers than start nodes must neither hang nor diverge."""
-        reference = extract_subgraphs_dual_stage(
-            tiny_graph,
-            DualStageSamplingConfig(subgraph_size=2, sampling_rate=1.0, workers=1),
-            rng=5,
+        """More shard workers than start nodes must neither hang nor diverge."""
+        config = DualStageSamplingConfig(subgraph_size=2, sampling_rate=0.4)
+        reference = serial_dual_stage(tiny_graph, config, rng=5)
+        flooded = sample_dual_stage_sharded(
+            shards_for(tiny_graph, 5), config, rng=5, workers=8
         )
-        flooded = extract_subgraphs_dual_stage(
-            tiny_graph,
-            DualStageSamplingConfig(subgraph_size=2, sampling_rate=1.0, workers=8),
-            rng=5,
-        )
+        assert flooded.stats.workers == 5
+        assert flooded.stats.starts_selected < flooded.stats.workers
         assert_containers_identical(flooded.container, reference.container)
 
     def test_workers_zero_means_auto(self):
@@ -176,11 +201,7 @@ class TestEdgeCases:
 
     def test_config_validation(self):
         with pytest.raises(SamplingError):
-            NaiveSamplingConfig(workers=-1).validate()
-        with pytest.raises(SamplingError):
             NaiveSamplingConfig(chunk_size=0).validate()
-        with pytest.raises(SamplingError):
-            DualStageSamplingConfig(workers=-2).validate()
         with pytest.raises(SamplingError):
             DualStageSamplingConfig(chunk_size=0).validate()
 

@@ -13,8 +13,8 @@ The wire contract has three layers, each tested here in isolation:
 * the **transports** — TCP loopback request/scatter/poll bookkeeping,
   per-host frame coalescing, and every misbehaving-peer mode (killed
   host, truncated reply, checksum corruption, garbage hello) surfacing
-  as :class:`TransportError`, never a hang, with sockets and shared
-  memory released on every error path.
+  as :class:`TransportError`, never a hang, with sockets and host
+  processes released on every error path.
 """
 
 import math
@@ -27,9 +27,7 @@ import pytest
 
 from repro.errors import SamplingError, TransportError
 from repro.graphs.generators import powerlaw_cluster_graph
-from repro.obs import Observability, RunRecorder
 from repro.sharding import (
-    ForkPipeTransport,
     LocalTransport,
     ShardRuntime,
     TcpTransport,
@@ -156,6 +154,7 @@ class TestCodec:
             np.array([], dtype=np.float32),
             np.arange(6, dtype=np.uint64),
             np.array([[True, False], [False, True]]),
+            np.empty((0, 3), dtype=np.int64),
         ],
     )
     def test_ndarray_round_trip(self, array):
@@ -456,12 +455,12 @@ class _ScriptedHost:
 # transports
 # --------------------------------------------------------------------------- #
 class TestResolution:
-    def test_default_keeps_historical_behavior(self):
+    def test_default_is_local_then_loopback_tcp(self):
         assert resolve_transport(None, 1) == "local"
-        assert resolve_transport(None, 2) == "fork"
+        assert resolve_transport(None, 2) == "tcp"
 
     def test_explicit_names_pass_through(self):
-        for name in ("local", "fork", "tcp"):
+        for name in ("local", "tcp"):
             assert resolve_transport(name, 4) == name
 
     def test_unknown_transport_rejected(self):
@@ -473,7 +472,6 @@ class TestLocalTransport:
     def test_request_and_scatter_poll(self, shard_set_2):
         transport = LocalTransport(shard_set_2)
         try:
-            assert transport.ships_snapshot is False
             responses = transport.request("stats", {0: None, 1: None})
             assert sorted(responses) == [0, 1]
             transport.scatter("stats", {1: None})
@@ -604,46 +602,18 @@ class TestTcpTransport:
             host.close()
 
 
-class TestForkTransport:
-    def test_dead_worker_raises_and_close_reports(self, shard_set_2):
-        """Satellite: a broken worker channel surfaces during the round AND
-        is named (worker + shard ids) in the run record at close."""
-        recorder = RunRecorder()
-        obs = Observability(recorder=recorder)
-        transport = ForkPipeTransport(shard_set_2, 2, obs=obs)
-        try:
-            victim = transport._processes[0]
-            victim.terminate()
-            victim.join(timeout=10.0)
-            with pytest.raises(TransportError, match="worker 0"):
-                transport.request("stats", {0: None, 1: None})
-        finally:
-            transport.close()
-        events = [
-            event
-            for event in recorder.events
-            if event["type"] == "sharding.worker_channel_error"
-        ]
-        assert events, "close() must report the broken worker channel"
-        assert events[0]["worker"] == 0
-        assert 0 in events[0]["shards"]
-
-
 class TestRuntimeCleanup:
-    def test_snapshot_segment_unlinked_on_close(self, shard_set_2):
-        runtime = ShardRuntime(shard_set_2, workers=2, snapshot=True, transport="fork")
-        segment_name = runtime._segment.name if runtime._segment is not None else None
+    def test_snapshot_and_hosts_released_on_close(self, shard_set_2):
+        runtime = ShardRuntime(shard_set_2, workers=2, snapshot=True)
+        assert runtime.transport_name == "tcp"
+        processes = list(runtime.transport._processes)
         runtime.write_snapshot(
             np.arange(shard_set_2.num_nodes, dtype=np.int64)
         )
         runtime.close()
-        assert runtime._segment is None
-        assert runtime._snapshot_array is None
-        if segment_name is not None:
-            from multiprocessing import shared_memory
-
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=segment_name)
+        assert runtime.transport is None
+        assert runtime._shipped is None
+        assert processes and not any(p.is_alive() for p in processes)
 
     def test_failed_tcp_construction_raises_sampling_error(self, shard_set_2):
         placeholder = socket.create_server(("127.0.0.1", 0))

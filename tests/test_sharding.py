@@ -1,11 +1,12 @@
 """Sharded-engine equivalence: sharded sampling must be bit-identical to
-the serial single-graph sampler on the reassembled graph.
+the serial oracle of :mod:`tests.oracles` on the reassembled graph.
 
-The contract mirrors :mod:`tests.test_sampling_parallel`: ``num_shards``
-and ``shard_workers`` are pure throughput knobs.  For a fixed seed every
-(shards, workers) pair must produce the same subgraphs, in the same
-order, with the same node maps, frequency counts, and stats — and the
-dual-stage occurrence caps must stay *globally* exact.
+The contract mirrors :mod:`tests.test_sampling_parallel`: ``num_shards``,
+``shard_workers`` and the transport are pure throughput knobs.  For a
+fixed seed every (shards, workers, transport) triple must produce the
+same subgraphs, in the same order, with the same node maps, frequency
+counts, and stats — and the dual-stage occurrence caps must stay
+*globally* exact.
 """
 
 import numpy as np
@@ -23,7 +24,9 @@ from repro.sharding import (
     build_shard_set,
     sample_dual_stage_sharded,
     sample_naive_sharded,
+    whole_graph_shard_set,
 )
+from tests.oracles import serial_dual_stage, serial_naive
 
 SHARD_COUNTS = [1, 2, 4]
 WORKER_COUNTS = [1, 2]
@@ -57,7 +60,7 @@ NAIVE_CONFIG = NaiveSamplingConfig(
 class TestDualStageSharded:
     @pytest.fixture(scope="class")
     def reference(self, graph):
-        run = sample_dual_stage(graph, DUAL_CONFIG, rng=7)
+        run = serial_dual_stage(graph, DUAL_CONFIG, rng=7)
         assert len(run.container) > 0
         return run
 
@@ -86,10 +89,10 @@ class TestDualStageSharded:
             assert stats.frontier_forwards > 0
             assert stats.exchange_rounds > 0
 
-    @pytest.mark.parametrize("transport", ["local", "fork", "tcp"])
+    @pytest.mark.parametrize("transport", ["local", "tcp"])
     def test_transport_bit_identical(self, graph, reference, transport):
-        """Transports are pure channels: local calls, forked pipes, and TCP
-        frames all reproduce the serial sampler bit-for-bit."""
+        """Transports are pure channels: local calls and TCP frames both
+        reproduce the serial sampler bit-for-bit."""
         shard_set = build_shard_set(graph, 3, rng=1)
         workers = 1 if transport == "local" else 2
         run = sample_dual_stage_sharded(
@@ -136,7 +139,7 @@ class TestDualStageSharded:
         config = DualStageSamplingConfig(
             subgraph_size=6, threshold=3, sampling_rate=1.0, walk_length=200
         )
-        reference = sample_dual_stage(directed_graph, config, rng=3)
+        reference = serial_dual_stage(directed_graph, config, rng=3)
         shard_set = build_shard_set(directed_graph, 3, rng=2)
         run = sample_dual_stage_sharded(shard_set, config, rng=3, workers=2)
         assert_containers_identical(run.container, reference.container)
@@ -169,7 +172,7 @@ class TestDualStageSharded:
 class TestNaiveSharded:
     @pytest.fixture(scope="class")
     def reference(self, graph):
-        run = sample_naive(graph, NAIVE_CONFIG, rng=13)
+        run = serial_naive(graph, NAIVE_CONFIG, rng=13)
         assert len(run.container) > 0
         return run
 
@@ -203,6 +206,107 @@ class TestNaiveSharded:
         assert run.stats.transport == "tcp"
 
 
+GRID = [
+    pytest.param(
+        directed,
+        boundary,
+        direction,
+        id=f"{'directed' if directed else 'undirected'}-"
+        f"{'bes' if boundary else 'scs'}-{direction}",
+    )
+    for directed in (False, True)
+    for boundary in (True, False)
+    for direction in ("out", "both")
+]
+
+
+class TestOracleGrid:
+    """Flat and sharded runs match the serial oracle on directed and
+    undirected graphs, with and without BES, walking out or both ways."""
+
+    @staticmethod
+    def grid_graph(directed):
+        if directed:
+            return erdos_renyi_graph(90, 0.07, directed=True, rng=4)
+        return powerlaw_cluster_graph(90, 3, 0.3, rng=4)
+
+    @pytest.mark.parametrize("directed,boundary,direction", GRID)
+    def test_dual_stage_matches_oracle(self, directed, boundary, direction):
+        graph = self.grid_graph(directed)
+        config = DualStageSamplingConfig(
+            subgraph_size=6,
+            threshold=3,
+            sampling_rate=1.0,
+            walk_length=150,
+            include_boundary=boundary,
+            direction=direction,
+        )
+        reference = serial_dual_stage(graph, config, rng=9)
+        assert len(reference.container) > 0
+        flat = sample_dual_stage(graph, config, rng=9)
+        sharded = sample_dual_stage_sharded(
+            build_shard_set(graph, 2, rng=1), config, rng=9
+        )
+        for run in (flat, sharded):
+            assert_containers_identical(run.container, reference.container)
+            assert run.stage2_count == reference.stage2_count
+            assert run.stats.walks_rejected == reference.stats.walks_rejected
+
+    @pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+    @pytest.mark.parametrize("direction", ["out", "both"])
+    def test_naive_matches_oracle(self, directed, direction):
+        graph = self.grid_graph(directed)
+        config = NaiveSamplingConfig(
+            subgraph_size=5,
+            sampling_rate=0.8,
+            walk_length=150,
+            theta=6,
+            direction=direction,
+        )
+        reference = serial_naive(graph, config, rng=9)
+        assert len(reference.container) > 0
+        flat = sample_naive(graph, config, rng=9)
+        assert flat.projected == reference.projected
+        sharded = sample_naive_sharded(build_shard_set(graph, 2, rng=1), config, rng=9)
+        for run in (flat, sharded):
+            assert_containers_identical(run.container, reference.container)
+            assert run.stats.starts_skipped == reference.stats.starts_skipped
+
+
+class TestWholeGraphShard:
+    """The flat samplers' shard is the graph itself: zero-copy, no
+    partition pass."""
+
+    def test_shares_the_graph_csr(self, graph):
+        shard = whole_graph_shard_set(graph).shards[0]
+        mine = (
+            shard.out_indptr,
+            shard.out_local,
+            shard.out_weights,
+            shard.in_indptr,
+            shard.in_local,
+            shard.in_weights,
+        )
+        for array, graph_array in zip(mine, graph.out_csr() + graph.in_csr()):
+            assert np.shares_memory(array, graph_array)
+        assert shard.num_halo == 0
+        np.testing.assert_array_equal(shard.global_ids, np.arange(graph.num_nodes))
+
+    def test_flat_sampling_never_partitions(self, graph, monkeypatch):
+        import repro.sharding.partition as partition
+        from repro.core.pipeline import PrivIMConfig, PrivIMStar
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("flat sampling ran partition_assignment")
+
+        monkeypatch.setattr(partition, "partition_assignment", refuse)
+        sample_dual_stage(graph, DUAL_CONFIG, rng=7)
+        sample_naive(graph, NAIVE_CONFIG, rng=13)
+        PrivIMStar(
+            PrivIMConfig(subgraph_size=8, iterations=2, sampling_rate=0.5, rng=1)
+        ).fit(graph)
+
+
 class TestTransportFaults:
     """Misbehaving shard hosts must surface as a clean SamplingError at
     the sampler API — never a hang, never a partial result."""
@@ -234,7 +338,7 @@ class TestTransportFaults:
 
 class TestShardedSink:
     def test_merged_store_matches_serial_emission(self, graph, tmp_path):
-        reference = sample_dual_stage(graph, DUAL_CONFIG, rng=7)
+        reference = serial_dual_stage(graph, DUAL_CONFIG, rng=7)
         shard_set = build_shard_set(graph, 3, rng=1)
         sink = ShardedStoreSink(
             str(tmp_path / "shards"), shard_set.assignment, 3
@@ -276,7 +380,7 @@ class TestTcpStoreTrainEndToEnd:
             train_outcome,
         )
 
-        reference = sample_dual_stage(graph, DUAL_CONFIG, rng=7)
+        reference = serial_dual_stage(graph, DUAL_CONFIG, rng=7)
         oracle = train_outcome(reference.container, iterations=4)
         shard_set = build_shard_set(graph, 3, rng=1)
         sink = ShardedStoreSink(
