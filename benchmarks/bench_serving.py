@@ -1,5 +1,5 @@
 """Micro-benchmarks of the serving layer's cache tiers — and, in script
-mode, the replica/batching trajectory (``BENCH_serving.json``).
+mode, the replica trajectory (``BENCH_serving.json``).
 
 The pytest-benchmark functions isolate one cost tier of
 :class:`repro.serving.engine.ScoringEngine` so the value of each cache
@@ -15,18 +15,14 @@ Run as a plain script (``PYTHONPATH=src python benchmarks/bench_serving.py
 ``BENCH_training.json`` tracks training:
 
 * cold vs warm single-request latency (in-process engine);
-* batched vs unbatched: a burst of distinct score requests through the
-  cross-request :class:`~repro.serving.batch.MicroBatcher` versus the
-  plain path — wall time, forward passes, and a **bit-identity gate**;
 * warm-cache HTTP QPS (p50/p95) against 1 and 4 replicas, measured by
   client *processes* holding persistent connections (a threaded client
   would serialise on the GIL and hide the replica speedup).
 
-Two regression gates: batched results must be bit-identical with exactly
-one fused forward pass (always enforced), and 4-replica warm QPS must be
->= 2x single-replica (enforced only on machines with >= 4 CPU cores —
-four workers cannot beat one without spare cores; the core count is
-recorded either way, like the training bench's worker gate).
+One regression gate: 4-replica warm QPS must be >= 2x single-replica
+(enforced only on machines with >= 4 CPU cores — four workers cannot beat
+one without spare cores; the core count is recorded either way, like the
+training bench's worker gate).
 
 All randomness is seeded through :func:`repro.utils.rng.bench_seed`, so the
 graph, the model weights, and the served numbers are identical run to run.
@@ -41,7 +37,6 @@ import os
 import socket
 import statistics
 import sys
-import threading
 import time
 
 import numpy as np
@@ -248,68 +243,6 @@ def _measure_cold_warm(artifact, graph, *, rounds: int, warm_iters: int) -> dict
     return {"cold": _latency_summary(cold), "warm": _latency_summary(warm)}
 
 
-def _measure_batching(artifact, graph, *, burst: int) -> dict:
-    """Burst of distinct cold score requests: batched vs unbatched wall
-    time, forward-pass counts, and the bit-identity check."""
-    from repro.serving.service import InfluenceService, ServiceConfig
-
-    node_lists = [[i, i + 1, i + 2] for i in range(burst)]
-
-    def fan_out(service):
-        results = [None] * burst
-        errors = [None] * burst
-        barrier = threading.Barrier(burst)
-
-        def worker(index):
-            barrier.wait(timeout=60)
-            try:
-                results[index] = service.score({"nodes": node_lists[index]})
-            except Exception as error:  # noqa: BLE001 - recorded in summary
-                errors[index] = error
-
-        threads = [
-            threading.Thread(target=worker, args=(i,)) for i in range(burst)
-        ]
-        started = time.perf_counter()
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=120)
-        elapsed = time.perf_counter() - started
-        if any(errors):
-            raise next(error for error in errors if error)
-        return results, elapsed
-
-    unbatched = InfluenceService(
-        artifact, graph, config=ServiceConfig(max_inflight=burst)
-    )
-    plain_results, plain_wall = fan_out(unbatched)
-    batched = InfluenceService(
-        artifact,
-        graph,
-        config=ServiceConfig(batch_window_ms=25.0, max_inflight=burst),
-    )
-    batched_results, batched_wall = fan_out(batched)
-
-    identical = all(
-        batched_results[i]["scores"] == plain_results[i]["scores"]
-        for i in range(burst)
-    )
-    return {
-        "burst_requests": burst,
-        "unbatched": {
-            "wall_s": round(plain_wall, 4),
-            "forward_passes": unbatched.engine.forward_passes,
-        },
-        "batched": {
-            "wall_s": round(batched_wall, 4),
-            "forward_passes": batched.engine.forward_passes,
-            "fused": batched.batcher.stats()["fused"],
-        },
-        "bit_identical": identical,
-    }
-
-
 def _measure_replica_qps(replicas: int, *, clients: int, duration: float) -> dict:
     from repro.serving.replica import ReplicaConfig, ReplicaSet
 
@@ -350,7 +283,7 @@ def _measure_replica_qps(replicas: int, *, clients: int, duration: float) -> dic
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="Serving benchmark: cache tiers, micro-batching, replicas."
+        description="Serving benchmark: cache tiers and replicas."
     )
     parser.add_argument(
         "--tiny",
@@ -367,7 +300,6 @@ def main(argv=None) -> int:
     graph_nodes = 300 if args.tiny else 2000
     duration = 1.0 if args.tiny else 2.5
     clients = 2 if args.tiny else 4
-    burst = 8 if args.tiny else 16
     cpu_count = os.cpu_count() or 1
 
     artifact = _artifact()
@@ -375,14 +307,12 @@ def main(argv=None) -> int:
     _SCRIPT_STATE.update({"artifact": artifact, "graph": graph, "k": 5})
 
     print(f"graph: {graph_nodes} nodes | cpu_count={cpu_count}", flush=True)
-    print("arm 1/3: cold vs warm single-request latency", flush=True)
+    print("arm 1/2: cold vs warm single-request latency", flush=True)
     cache_tiers = _measure_cold_warm(
         artifact, graph, rounds=3 if args.tiny else 5,
         warm_iters=50 if args.tiny else 200,
     )
-    print("arm 2/3: batched vs unbatched cold burst", flush=True)
-    batching = _measure_batching(artifact, graph, burst=burst)
-    print("arm 3/3: warm-cache HTTP QPS, 1 vs 4 replicas", flush=True)
+    print("arm 2/2: warm-cache HTTP QPS, 1 vs 4 replicas", flush=True)
     qps_arms = {
         "replicas1": _measure_replica_qps(1, clients=clients, duration=duration),
         "replicas4": _measure_replica_qps(4, clients=clients, duration=duration),
@@ -390,14 +320,6 @@ def main(argv=None) -> int:
 
     ratio = round(qps_arms["replicas4"]["qps"] / qps_arms["replicas1"]["qps"], 3)
     gates = {
-        "batched_bit_identical": {
-            "threshold": True,
-            "enforced": True,
-            "passed": bool(
-                batching["bit_identical"]
-                and batching["batched"]["forward_passes"] == 1
-            ),
-        },
         "replicas4_vs_1": {
             "threshold": 2.0,
             "ratio": ratio,
@@ -422,7 +344,6 @@ def main(argv=None) -> int:
         "cpu_count": cpu_count,
         "graph_nodes": graph_nodes,
         "cache_tiers": cache_tiers,
-        "batching": batching,
         "replica_qps": qps_arms,
         "regression_gates": gates,
     }

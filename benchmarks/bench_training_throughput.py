@@ -2,8 +2,7 @@
 
 Measures DP-SGD iterations/sec on the default training config (GRAT
 backbone at the paper's default width/depth, batch_size 8) across
-``grad_mode`` x ``grad_workers`` x {fused kernels, legacy ``np.add.at``}
-and writes a ``BENCH_training.json`` summary, so the perf trajectory has a
+``grad_mode`` x ``grad_workers`` and writes a ``BENCH_training.json`` summary, so the perf trajectory has a
 training datapoint next to the sampling benches.
 
 Every same-binary configuration must produce a **byte-identical loss
@@ -28,9 +27,7 @@ Three regression gates guard the recorded numbers:
   probes run against in-memory pools (each record owning its bytes) so the
   JSON records the contrast the store exists to provide.
 
-The in-binary "kernels off" arm restores ``np.add.at`` scatters but still
-runs the rewritten autograd walk and compute-plan cache, so it *understates*
-the engine's full speedup.  For an honest before/after number, point
+For a before/after number against an older engine, point
 ``--baseline-src`` at the ``src`` directory of a checkout of the pre-engine
 commit::
 
@@ -62,15 +59,6 @@ from repro.gnn.models import build_gnn
 from repro.graphs.generators import powerlaw_cluster_graph
 from repro.sampling.dual_stage import DualStageSamplingConfig, extract_subgraphs_dual_stage
 from repro.utils.rng import bench_seed
-
-try:
-    from repro.nn.kernels import use_kernels
-except ImportError:  # pre-engine source trees have no kernels module
-    from contextlib import contextmanager
-
-    @contextmanager
-    def use_kernels(enabled):
-        yield
 
 
 def build_container(tiny: bool):
@@ -121,7 +109,6 @@ def run_configuration(
     *,
     iterations,
     workers,
-    kernels_on,
     model_kind,
     grad_mode=None,
     prefetch_depth=None,
@@ -134,18 +121,17 @@ def run_configuration(
     ``--time-only`` arms use CPU time instead, which is immune to steal and
     frequency drift.
     """
-    with use_kernels(kernels_on):
-        model = build_gnn(model_kind, rng=bench_seed())
-        config = make_training_config(
-            iterations, container, workers, grad_mode, prefetch_depth
-        )
-        trainer = DPGNNTrainer(model, container, config, rng=bench_seed())
-        try:
-            start = clock()
-            history = trainer.train()
-            elapsed = clock() - start
-        finally:
-            trainer.close()
+    model = build_gnn(model_kind, rng=bench_seed())
+    config = make_training_config(
+        iterations, container, workers, grad_mode, prefetch_depth
+    )
+    trainer = DPGNNTrainer(model, container, config, rng=bench_seed())
+    try:
+        start = clock()
+        history = trainer.train()
+        elapsed = clock() - start
+    finally:
+        trainer.close()
     return iterations / elapsed, tuple(history.losses)
 
 
@@ -199,7 +185,6 @@ def run_rss_probe(source: str, count: int, iterations: int, model_kind: str) -> 
                     pool,
                     iterations=iterations,
                     workers=1,
-                    kernels_on=True,
                     model_kind=model_kind,
                     grad_mode="vectorized",
                     prefetch_depth=2,
@@ -214,7 +199,6 @@ def run_rss_probe(source: str, count: int, iterations: int, model_kind: str) -> 
             pool,
             iterations=iterations,
             workers=1,
-            kernels_on=True,
             model_kind=model_kind,
             grad_mode="vectorized",
         )
@@ -274,7 +258,6 @@ def run_sharded_probe(directory: str, iterations: int, model_kind: str) -> int:
                 pool,
                 iterations=iterations,
                 workers=1,
-                kernels_on=True,
                 model_kind=model_kind,
                 grad_mode="vectorized",
                 prefetch_depth=2,
@@ -422,7 +405,6 @@ def merge_worker_gate(args, iterations: int) -> int:
             container,
             iterations=iterations,
             workers=workers,
-            kernels_on=True,
             model_kind=args.model,
             grad_mode="vectorized",
         )
@@ -684,7 +666,6 @@ def main(argv=None) -> int:
             container,
             iterations=iterations,
             workers=None,
-            kernels_on=True,
             model_kind=args.model,
             clock=time.process_time,
         )
@@ -699,19 +680,14 @@ def main(argv=None) -> int:
 
     cpu_count = os.cpu_count() or 1
     runs = []
-    # Grid: the kernels-off row restores the np.add.at scatters (the rest
-    # of the engine stays on); the loop row is the serial bit-identity
-    # oracle; the vectorized rows sweep worker counts over the
-    # block-diagonal batch path.
-    grid = [(1, False, "loop"), (1, True, "loop")] + [
-        (workers, True, "vectorized") for workers in args.workers
-    ]
-    for workers, kernels_on, grad_mode in grid:
+    # Grid: the loop row is the serial bit-identity oracle; the vectorized
+    # rows sweep worker counts over the block-diagonal batch path.
+    grid = [(1, "loop")] + [(workers, "vectorized") for workers in args.workers]
+    for workers, grad_mode in grid:
         rate, losses = run_configuration(
             container,
             iterations=iterations,
             workers=workers,
-            kernels_on=kernels_on,
             model_kind=args.model,
             grad_mode=grad_mode,
         )
@@ -720,15 +696,11 @@ def main(argv=None) -> int:
                 "source": "memory",
                 "grad_mode": grad_mode,
                 "grad_workers": workers,
-                "kernels": kernels_on,
                 "iterations_per_sec": round(rate, 3),
                 "losses": losses,
             }
         )
-        print(
-            f"  mode={grad_mode:10s} workers={workers} "
-            f"kernels={'on ' if kernels_on else 'off'} -> {rate:7.3f} it/s"
-        )
+        print(f"  mode={grad_mode:10s} workers={workers} -> {rate:7.3f} it/s")
 
     # Paired in-memory-vs-store arm: the same pool, written to an on-disk
     # store and trained from there.  Its loss histories join the identity
@@ -749,7 +721,6 @@ def main(argv=None) -> int:
                     store,
                     iterations=iterations,
                     workers=1,
-                    kernels_on=True,
                     model_kind=args.model,
                     grad_mode="vectorized",
                     prefetch_depth=depth,
@@ -759,14 +730,13 @@ def main(argv=None) -> int:
                         "source": "store",
                         "grad_mode": "vectorized",
                         "grad_workers": 1,
-                        "kernels": True,
                         "prefetch_depth": depth,
                         "iterations_per_sec": round(rate, 3),
                         "losses": losses,
                     }
                 )
                 print(
-                    f"  mode=vectorized workers=1 kernels=on  source=store "
+                    f"  mode=vectorized workers=1 source=store "
                     f"depth={depth} -> {rate:7.3f} it/s"
                 )
         finally:
@@ -778,26 +748,21 @@ def main(argv=None) -> int:
         for run in mismatched:
             print(
                 f"LOSS-HISTORY MISMATCH: mode={run['grad_mode']} "
-                f"workers={run['grad_workers']} kernels={run['kernels']}",
+                f"workers={run['grad_workers']} source={run['source']}",
                 file=sys.stderr,
             )
         return 1
     print("loss histories: byte-identical across all configurations")
 
-    def rate_of(grad_mode, workers, kernels_on=True, source="memory"):
+    def rate_of(grad_mode, workers, source="memory"):
         for run in runs:
             if (
                 run["source"] == source
                 and run["grad_mode"] == grad_mode
                 and run["grad_workers"] == workers
-                and run["kernels"] == kernels_on
             ):
                 return run["iterations_per_sec"]
         return None
-
-    baseline = runs[0]["iterations_per_sec"]
-    best = max(run["iterations_per_sec"] for run in runs[1:])
-    print(f"speedup vs in-binary legacy scatters: {best / baseline:.2f}x")
 
     # ------------------------------------------------------------------ #
     # Regression gates (enforced in full mode; tiny runs are too noisy
@@ -961,7 +926,6 @@ def main(argv=None) -> int:
             {key: value for key, value in run.items() if key != "losses"}
             for run in runs
         ],
-        "speedup_vs_legacy_scatters": round(best / baseline, 3),
         "loss_histories_identical": True,
         "regression_gates": gates,
     }

@@ -216,9 +216,8 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--queue-limit", type=int, default=32,
                        help="requests allowed to wait; beyond this -> 503")
     serve.add_argument("--replicas", type=int, default=1,
-                       help="worker processes behind the port (1 = in-process)")
-    serve.add_argument("--batch-window-ms", type=float, default=0.0,
-                       help="cross-request micro-batching window (0 = off)")
+                       help="worker processes behind the port (1 = in-process; "
+                            "more refuse live graph mutations with 409)")
     serve.add_argument("--deadline-ms", type=int, default=5000,
                        help="default per-request deadline")
     serve.add_argument("--log-level", default=None,
@@ -524,7 +523,6 @@ def _command_serve(args: argparse.Namespace) -> int:
         max_inflight=args.max_inflight,
         queue_limit=args.queue_limit,
         default_deadline=args.deadline_ms / 1000.0,
-        batch_window_ms=args.batch_window_ms,
     )
 
     def build_service() -> InfluenceService:

@@ -176,7 +176,6 @@ def _pool_worker(
     loss_config: PenaltyLossConfig,
     clip_bound: float | None,
     grad_mode: str,
-    kernels_on: bool,
     commands,
     results_queue,
 ) -> None:
@@ -184,11 +183,8 @@ def _pool_worker(
 
     The model is constructed only for its parameter *layout* (weights are
     read from shared memory every task), so the config's RNG was replaced
-    by a constant coordinator-side.  The kernel flag ships explicitly so
-    A/B legacy-path runs behave identically in every process regardless of
-    start method.
+    by a constant coordinator-side.
     """
-    kernels.set_kernels_enabled(kernels_on)
     model = GNN(model_config)
     weights_shm = _attach(weights_name)
     indices_shm = _attach(indices_name)
@@ -297,7 +293,6 @@ class _ShmPool:
                     loss_config,
                     clip_bound,
                     grad_mode,
-                    kernels.kernels_enabled(),
                     self._commands[worker_id],
                     self._results_queue,
                 ),

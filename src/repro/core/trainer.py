@@ -439,8 +439,8 @@ class DPGNNTrainer:
         step meant, so :meth:`load_state_dict` rejects any mismatch.
         ``iterations`` is deliberately excluded — extending ``T`` is how a
         finished run is legitimately continued (with ε re-accounted).
-        ``grad_workers``, ``grad_mode``, and the kernel toggle are likewise
-        excluded on purpose: they are execution details with bit-identical
+        ``grad_workers`` and ``grad_mode`` are likewise excluded on
+        purpose: they are execution details with bit-identical
         results, so a checkpoint written by a 2-worker vectorized run must
         resume under 1 worker in loop mode (or any other combination)
         without re-accounting anything.

@@ -199,11 +199,7 @@ class _AttentionConv(Module):
         # pure functions of the edge set, shared by every attention layer.
         sort = None if plan is None else plan.segment_sort(self.normalize_over)
         flat_index = None
-        if (
-            plan is not None
-            and kernels.kernels_enabled()
-            and self.head_dim > kernels.COLUMN_WIDTH_THRESHOLD
-        ):
+        if plan is not None and self.head_dim > kernels.COLUMN_WIDTH_THRESHOLD:
             flat_index = plan.memo(
                 ("attn.flat", self.head_dim),
                 lambda: kernels.flat_scatter_index(targets, self.head_dim),
@@ -219,11 +215,7 @@ class _AttentionConv(Module):
         # direction so every layer and iteration reuses it.
         width = transformed.shape[1]
         source_flat = target_flat = None
-        if (
-            plan is not None
-            and kernels.kernels_enabled()
-            and width > kernels.COLUMN_WIDTH_THRESHOLD
-        ):
+        if plan is not None and width > kernels.COLUMN_WIDTH_THRESHOLD:
             source_flat = plan.memo(
                 ("gather.flat", "source", width),
                 lambda: kernels.flat_scatter_index(sources, width),

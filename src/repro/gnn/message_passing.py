@@ -107,7 +107,6 @@ def aggregate_neighbors(
     x_width = _row_width(x.shape)
     if (
         plan is not None
-        and kernels.kernels_enabled()
         and x.ndim > 1
         and x_width > kernels.COLUMN_WIDTH_THRESHOLD
     ):
@@ -131,7 +130,6 @@ def aggregate_neighbors(
     width = _row_width(messages.shape)
     if (
         plan is not None
-        and kernels.kernels_enabled()
         and messages.ndim > 1
         and width > kernels.COLUMN_WIDTH_THRESHOLD
     ):

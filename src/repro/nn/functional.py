@@ -54,10 +54,10 @@ def scatter_add_rows(
     ``out[i] = Σ_{j : indices[j] == i} tensor[j]`` — the aggregation step of
     message passing.  The gradient is a row gather.
 
-    With the fused kernels enabled (the default) the forward runs through
-    :func:`repro.nn.kernels.segment_sum`, which is bit-identical to the
-    ``np.add.at`` reference; ``flat_index`` optionally carries the
-    precomputed combined index a compute plan caches for wide features.
+    The forward runs through :func:`repro.nn.kernels.segment_sum`, which is
+    bit-identical to the ``np.add.at`` reference; ``flat_index`` optionally
+    carries the precomputed combined index a compute plan caches for wide
+    features.
     """
     source = Tensor._lift(tensor)
     idx = (
@@ -73,14 +73,7 @@ def scatter_add_rows(
     # already-validated edges, so the range scan can be skipped.
     if flat_index is None and len(idx) and (idx.min() < 0 or idx.max() >= num_rows):
         raise AutogradError("scatter indices out of range")
-    if kernels.kernels_enabled():
-        out_data = kernels.segment_sum(
-            source.data, idx, num_rows, flat_index=flat_index
-        )
-    else:
-        kernels.count_legacy("add_at")
-        out_data = np.zeros((num_rows,) + source.shape[1:], dtype=np.float64)
-        np.add.at(out_data, idx, source.data)
+    out_data = kernels.segment_sum(source.data, idx, num_rows, flat_index=flat_index)
 
     def backward_fn(grad: np.ndarray) -> None:
         if source.requires_grad:
@@ -124,14 +117,9 @@ def concat_gather_rows(
 
     def backward_fn(grad: np.ndarray) -> None:
         if source.requires_grad:
-            if kernels.kernels_enabled():
-                full = kernels.segment_sum(
-                    grad[:, width:], idx, source.data.shape[0], flat_index=flat_index
-                )
-            else:
-                kernels.count_legacy("add_at")
-                full = np.zeros_like(source.data)
-                np.add.at(full, idx, grad[:, width:])
+            full = kernels.segment_sum(
+                grad[:, width:], idx, source.data.shape[0], flat_index=flat_index
+            )
             source._accumulate_owned(full)
         if left_t.requires_grad:
             left_t._accumulate(grad[:, :width])
@@ -228,12 +216,7 @@ def scatter_weighted_rows(
     idx = _as_int64(indices)
     w_column = w.data.reshape(-1, 1)
     messages = v.data * w_column
-    if kernels.kernels_enabled():
-        out_data = kernels.segment_sum(messages, idx, num_rows, flat_index=flat_index)
-    else:
-        kernels.count_legacy("add_at")
-        out_data = np.zeros((num_rows,) + messages.shape[1:], dtype=np.float64)
-        np.add.at(out_data, idx, messages)
+    out_data = kernels.segment_sum(messages, idx, num_rows, flat_index=flat_index)
 
     def backward_fn(grad: np.ndarray) -> None:
         g_messages = grad[idx]
@@ -284,12 +267,7 @@ def segment_softmax(
         raise AutogradError("scatter indices out of range")
 
     # Constant (non-differentiable) per-segment max for numerical stability.
-    if kernels.kernels_enabled():
-        seg_max = kernels.segment_max(source.data, idx, num_segments, sort=sort)
-    else:
-        kernels.count_legacy("maximum_at")
-        seg_max = np.full(num_segments, -np.inf)
-        np.maximum.at(seg_max, idx, source.data)
+    seg_max = kernels.segment_max(source.data, idx, num_segments, sort=sort)
     seg_max[~np.isfinite(seg_max)] = 0.0  # empty segments
 
     # Fused single-node softmax.  The arithmetic below — forward and
@@ -299,12 +277,7 @@ def segment_softmax(
     # so results and gradients are bit-identical while the graph carries
     # one node instead of five.
     exp = np.exp(source.data - seg_max[idx])
-    if kernels.kernels_enabled():
-        denominator = kernels.segment_sum(exp, idx, num_segments)
-    else:
-        kernels.count_legacy("add_at")
-        denominator = np.zeros(num_segments, dtype=np.float64)
-        np.add.at(denominator, idx, exp)
+    denominator = kernels.segment_sum(exp, idx, num_segments)
     denom_gathered = denominator[idx]
     alpha = exp / denom_gathered
 
@@ -316,14 +289,7 @@ def segment_softmax(
         grad_exp = grad / denom_gathered
         grad_denom_gathered = -grad * exp / (denom_gathered**2)
         # Gather node: scatter the denominator gradient back per segment.
-        if kernels.kernels_enabled():
-            grad_denominator = kernels.segment_sum(
-                grad_denom_gathered, idx, num_segments
-            )
-        else:
-            kernels.count_legacy("add_at")
-            grad_denominator = np.zeros(num_segments, dtype=np.float64)
-            np.add.at(grad_denominator, idx, grad_denom_gathered)
+        grad_denominator = kernels.segment_sum(grad_denom_gathered, idx, num_segments)
         # Scatter-add node: the denominator gradient flows back to every
         # exponential, accumulated onto the division branch.
         grad_exp += grad_denominator[idx]

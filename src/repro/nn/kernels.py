@@ -23,15 +23,15 @@ Dispatch for 2-D scatter-adds is chosen by feature width:
   ``segment * width + column``; callers that precompute this index (the
   static compute plan does) skip its construction entirely.
 
-The module keeps a global enable flag so the legacy ``np.add.at`` path can
-be restored for A/B benchmarking and bit-identity tests, plus dispatch
-counters the trainer mirrors into ``train.kernel.*`` metrics.
+These kernels are the only scatter path in the autograd layer; the
+``np.add.at`` reference lives in the test oracles, which check the
+bit-identity.  The module keeps dispatch counters the trainer mirrors into
+``train.kernel.*`` metrics.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -40,12 +40,8 @@ __all__ = [
     "SegmentSort",
     "build_segment_sort",
     "flat_scatter_index",
-    "kernels_enabled",
-    "set_kernels_enabled",
-    "use_kernels",
     "kernel_stats",
     "reset_kernel_stats",
-    "count_legacy",
     "segment_sum",
     "segment_mean",
     "segment_max",
@@ -61,45 +57,15 @@ COLUMN_WIDTH_THRESHOLD = 4
 _F64 = np.dtype(np.float64)
 _I64 = np.dtype(np.int64)
 
-_ENABLED = True
-
 _STATS: dict[str, int] = {}
-
-
-def kernels_enabled() -> bool:
-    """Whether the fused kernels are active (else callers use ``np.add.at``)."""
-    return _ENABLED
-
-
-def set_kernels_enabled(enabled: bool) -> bool:
-    """Set the global kernel flag; returns the previous value."""
-    global _ENABLED
-    previous = _ENABLED
-    _ENABLED = bool(enabled)
-    return previous
-
-
-@contextmanager
-def use_kernels(enabled: bool):
-    """Context manager scoping the kernel flag (for benches and tests)."""
-    previous = set_kernels_enabled(enabled)
-    try:
-        yield
-    finally:
-        set_kernels_enabled(previous)
 
 
 def _count(name: str, amount: int = 1) -> None:
     _STATS[name] = _STATS.get(name, 0) + amount
 
 
-def count_legacy(name: str) -> None:
-    """Record a dispatch through a legacy ``np.add.at``-style path."""
-    _count(f"legacy.{name}")
-
-
 def kernel_stats() -> dict[str, int]:
-    """Snapshot of the dispatch counters (kernel and legacy paths)."""
+    """Snapshot of the dispatch counters."""
     return dict(_STATS)
 
 

@@ -587,7 +587,7 @@ class Tensor:
 
         Gradient scatters back so repeated rows accumulate — the exact
         adjoint message-passing needs.  The scatter runs through the fused
-        segment-sum kernel when enabled (bit-identical to ``np.add.at``).
+        segment-sum kernel (bit-identical to ``np.add.at``).
 
         Args:
             indices: row indices, repeats allowed.
@@ -606,14 +606,9 @@ class Tensor:
 
         def backward_fn(grad: np.ndarray) -> None:
             if self.requires_grad:
-                if kernels.kernels_enabled():
-                    full = kernels.segment_sum(
-                        grad, idx, self.data.shape[0], flat_index=flat_index
-                    )
-                else:
-                    kernels.count_legacy("add_at")
-                    full = np.zeros_like(self.data)
-                    np.add.at(full, idx, grad)
+                full = kernels.segment_sum(
+                    grad, idx, self.data.shape[0], flat_index=flat_index
+                )
                 self._accumulate_owned(full)
 
         return self._make(out_data, (self,), backward_fn)

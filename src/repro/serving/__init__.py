@@ -6,7 +6,7 @@ inference on a DP-trained model spends **no additional ε** — the privacy
 budget was consumed during training and the released weights are the
 (ε, δ)-DP output — so serving is privacy-free by construction.
 
-Six dependency-free layers:
+Five dependency-free layers:
 
 * :mod:`repro.serving.registry` — versioned on-disk artifacts bundling the
   trained weights, :class:`~repro.gnn.models.GNNConfig`, the frozen
@@ -18,13 +18,10 @@ Six dependency-free layers:
   per-graph degree features (keyed by a content fingerprint), an LRU
   result cache, single-flight coalescing of concurrent requests, and
   selective per-fingerprint invalidation for live graph mutations.
-* :mod:`repro.serving.batch` — cross-request micro-batching: distinct
-  cold score/seeds requests arriving within a small window are fused
-  into one forward pass, bit-identical to the unbatched path.
 * :mod:`repro.serving.service` — admission control (bounded queue,
   per-request deadlines, 503/504 degradation instead of hangs),
-  live graph mutations with atomic fingerprint swap, plus per-request
-  metrics.
+  live graph mutations with atomic fingerprint swap (refused with 409
+  inside a replica set), plus per-request metrics.
 * :mod:`repro.serving.http` — a threaded stdlib JSON API
   (``/healthz``, ``/metrics``, ``/v1/score``, ``/v1/seeds``,
   ``/v1/spread``, ``/v1/models``, ``/v1/graph/edges``).
@@ -37,7 +34,6 @@ See ``docs/serving.md`` for the artifact format and endpoint reference.
 
 from __future__ import annotations
 
-from repro.serving.batch import MicroBatcher
 from repro.serving.engine import ScoringEngine, graph_fingerprint
 from repro.serving.http import LengthRequired, PayloadTooLarge
 from repro.serving.registry import (
@@ -50,6 +46,7 @@ from repro.serving.registry import (
 from repro.serving.replica import ReplicaConfig, ReplicaSet
 from repro.serving.service import (
     BadRequest,
+    Conflict,
     DeadlineExceeded,
     InfluenceService,
     ServiceConfig,
@@ -58,10 +55,10 @@ from repro.serving.service import (
 
 __all__ = [
     "BadRequest",
+    "Conflict",
     "DeadlineExceeded",
     "InfluenceService",
     "LengthRequired",
-    "MicroBatcher",
     "ModelArtifact",
     "ModelRegistry",
     "PayloadTooLarge",

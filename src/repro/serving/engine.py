@@ -7,9 +7,10 @@ Three cost tiers, each cached:
   invalidates automatically while repeated queries against the same graph
   pay featurisation exactly once.
 * **Score vectors** — one GNN forward pass per (model, graph).  Concurrent
-  requests for an uncached vector are *coalesced*: the first thread
-  computes, the rest wait on its result — the micro-batching that turns a
-  32-request burst into a single forward pass.
+  requests for an uncached vector are *coalesced* (single-flight): the
+  first thread computes, the rest wait on its result, so a 32-request
+  burst costs a single forward pass.  This is the serving path's only
+  batching.
 * **Request results** — top-k seed sets and spread estimates land in a
   bounded LRU keyed by the full request tuple, so hot queries (the same
   ``k`` against the same graph) are answered without touching the model.
@@ -172,16 +173,6 @@ class ScoringEngine:
         with self._lock:
             self._features.put(key, computed)
         return computed
-
-    def scores_cached(self, fingerprint: str) -> bool:
-        """Whether the score vector for ``fingerprint`` is resident.
-
-        A pure peek: no hit/miss accounting, no LRU reordering.  The
-        micro-batcher uses it to route warm requests around the batching
-        window.
-        """
-        with self._lock:
-            return fingerprint in self._scores._entries
 
     def scores(self, graph: Graph, *, fingerprint: str | None = None) -> np.ndarray:
         """The full per-node score vector, cached and single-flighted.

@@ -17,7 +17,8 @@ Path             Method  Meaning
                          → live mutation + selective cache invalidation
 ===============  ======  ====================================================
 
-Error mapping: malformed payloads → 400, unknown paths → 404, missing
+Error mapping: malformed payloads → 400, unknown paths → 404, a live
+mutation sent to a replica-set worker → 409, missing
 ``Content-Length`` (or unsupported ``Transfer-Encoding``) → 411,
 oversized bodies → 413, saturation → 503 with a ``Retry-After`` header,
 missed deadlines → 504, anything unexpected → 500.  Every response body
@@ -36,6 +37,7 @@ from typing import Any
 from repro.serving.registry import ModelRegistry
 from repro.serving.service import (
     BadRequest,
+    Conflict,
     DeadlineExceeded,
     InfluenceService,
     ServiceUnavailable,
@@ -149,6 +151,8 @@ class _Handler(BaseHTTPRequestHandler):
             result = fn()
         except BadRequest as error:
             self._send_error(400, str(error))
+        except Conflict as error:
+            self._send_error(409, str(error))
         except LengthRequired as error:
             self._send_error(411, str(error))
         except PayloadTooLarge as error:

@@ -27,7 +27,9 @@ peer's death: each worker owns its connections outright.
 Workers are built by a caller-supplied zero-argument ``factory`` that
 returns ``(service, registry)``; with the ``fork`` start method the
 factory may close over in-memory artifacts and graphs — nothing is
-pickled.
+pickled.  Each worker marks its service as a replica, so live graph
+mutations answer 409: one worker's mutation would never reach the others,
+and a respawned worker restarts from the factory's graph.
 """
 
 from __future__ import annotations
@@ -98,6 +100,7 @@ def _worker_main(
 ) -> None:
     """Worker process body: build the service, serve, heartbeat."""
     service, registry = factory()
+    service.replica = True  # refuse live mutations (see module docstring)
     if shared_socket is not None:
         server = InfluenceHTTPServer(
             (host, port), service, registry, sock=shared_socket

@@ -13,6 +13,12 @@ scoring engine and enforces the capacity contract:
   slot in time, or whose work finishes past its deadline, is answered
   with :class:`DeadlineExceeded` (HTTP 504).  Work already computed still
   lands in the engine's caches, so a timed-out query warms the next one.
+* **Live mutations** — ``POST /v1/graph/edges`` swaps the resident
+  (graph, fingerprint) pair atomically in a single-process server.  A
+  service running inside a :class:`~repro.serving.replica.ReplicaSet`
+  refuses them with :class:`Conflict` (HTTP 409): each replica holds its
+  own copy of the graph, so a mutation would reach only the replica that
+  accepted it.
 * **Provenance** — every successful response carries the served model's
   (ε, δ): inference is free, but the client always sees what the budget
   of the weights it is querying was.
@@ -32,12 +38,12 @@ from typing import Any, Callable
 from repro.errors import GraphError, TrainingError
 from repro.graphs.graph import Graph
 from repro.obs import Observability, ensure_obs
-from repro.serving.batch import DeadlineExceededInBatch, MicroBatcher
 from repro.serving.engine import ScoringEngine, graph_fingerprint
 from repro.serving.registry import ModelArtifact
 
 __all__ = [
     "BadRequest",
+    "Conflict",
     "DeadlineExceeded",
     "InfluenceService",
     "ServiceConfig",
@@ -61,6 +67,10 @@ class DeadlineExceeded(Exception):
     """The request missed its deadline (HTTP 504)."""
 
 
+class Conflict(Exception):
+    """The request conflicts with how the service is deployed (HTTP 409)."""
+
+
 @dataclass(frozen=True)
 class ServiceConfig:
     """Capacity and degradation policy.
@@ -74,10 +84,6 @@ class ServiceConfig:
         retry_after: seconds suggested in 503 responses.
         max_seeds: upper bound on ``k`` per request.
         max_simulations: upper bound on Monte-Carlo repetitions.
-        batch_window_ms: cross-request micro-batching window in
-            milliseconds; ``0`` disables batching (the default — single
-            requests pay no window latency).
-        batch_max_requests: batch executes immediately at this size.
         max_mutation_edges: upper bound on edges per live-mutation request.
     """
 
@@ -88,8 +94,6 @@ class ServiceConfig:
     retry_after: float = 1.0
     max_seeds: int = 10_000
     max_simulations: int = 10_000
-    batch_window_ms: float = 0.0
-    batch_max_requests: int = 32
     max_mutation_edges: int = 10_000
 
     def __post_init__(self) -> None:
@@ -99,14 +103,6 @@ class ServiceConfig:
             raise TrainingError(f"queue_limit must be >= 0, got {self.queue_limit}")
         if self.default_deadline <= 0 or self.max_deadline <= 0:
             raise TrainingError("deadlines must be positive")
-        if self.batch_window_ms < 0:
-            raise TrainingError(
-                f"batch_window_ms must be >= 0, got {self.batch_window_ms}"
-            )
-        if self.batch_max_requests < 1:
-            raise TrainingError(
-                f"batch_max_requests must be >= 1, got {self.batch_max_requests}"
-            )
 
 
 class InfluenceService:
@@ -155,14 +151,9 @@ class InfluenceService:
         self._inflight = 0
         #: live-mutation counter, echoed by /healthz and /metrics.
         self._mutations = 0
-        self.batcher: MicroBatcher | None = None
-        if self.config.batch_window_ms > 0:
-            self.batcher = MicroBatcher(
-                self.engine,
-                window=self.config.batch_window_ms / 1000.0,
-                max_batch=self.config.batch_max_requests,
-                obs=self.obs,
-            )
+        #: set by a replica-set worker before it serves: its graph is one
+        #: of several copies, so live mutations are refused.
+        self.replica = False
         #: post-shutdown flag: reject new work during graceful drain.
         self._closed = False
 
@@ -293,16 +284,7 @@ class InfluenceService:
                 )
 
         def work():
-            if self.batcher is not None:
-                scores = self._batched(
-                    lambda: self.batcher.submit_score(
-                        graph, fingerprint, nodes, deadline
-                    )
-                )
-            else:
-                scores = self.engine.score_nodes(
-                    graph, nodes, fingerprint=fingerprint
-                )
+            scores = self.engine.score_nodes(graph, nodes, fingerprint=fingerprint)
             return [float(value) for value in scores]
 
         scores = self._execute("score", deadline, work)
@@ -332,15 +314,7 @@ class InfluenceService:
             raise BadRequest(f"'tie_break_seed' must be an integer, got {rng!r}")
 
         def work():
-            if self.batcher is not None:
-                return self._batched(
-                    lambda: self.batcher.submit_seeds(
-                        graph, fingerprint, k, rng, deadline
-                    )
-                )
-            return self.engine.top_k_seeds(
-                graph, k, rng=rng, fingerprint=fingerprint
-            )
+            return self.engine.top_k_seeds(graph, k, rng=rng, fingerprint=fingerprint)
 
         seeds = self._execute("seeds", deadline, work)
         return {
@@ -349,14 +323,6 @@ class InfluenceService:
             "graph_fingerprint": fingerprint,
             **self._provenance(),
         }
-
-    def _batched(self, submit: Callable[[], Any]) -> Any:
-        """Run a batcher submission, translating its deadline marker."""
-        try:
-            return submit()
-        except DeadlineExceededInBatch as error:
-            self.obs.counter("serve.deadline_exceeded").inc()
-            raise DeadlineExceeded(str(error)) from None
 
     def spread(self, payload: dict[str, Any]) -> dict[str, Any]:
         """``/v1/spread`` — influence spread of a client seed set."""
@@ -422,7 +388,18 @@ class InfluenceService:
         graph survive.  In-flight requests that snapshotted the old pair
         finish against the old graph with the old fingerprint in their
         response: a response never mixes graph states.
+
+        Raises :class:`Conflict` in a replica-set worker: the mutation
+        would diverge the replicas' graphs, and a respawned replica would
+        restart from the original one.
         """
+        if self.replica:
+            self.obs.counter("serve.rejected.replica_mutation").inc()
+            raise Conflict(
+                "live graph mutations are refused under --replicas: each "
+                "replica holds its own copy of the graph; serve a single "
+                "process to mutate it"
+            )
         deadline = self._resolve_deadline(payload)
         op = payload.get("op")
         if op not in ("add", "remove"):
@@ -519,7 +496,6 @@ class InfluenceService:
             "counters": snapshot["counters"],
             "latency": latency,
             "engine": self.engine.stats(),
-            "batching": self.batcher.stats() if self.batcher is not None else None,
             "graph_mutations": self._mutations,
             **self._provenance(),
         }

@@ -2,11 +2,34 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
 from repro.graphs.graph import Graph
 from repro.graphs.generators import barabasi_albert_graph, powerlaw_cluster_graph
+from repro.nn import kernels
+from tests.oracles import reference_segment_max, reference_segment_sum
+
+
+@pytest.fixture
+def add_at_kernels(monkeypatch):
+    """Context manager swapping the fused kernels for the ``np.add.at`` oracle.
+
+    Inside ``with add_at_kernels():`` every scatter in the autograd layer
+    (forward and backward, in this process and in forked gradient workers)
+    runs through :func:`reference_segment_sum` / :func:`reference_segment_max`.
+    """
+
+    @contextmanager
+    def active():
+        with monkeypatch.context() as patch:
+            patch.setattr(kernels, "segment_sum", reference_segment_sum)
+            patch.setattr(kernels, "segment_max", reference_segment_max)
+            yield
+
+    return active
 
 
 @pytest.fixture

@@ -1,7 +1,7 @@
 """Differential-testing oracles for the training stack and the samplers.
 
 The repo's correctness story for every execution knob (``grad_mode``,
-``grad_workers``, the kernel toggle, checkpoint/resume) is the same
+``grad_workers``, the fused scatter kernels, checkpoint/resume) is the same
 sentence: *the final weights, the per-iteration losses, and the accounted
 ε are byte-equal to the serial reference*.  This module turns that
 sentence into reusable helpers so each test states only the pair of
@@ -17,6 +17,13 @@ configurations it compares:
 The serial per-subgraph loop (``grad_mode="loop"``, ``grad_workers=1``)
 is the permanent oracle; every other configuration is differential-tested
 against it.
+
+The fused segment kernels have a scatter oracle,
+:func:`reference_segment_sum` / :func:`reference_segment_max`: the
+``np.add.at`` / ``np.maximum.at`` loops the kernels must match byte for
+byte.  The ``add_at_kernels`` fixture (``tests/conftest.py``) swaps them
+in for :mod:`repro.nn.kernels` so a whole training run can be replayed on
+the reference scatters.
 
 The samplers have their own serial oracle, :func:`serial_naive` and
 :func:`serial_dual_stage`: Algorithms 1 and 3 written directly over a
@@ -52,6 +59,8 @@ __all__ = [
     "train_outcome",
     "resumed_outcome",
     "assert_outcomes_identical",
+    "reference_segment_sum",
+    "reference_segment_max",
     "SerialSample",
     "serial_naive",
     "serial_dual_stage",
@@ -166,6 +175,35 @@ def assert_outcomes_identical(candidate: TrainOutcome, oracle: TrainOutcome,
     assert candidate.weights == oracle.weights, (
         f"{label}: final weights are not byte-equal to the oracle"
     )
+
+
+# --------------------------------------------------------------------------- #
+# scatter oracle for the fused segment kernels
+# --------------------------------------------------------------------------- #
+def reference_segment_sum(values, segments, num_segments, *, flat_index=None):
+    """``np.add.at`` reference for :func:`repro.nn.kernels.segment_sum`.
+
+    ``flat_index`` is accepted (so this can stand in for the kernel) and
+    ignored: the reference always scatters by ``segments``.
+    """
+    del flat_index
+    values = np.asarray(values, dtype=np.float64)
+    out = np.zeros((int(num_segments),) + values.shape[1:], dtype=np.float64)
+    np.add.at(out, np.asarray(segments, dtype=np.int64), values)
+    return out
+
+
+def reference_segment_max(values, segments, num_segments, *, fill=-np.inf,
+                          sort=None):
+    """``np.maximum.at`` reference for :func:`repro.nn.kernels.segment_max`.
+
+    ``sort`` is accepted and ignored, like ``flat_index`` above.
+    """
+    del sort
+    values = np.asarray(values, dtype=np.float64)
+    out = np.full((int(num_segments),) + values.shape[1:], fill, dtype=np.float64)
+    np.maximum.at(out, np.asarray(segments, dtype=np.int64), values)
+    return out
 
 
 # --------------------------------------------------------------------------- #

@@ -1,10 +1,11 @@
 """Bit-identity tests for the parallel clipped-gradient fan-out.
 
 The engine's contract: ``grad_workers`` is purely an execution detail.
-For any worker count (and with kernels on or off) the summed clipped
-gradient, the noise draw, the accountant state, and the final weights are
-*byte-equal* to the serial run — so privacy accounting and checkpoint
-guarantees are untouched by parallelism.
+For any worker count (on the fused kernels or on the ``np.add.at``
+scatter oracle) the summed clipped gradient, the noise draw, the
+accountant state, and the final weights are *byte-equal* to the serial
+run — so privacy accounting and checkpoint guarantees are untouched by
+parallelism.
 """
 
 import numpy as np
@@ -23,7 +24,6 @@ from repro.core.trainer import DPGNNTrainer, DPTrainingConfig
 from repro.errors import TrainingError
 from repro.gnn.models import build_gnn
 from repro.graphs.generators import powerlaw_cluster_graph
-from repro.nn.kernels import use_kernels
 from repro.sampling.dual_stage import DualStageSamplingConfig, extract_subgraphs_dual_stage
 
 
@@ -76,11 +76,11 @@ class TestWorkerBitIdentity:
         fanned = train_outcome(container, grad_workers=2, model="grat")
         assert fanned == serial
 
-    def test_kernels_off_matches_kernels_on(self, container):
+    def test_kernels_off_matches_kernels_on(self, container, add_at_kernels):
         fast = train_outcome(container, grad_workers=1)
-        with use_kernels(False):
-            legacy = train_outcome(container, grad_workers=1)
-        assert fast == legacy
+        with add_at_kernels():
+            reference = train_outcome(container, grad_workers=1)
+        assert fast == reference
 
     def test_workers_zero_resolves_to_cpu_count(self, container):
         serial = train_outcome(container, grad_workers=1, iterations=2)
@@ -268,11 +268,11 @@ class TestGradModeBitIdentity:
         )
         assert_outcomes_identical(candidate, oracle, label=f"vectorized/{model}")
 
-    def test_vectorized_kernels_off_matches_oracle(self, container):
+    def test_vectorized_kernels_off_matches_oracle(self, container, add_at_kernels):
         oracle = oracle_train_outcome(container, grad_mode="loop")
-        with use_kernels(False):
+        with add_at_kernels():
             candidate = oracle_train_outcome(container, grad_mode="vectorized")
-        assert_outcomes_identical(candidate, oracle, label="vectorized/kernels-off")
+        assert_outcomes_identical(candidate, oracle, label="vectorized/add_at-oracle")
 
     def test_resume_across_mode_and_worker_change(self, container, tmp_path):
         """A vectorized 2-worker checkpoint resumes under loop 1-worker."""

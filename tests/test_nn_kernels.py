@@ -1,7 +1,7 @@
 """Property tests for the fused segment kernels.
 
-The kernels promise *bit-identity* with the legacy ``np.add.at`` /
-``np.maximum.at`` scatter loops — not merely numerical closeness.  That
+The kernels promise *bit-identity* with the ``np.add.at`` /
+``np.maximum.at`` scatter loops of the oracle (``tests/oracles.py``) — not merely numerical closeness.  That
 holds because ``np.bincount`` accumulates sequentially in input order,
 exactly like ``np.add.at``; these tests pin the contract with hypothesis
 over ragged segments, empty segments, duplicate targets, and adversarial
@@ -18,26 +18,12 @@ from repro.nn.kernels import (
     build_segment_sort,
     flat_scatter_index,
     kernel_stats,
-    kernels_enabled,
     reset_kernel_stats,
     segment_max,
     segment_mean,
     segment_sum,
-    set_kernels_enabled,
-    use_kernels,
 )
-
-
-def reference_segment_sum(values, segments, num_segments):
-    out = np.zeros((num_segments,) + values.shape[1:], dtype=values.dtype)
-    np.add.at(out, segments, values)
-    return out
-
-
-def reference_segment_max(values, segments, num_segments, fill=-np.inf):
-    out = np.full((num_segments,) + values.shape[1:], fill, dtype=values.dtype)
-    np.maximum.at(out, segments, values)
-    return out
+from tests.oracles import reference_segment_max, reference_segment_sum
 
 
 @st.composite
@@ -155,22 +141,7 @@ class TestSegmentMeanMax:
 
 
 class TestToggleAndStats:
-    def test_use_kernels_restores_state(self):
-        assert kernels_enabled()
-        with use_kernels(False):
-            assert not kernels_enabled()
-            with use_kernels(True):
-                assert kernels_enabled()
-            assert not kernels_enabled()
-        assert kernels_enabled()
-
-    def test_set_kernels_enabled_returns_previous(self):
-        previous = set_kernels_enabled(False)
-        assert previous is True
-        assert set_kernels_enabled(previous) is False
-        assert kernels_enabled()
-
-    def test_functional_layer_respects_toggle(self):
+    def test_functional_layer_respects_toggle(self, add_at_kernels):
         from repro.nn import functional as F
         from repro.nn.tensor import Tensor
 
@@ -179,11 +150,12 @@ class TestToggleAndStats:
         reset_kernel_stats()
         fast = F.scatter_add_rows(source, idx, 3)
         assert kernel_stats()["segment_sum.col"] == 1
-        with use_kernels(False):
+        with add_at_kernels():
             reset_kernel_stats()
-            legacy = F.scatter_add_rows(source, idx, 3)
-            assert kernel_stats()["legacy.add_at"] == 1
-        assert fast.data.tobytes() == legacy.data.tobytes()
+            reference = F.scatter_add_rows(source, idx, 3)
+            # The oracle ran instead of the kernel.
+            assert kernel_stats() == {}
+        assert fast.data.tobytes() == reference.data.tobytes()
 
     def test_build_segment_sort_runs(self):
         segments = np.array([3, 1, 3, 0, 1, 3], dtype=np.int64)
@@ -200,7 +172,7 @@ class TestToggleAndStats:
 
 
 class TestGatherRowsBackward:
-    def test_gradient_matches_legacy_path(self):
+    def test_gradient_matches_legacy_path(self, add_at_kernels):
         from repro.nn.tensor import Tensor
 
         rng = np.random.default_rng(0)
@@ -214,6 +186,6 @@ class TestGatherRowsBackward:
             return tensor.grad
 
         fast = run()
-        with use_kernels(False):
-            legacy = run()
-        assert fast.tobytes() == legacy.tobytes()
+        with add_at_kernels():
+            reference = run()
+        assert fast.tobytes() == reference.tobytes()

@@ -343,13 +343,3 @@ class TestSelectiveInvalidation:
         before = engine.stats()["forward_passes"]
         engine.top_k_seeds(graph, 3, rng=0)
         assert engine.stats()["forward_passes"] == before
-
-    def test_scores_cached_peek_has_no_stats_side_effects(self):
-        engine = ScoringEngine(make_artifact())
-        graph = barabasi_albert_graph(30, 2, rng=4)
-        fingerprint = graph_fingerprint(graph)
-        assert not engine.scores_cached(fingerprint)
-        stats = engine.stats()["scores"]
-        assert stats["hits"] == 0 and stats["misses"] == 0
-        engine.scores(graph, fingerprint=fingerprint)
-        assert engine.scores_cached(fingerprint)

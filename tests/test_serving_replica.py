@@ -145,3 +145,25 @@ class TestLifecycle:
             ReplicaConfig(restart_budget=-1)
         with pytest.raises(TrainingError):
             ReplicaConfig(heartbeat_interval=0.0)
+
+
+class TestMutationRefused:
+    def test_live_mutation_answers_409_and_leaves_graph_unchanged(self):
+        with ReplicaSet(_factory, ReplicaConfig(replicas=2)) as replica_set:
+            status, before = _request(replica_set.url, "/healthz")
+            assert status == 200
+            # Enough attempts that both replicas are asked, whichever
+            # accepts each connection.
+            for _ in range(4):
+                status, payload = _request(
+                    replica_set.url,
+                    "/v1/graph/edges",
+                    {"op": "add", "edges": [[0, 49]]},
+                )
+                assert status == 409
+                assert "--replicas" in payload["error"]
+            for _ in range(4):
+                status, after = _request(replica_set.url, "/healthz")
+                assert status == 200
+                assert after["graph_fingerprint"] == before["graph_fingerprint"]
+                assert after["graph_mutations"] == 0
