@@ -5,9 +5,9 @@ multi-round statistics — they measure the throughput of the pieces the
 experiments are built from (sampling, one DP-SGD step, CELF, accounting).
 
 All randomness is seeded through :func:`repro.utils.rng.bench_seed`.
-Sampling parallelism lives in the sharded engine (``--shards`` /
-``--shard-workers``), measured by ``bench_training_throughput.py
---merge-transport-gates``.
+Sharded sampling (``--shards``) is a memory layout, not a parallel arm:
+its bounded RSS is measured by ``bench_training_throughput.py``'s
+sharded probes.
 """
 
 import numpy as np

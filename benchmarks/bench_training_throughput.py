@@ -440,122 +440,6 @@ def merge_worker_gate(args, iterations: int) -> int:
     return 0
 
 
-def merge_transport_gates(args, iterations: int) -> int:
-    """Measure the sharded-sampling arm on this machine and merge a
-    ``sharded_transport`` section into an existing summary JSON.
-
-    One gate, in the spirit of :func:`merge_worker_gate`:
-    ``sharded4x4_vs_serial`` — 4 shards on 4 spawned TCP-localhost shard
-    hosts (checksummed frames, the no-pickle codec) must beat the flat
-    sampler by >= 1.3x.  Enforced only with >= 4 CPU cores; with fewer,
-    the honest number is recorded with a ``skip_reason`` instead of a
-    fabricated pass.
-
-    Whatever the machine shape, the sharded container is checked
-    bit-identical to the flat sampler's first — an arm that wins by
-    sampling differently has no number worth recording.
-    """
-    import numpy as np
-
-    from repro.sharding import build_shard_set, sample_dual_stage_sharded
-
-    output = os.path.abspath(args.output)
-    with open(output, encoding="utf-8") as handle:
-        summary = json.load(handle)
-
-    cpu_count = os.cpu_count() or 1
-    nodes = args.transport_nodes or args.sharded_base * 10
-    graph = powerlaw_cluster_graph(nodes, 3, 0.3, rng=bench_seed())
-    config = DualStageSamplingConfig(**SHARDED_PROBE_CONFIG)
-    shard_set = build_shard_set(graph, SHARDED_PROBE_SHARDS, rng=bench_seed())
-    print(
-        f"merge-transport-gates: |V|={nodes} shards={SHARDED_PROBE_SHARDS} "
-        f"| {cpu_count} cores"
-    )
-
-    start = time.perf_counter()
-    serial = extract_subgraphs_dual_stage(graph, config, bench_seed())
-    serial_seconds = time.perf_counter() - start
-    print(f"  serial               -> {serial_seconds:7.3f}s "
-          f"({len(serial.container)} subgraphs)")
-
-    start = time.perf_counter()
-    run = sample_dual_stage_sharded(
-        shard_set,
-        config,
-        rng=bench_seed(),
-        workers=SHARDED_PROBE_SHARDS,
-        transport="tcp",
-    )
-    tcp_seconds = time.perf_counter() - start
-    identical = len(run.container) == len(serial.container) and all(
-        np.array_equal(a.node_map, b.node_map) and a.graph == b.graph
-        for a, b in zip(run.container, serial.container)
-    ) and np.array_equal(run.frequency.counts, serial.frequency.counts)
-    frames = run.stats.frames_sent + run.stats.frames_received
-    wire_bytes = run.stats.bytes_sent + run.stats.bytes_received
-    print(
-        f"  tcp  workers={SHARDED_PROBE_SHARDS}       -> {tcp_seconds:7.3f}s "
-        f"(identical={identical}, {frames} frames, {wire_bytes} bytes)"
-    )
-    if not identical:
-        print(
-            "TRANSPORT MISMATCH: the sharded arm diverged from the serial "
-            "sampler; its timing is meaningless",
-            file=sys.stderr,
-        )
-        return 1
-
-    scaling = serial_seconds / tcp_seconds
-    scaling_enforced = cpu_count >= 4
-    scaling_gate = {
-        "threshold": 1.3,
-        "ratio": round(scaling, 3),
-        "enforced": scaling_enforced,
-        "passed": scaling >= 1.3,
-    }
-    if not scaling_enforced:
-        scaling_gate["skip_reason"] = (
-            f"requires >= 4 CPU cores, machine has {cpu_count}"
-        )
-
-    summary["sharded_transport"] = {
-        "pipeline": "partition -> sharded dual-stage sampling, serial vs "
-                    "TCP-localhost shard hosts",
-        "graph_size": nodes,
-        "num_shards": SHARDED_PROBE_SHARDS,
-        "workers": SHARDED_PROBE_SHARDS,
-        "cpu_count": cpu_count,
-        "sampling": SHARDED_PROBE_CONFIG,
-        "num_subgraphs": len(serial.container),
-        "containers_identical": True,
-        "serial_seconds": round(serial_seconds, 3),
-        "tcp_seconds": round(tcp_seconds, 3),
-        "tcp_frames": frames,
-        "tcp_bytes": wire_bytes,
-        "exchange_rounds": run.stats.exchange_rounds,
-        "gates": {"sharded4x4_vs_serial": scaling_gate},
-    }
-    with open(output, "w", encoding="utf-8") as handle:
-        json.dump(summary, handle, indent=2)
-        handle.write("\n")
-    print(
-        f"gate sharded 4x4/serial: {scaling:.2f}x (threshold 1.3x, "
-        f"{'enforced' if scaling_enforced else 'not enforced'}, "
-        f"{cpu_count} cores)"
-    )
-    print(f"merged into {output}")
-
-    if scaling_gate["enforced"] and not scaling_gate["passed"]:
-        print(
-            f"REGRESSION GATE FAILED: sharded 4x4 is only {scaling:.2f}x the "
-            "serial sampler (< 1.3x)",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -615,17 +499,6 @@ def main(argv=None) -> int:
              "runners with more cores than the machine that wrote the file)",
     )
     parser.add_argument(
-        "--merge-transport-gates", action="store_true",
-        help="re-measure the sharded-sampling arm (serial vs "
-             "TCP-localhost) on this machine and merge a sharded_transport "
-             "section into an existing --output JSON",
-    )
-    parser.add_argument(
-        "--transport-nodes", type=int, default=None,
-        help="graph size for --merge-transport-gates "
-             "(default: 10x --sharded-base)",
-    )
-    parser.add_argument(
         "--rss-base", type=int, default=300,
         help="base pool size for the RSS flatness probes (default: 300; "
              "the large arm is 10x this)",
@@ -655,9 +528,6 @@ def main(argv=None) -> int:
 
     if args.merge_gates:
         return merge_worker_gate(args, iterations)
-
-    if args.merge_transport_gates:
-        return merge_transport_gates(args, iterations)
 
     if args.time_only:
         # Subprocess arm: serial defaults only, APIs common to both trees.

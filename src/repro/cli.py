@@ -10,9 +10,7 @@ Commands:
 * ``calibrate``  — print the noise multiplier for a privacy target;
 * ``publish``    — train a model and publish it into a serving registry;
 * ``serve``      — answer influence queries over HTTP from a published
-  model (inference spends no additional privacy budget);
-* ``shard-host`` — serve shards of a persisted shard set over TCP for a
-  ``train --shard-transport tcp`` coordinator on another machine.
+  model (inference spends no additional privacy budget).
 """
 
 from __future__ import annotations
@@ -76,24 +74,10 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="edge-cut shards the sampling engine walks "
                             "(default 1 = the whole graph in process; results "
                             "are bit-identical either way)")
-    train.add_argument("--shard-workers", type=int, default=1,
-                       help="worker processes hosting shards (0 = all cores); "
-                            "the only sampling parallelism")
     train.add_argument("--shard-dir", metavar="DIR",
                        help="persisted shard-set directory: loaded when it "
                             "already holds a shard set, otherwise built from "
                             "the graph and saved here (see 'repro partition')")
-    train.add_argument("--shard-transport", default=None,
-                       choices=["local", "tcp"],
-                       help="shard channel: in-process or TCP shard hosts "
-                            "(default: local for 1 worker, spawned loopback "
-                            "TCP hosts beyond); results are bit-identical "
-                            "for both")
-    train.add_argument("--shard-hosts", metavar="HOST:PORT[,..]",
-                       help="comma-separated addresses of running "
-                            "'repro shard-host' servers (implies "
-                            "--shard-transport tcp; every shard must be "
-                            "served by exactly one host)")
     train.add_argument("--subgraph-store", metavar="DIR",
                        help="spill the sampled subgraph pool to this directory "
                             "as an mmap-backed on-disk store; training memory "
@@ -136,23 +120,6 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="partition assignment method")
     partition.add_argument("--out", required=True, metavar="DIR",
                            help="directory for the persisted shard set")
-
-    shard_host = commands.add_parser(
-        "shard-host",
-        help="serve shards of a persisted shard set over TCP for a remote "
-             "'repro train --shard-transport tcp' coordinator",
-    )
-    shard_host.add_argument("--shard-dir", required=True, metavar="DIR",
-                            help="persisted shard-set directory "
-                                 "(see 'repro partition')")
-    shard_host.add_argument("--shards", required=True, metavar="ID[,ID..]",
-                            help="comma-separated shard ids this host serves")
-    shard_host.add_argument("--host", default="127.0.0.1")
-    shard_host.add_argument("--port", type=int, default=0,
-                            help="listening port (0 = pick a free port)")
-    shard_host.add_argument("--log-level", default=None,
-                            choices=["debug", "info", "warning", "error"])
-    shard_host.add_argument("--log-json", action="store_true")
 
     experiment = commands.add_parser("experiment", help="regenerate a table/figure")
     experiment.add_argument(
@@ -264,11 +231,7 @@ def _command_train(args: argparse.Namespace) -> int:
         grad_workers=args.grad_workers,
         grad_mode=args.grad_mode,
         num_shards=args.shards,
-        shard_workers=args.shard_workers,
         shard_dir=args.shard_dir,
-        shard_transport=args.shard_transport
-        or ("tcp" if args.shard_hosts else None),
-        shard_hosts=args.shard_hosts,
         checkpoint_every=checkpoint_every if args.checkpoint else None,
         checkpoint_path=args.checkpoint,
         resume=args.resume,
@@ -307,8 +270,7 @@ def _command_train(args: argparse.Namespace) -> int:
     print(f"subgraphs      : {result.num_subgraphs} (N_g={result.max_occurrences})")
     if result.sampling_stats is not None:
         stats = result.sampling_stats
-        print(f"sampling       : {stats.num_shards} shard(s) on "
-              f"{stats.workers} worker(s), "
+        print(f"sampling       : {stats.num_shards} shard(s), "
               f"{stats.walks_attempted} walks, {stats.walks_rejected} cap-rejected "
               f"({100 * stats.cap_hit_rate:.1f}% cap-hit), "
               f"{stats.total_seconds:.2f}s")
@@ -348,56 +310,6 @@ def _command_partition(args: argparse.Namespace) -> int:
     print(f"cut arcs       : {stats.cut_arcs}/{stats.total_arcs} "
           f"({100 * stats.cut_fraction:.1f}%)")
     print(f"shard set      : {args.out}")
-    return 0
-
-
-def _command_shard_host(args: argparse.Namespace) -> int:
-    import os
-
-    from repro.sharding import ShardSet, load_shard
-    from repro.sharding.partition import _shard_filename
-    from repro.sharding.transport import ShardHostServer
-
-    if args.log_level is not None or args.log_json:
-        configure_logging(args.log_level or "info", json_lines=args.log_json)
-    try:
-        shard_ids = sorted({int(part) for part in args.shards.split(",") if part})
-    except ValueError:
-        print(f"--shards {args.shards!r} is not a comma-separated id list",
-              file=sys.stderr)
-        return 2
-    # Index only: this host maps just the shard files it serves, so its
-    # RSS is bounded by the hosted shards, never the whole graph.
-    shard_set = ShardSet.load(args.shard_dir, load_shards=False)
-    # load_shards=False leaves .shards empty, so count via the assignment.
-    total_shards = int(shard_set.assignment.max()) + 1
-    bad = [i for i in shard_ids if not 0 <= i < total_shards]
-    if bad or not shard_ids:
-        print(f"shard ids {bad or '(none)'} outside 0..{total_shards - 1}",
-              file=sys.stderr)
-        return 2
-    shards = {
-        shard_id: load_shard(os.path.join(args.shard_dir, _shard_filename(shard_id)))
-        for shard_id in shard_ids
-    }
-    server = ShardHostServer(shards, host=args.host, port=args.port)
-
-    def _request_shutdown(signum, frame):
-        signal.signal(signal.SIGTERM, signal.SIG_IGN)
-        raise KeyboardInterrupt
-
-    signal.signal(signal.SIGTERM, _request_shutdown)
-    print(f"shard set      : {args.shard_dir} "
-          f"({total_shards} shards, |V|={shard_set.num_nodes})")
-    print(f"serving shards : {','.join(str(i) for i in shard_ids)}")
-    print(f"listening      : {server.address[0]}:{server.address[1]}", flush=True)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.close()
-        print("shutdown       : clean")
     return 0
 
 
@@ -637,8 +549,6 @@ def main(argv: list[str] | None = None) -> int:
         return _command_datasets()
     if args.command == "partition":
         return _command_partition(args)
-    if args.command == "shard-host":
-        return _command_shard_host(args)
     if args.command == "experiment":
         return _command_experiment(args)
     if args.command == "audit":

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import dataclasses
 import multiprocessing
+import os
 import queue as queue_module
 from multiprocessing import shared_memory
 
@@ -55,7 +56,6 @@ from repro.core.loss import PenaltyLossConfig
 from repro.errors import TrainingError
 from repro.gnn.models import GNN
 from repro.nn import kernels
-from repro.sampling.parallel import resolve_workers
 
 __all__ = [
     "GRAD_MODES",
@@ -69,6 +69,15 @@ GRAD_MODES = ("loop", "vectorized")
 
 #: Liveness-poll interval while waiting on worker results.
 _POLL_SECONDS = 0.2
+
+
+def resolve_workers(workers: int) -> int:
+    """Resolve a ``workers`` value (0 = one per CPU) to a count ≥ 1."""
+    if workers < 0:
+        raise TrainingError(f"workers must be >= 0, got {workers}")
+    if workers == 0:
+        return max(os.cpu_count() or 1, 1)
+    return workers
 
 
 def _compute_gradients(

@@ -80,27 +80,16 @@ class PrivIMConfig:
         num_shards: edge-cut shards the sampling engine
             (:mod:`repro.sharding`) walks; 1 (default) samples the graph
             as one in-process shard.  Sharded sampling is bit-identical to
-            the flat path under a fixed seed — shards are a memory/
-            throughput layout, never a sampling parameter.
-        shard_workers: worker processes hosting shards when sharding is
-            active (shards are placed round-robin; also a pure throughput
-            knob).  This is the only sampling parallelism.
+            the flat path under a fixed seed — shards are a memory
+            layout, never a sampling parameter.
         shard_dir: directory holding (or to hold) the persisted shard set.
-            An existing shard set is loaded and reused (workers then mmap
-            their own shard files); otherwise the set is built from the
-            graph and saved here.  Setting ``shard_dir`` alone (with
+            An existing shard set is loaded (its shard files mmap'd) and
+            reused; otherwise the set is built from the graph and saved
+            here.  Setting ``shard_dir`` alone (with
             ``num_shards > 1``) is how giant graphs avoid being re-
             partitioned every run.
         shard_method: partition assignment method (``"bfs"`` or
             ``"hash"``) when the shard set has to be built.
-        shard_transport: shard channel when sharding is active —
-            ``"local"`` (in-process) or ``"tcp"`` (socket shard hosts).
-            ``None`` (default) picks local for one worker and spawned
-            loopback TCP hosts beyond.  Another pure throughput knob:
-            every transport samples bit-identically.
-        shard_hosts: comma-separated ``host:port`` list of running
-            ``repro shard-host`` servers for the TCP transport; when
-            unset, TCP spawns loopback hosts itself.
         checkpoint_every: write a crash-safe training checkpoint every this
             many iterations (``None`` disables checkpointing).
         checkpoint_path: training-checkpoint file (``.npz`` appended when
@@ -146,11 +135,8 @@ class PrivIMConfig:
     grad_workers: int = 1
     grad_mode: str = "vectorized"
     num_shards: int = 1
-    shard_workers: int = 1
     shard_dir: str | None = None
     shard_method: str = "bfs"
-    shard_transport: str | None = None
-    shard_hosts: str | None = None
     checkpoint_every: int | None = None
     checkpoint_path: str | None = None
     resume: bool = False
@@ -188,8 +174,8 @@ class PipelineResult:
         preprocessing_seconds: sampling (+ projection) wall time.
         training_seconds: total Algorithm 2 wall time.
         stage1_count / stage2_count: dual-stage split (0/0 for naive).
-        sampling_stats: the sampling engine's counters (shard and worker
-            counts, walks attempted / failed / cap-rejected, per-stage wall
+        sampling_stats: the sampling engine's counters (shard count,
+            walks attempted / failed / cap-rejected, per-stage wall
             time).
         clip_bound: the per-subgraph clip norm the trainer actually used
             (``None`` in the non-private mode, which neither clips nor
@@ -591,11 +577,8 @@ class PrivIM(_BasePipeline):
             self._shard_set(graph),
             sampling,
             self._sampling_rng,
-            workers=config.shard_workers,
             obs=self.obs,
             sink=sink,
-            transport=config.shard_transport,
-            shard_hosts=config.shard_hosts,
         )
         bound = max_occurrences_naive(config.theta, config.num_layers)
         return run.container, bound, len(run.container), 0, run.stats
@@ -642,11 +625,8 @@ class PrivIMStar(_BasePipeline):
             self._shard_set(graph),
             sampling,
             self._sampling_rng,
-            workers=config.shard_workers,
             obs=self.obs,
             sink=sink,
-            transport=config.shard_transport,
-            shard_hosts=config.shard_hosts,
         )
         bound = max_occurrences_dual_stage(config.threshold)
         return run.container, bound, run.stage1_count, run.stage2_count, run.stats

@@ -40,17 +40,6 @@ class SamplingError(ReproError):
     """Raised for invalid subgraph-sampling configurations."""
 
 
-class TransportError(SamplingError):
-    """Raised when a shard-channel frame or connection fails.
-
-    Subclasses :class:`SamplingError` because a transport failure mid-run
-    is a sampling failure from the caller's point of view: the sharded
-    coordinator surfaces dead hosts, truncated frames, and checksum
-    mismatches through the same ``except SamplingError`` path that guards
-    every other sampling invariant.
-    """
-
-
 class TrainingError(ReproError):
     """Raised when model training is misconfigured or diverges."""
 

@@ -240,9 +240,9 @@ class Graph:
     def out_csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The out-direction CSR triple ``(indptr, indices, weights)``.
 
-        These are the graph's internal arrays (views, do not mutate); they
-        are what the parallel sampling engine ships to worker processes so
-        the graph never has to be re-sorted or pickled per task.
+        These are the graph's internal arrays (views, do not mutate); the
+        flat sampler walks them directly as one whole-graph shard, so the
+        graph is never re-sorted or copied.
         """
         return self._out_indptr, self._out_indices, self._out_weights
 

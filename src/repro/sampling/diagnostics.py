@@ -114,7 +114,7 @@ def render_diagnostics(diagnostics: ContainerDiagnostics) -> str:
 def render_sampling_stats(stats: SamplingStats) -> str:
     """Human-readable multi-line summary of the engine's counters."""
     lines = [
-        f"workers          : {stats.workers} (chunk size {stats.chunk_size})",
+        f"shards           : {stats.num_shards} (chunk size {stats.chunk_size})",
         f"starts           : {stats.starts_selected} selected, "
         f"{stats.starts_skipped} skipped",
         f"walks            : {stats.walks_attempted} attempted, "

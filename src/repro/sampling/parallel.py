@@ -10,8 +10,8 @@ process.  Two rules keep the privacy analysis intact for every layout:
 
 1. **One child generator per start node.**  All walk randomness comes from
    :func:`repro.utils.rng.child_generator` keyed by ``(root_entropy,
-   start_node)``, so a walk's outcome is independent of which shard or
-   worker runs it: flat and sharded runs of one seed produce
+   start_node)``, so a walk's outcome is independent of which shard
+   runs it: flat and sharded runs of one seed produce
    bit-identical :class:`SubgraphContainer`\\ s.
 
 2. **Chunk-synchronous cap validation.**  Eq. 9's probabilities depend on
@@ -27,12 +27,11 @@ process.  Two rules keep the privacy analysis intact for every layout:
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
-from repro.errors import SamplingError
 from repro.graphs.graph import Graph
 from repro.obs import Observability
 from repro.sampling.container import SubgraphContainer
@@ -42,7 +41,6 @@ __all__ = [
     "SamplingStats",
     "NaiveSamplingRun",
     "DualStageRun",
-    "resolve_workers",
     "sample_naive",
     "sample_dual_stage",
 ]
@@ -53,8 +51,6 @@ class SamplingStats:
     """Counters the engine keeps while sampling.
 
     Attributes:
-        workers: shard-worker processes that hosted the shards
-            (1 = in-process).
         chunk_size: start nodes per synchronisation chunk.
         starts_selected: nodes that passed the Bernoulli(q) selection.
         starts_skipped: selected starts not walked (r-hop ball smaller than
@@ -72,15 +68,16 @@ class SamplingStats:
             stage (e.g. BES on SCS-only configs) reads 0.0.
         num_shards: shards the graph was split into (1 = flat).
         frontier_forwards / exchange_rounds: walks handed to another
-            shard, and the poll rounds that carried them.
-        shard_seconds / shard_walks: per-shard host time and walk batches.
-        transport: shard channel (``local`` or ``tcp``).
-        frames_sent / frames_received / bytes_sent / bytes_received: wire
-            accounting of the TCP transport (0 in process).
+            shard, and the BSP rounds that carried them.
+        shard_seconds / shard_walks: per-shard host time and walks
+            advanced.
         exchange_wait_seconds: coordinator time spent in the walk loop.
     """
 
-    workers: int = 1
+    # Every shard is hosted in process; the constant stays only because
+    # perfbench/workloads.py reads ``stats.transport``.
+    transport: ClassVar[str] = "local"
+
     chunk_size: int = 1
     starts_selected: int = 0
     starts_skipped: int = 0
@@ -94,11 +91,6 @@ class SamplingStats:
     exchange_rounds: int = 0
     shard_seconds: dict[int, float] = field(default_factory=dict)
     shard_walks: dict[int, int] = field(default_factory=dict)
-    transport: str = "local"
-    frames_sent: int = 0
-    frames_received: int = 0
-    bytes_sent: int = 0
-    bytes_received: int = 0
     exchange_wait_seconds: float = 0.0
 
     @property
@@ -144,15 +136,6 @@ class DualStageRun:
     stage1_count: int
     stage2_count: int
     stats: SamplingStats
-
-
-def resolve_workers(workers: int) -> int:
-    """Resolve a ``workers`` value (0 = one per CPU) to a count ≥ 1."""
-    if workers < 0:
-        raise SamplingError(f"workers must be >= 0, got {workers}")
-    if workers == 0:
-        return max(os.cpu_count() or 1, 1)
-    return workers
 
 
 def sample_naive(

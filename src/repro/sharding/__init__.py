@@ -3,9 +3,8 @@
 Scales the samplers past single-machine RAM while keeping the DP contract
 exact: the dual-stage occurrence caps ``N_g`` / ``N_g* = M`` are enforced
 *globally* by the coordinator, and sharded sampling is bit-identical to the
-serial single-graph sampler on the reassembled graph for every
-(num_shards, workers, transport) triple — shards, workers, and transports
-are pure throughput knobs, never sampling parameters.
+serial single-graph sampler on the reassembled graph for every shard
+count — shards are a memory layout, never a sampling parameter.
 
 Modules:
 
@@ -14,17 +13,12 @@ Modules:
   the ``write_checksummed`` framing, loaded back via streaming verify +
   ``mmap``.
 * :mod:`~repro.sharding.walker` — resumable walk tasks that carry their
-  RNG child stream across shard boundaries.
-* :mod:`~repro.sharding.transport` — pluggable shard channels:
-  in-process, or TCP frame servers with a zero-copy no-pickle codec and
-  pipelined scatter/gather.
-* :mod:`~repro.sharding.runtime` — shard hosts behind the configured
-  transport, with the frequency-snapshot channel.
+  RNG child stream across shard boundaries, and :class:`ShardView`, the
+  in-process host of one shard.
 * :mod:`~repro.sharding.coordinator` — :func:`sample_naive_sharded` /
   :func:`sample_dual_stage_sharded`: the sampling engine — chunk-
-  synchronous propose/validate with pipelined cross-shard frontier
-  exchange.  The flat samplers run here too, on
-  :func:`whole_graph_shard_set`.
+  synchronous propose/validate with BSP cross-shard frontier exchange.
+  The flat samplers run here too, on :func:`whole_graph_shard_set`.
 * :mod:`~repro.sharding.sink` — :class:`ShardedStoreSink`: per-shard
   subgraph stores merged back into emission order.
 """
@@ -37,17 +31,6 @@ from repro.sharding.partition import (
     whole_graph_shard_set,
 )
 from repro.sharding.walker import WalkParams, WalkTask
-from repro.sharding.transport import (
-    LocalTransport,
-    ShardHostServer,
-    ShardTransport,
-    TcpTransport,
-    TransportStats,
-    pack_message,
-    resolve_transport,
-    unpack_message,
-)
-from repro.sharding.runtime import ShardRuntime
 from repro.sharding.coordinator import (
     ShardedNaiveRun,
     sample_dual_stage_sharded,
@@ -63,15 +46,6 @@ __all__ = [
     "whole_graph_shard_set",
     "WalkParams",
     "WalkTask",
-    "ShardTransport",
-    "LocalTransport",
-    "TcpTransport",
-    "ShardHostServer",
-    "TransportStats",
-    "pack_message",
-    "unpack_message",
-    "resolve_transport",
-    "ShardRuntime",
     "ShardedNaiveRun",
     "sample_naive_sharded",
     "sample_dual_stage_sharded",

@@ -1,26 +1,26 @@
 """The sampling engine: Algorithms 1 and 3 with globally exact caps.
 
 Every sampler runs here.  A flat graph is one shard that owns every node
-(:func:`~repro.sharding.partition.whole_graph_shard_set`), hosted in
-process; a sharded graph is an edge-cut :class:`ShardSet` whose shards
-are hosted in process or behind TCP shard hosts
-(:mod:`repro.sharding.runtime`).  One chunk-synchronous propose/validate
-protocol serves both, with cross-shard frontier exchange:
+(:func:`~repro.sharding.partition.whole_graph_shard_set`); a sharded
+graph is an edge-cut :class:`ShardSet`.  Either way each shard is hosted
+in process by a :class:`~repro.sharding.walker.ShardView`, which the
+coordinator calls directly in sorted shard order.  One chunk-synchronous
+propose/validate protocol serves both, with cross-shard frontier
+exchange:
 
 1. **Select** starts with the master generator (same draws, same order
    for every layout).
 2. **Propose**: each start walks under its own child RNG stream on the
    shard that owns its current node; a walk stepping onto a halo node is
-   suspended and forwarded — carrying its generator — to the owner shard
+   suspended and handed — carrying its generator — to the owner shard
    (BSP rounds, ``stats.exchange_rounds`` / ``stats.frontier_forwards``).
 3. **Validate**: the coordinator checks every finished walk *in start
    order* against the live global occurrence counts and rejects any walk
    touching a node at the cap, so ``N_g`` / ``N_g* = M`` hold exactly no
-   matter how many shards or workers ran the walks.
+   matter how many shards ran the walks.
 4. **Induce + emit**: accepted node sets are induced distributedly (each
    shard contributes the arcs of its owned rows) and emitted in start
-   order, so the output container is identical for every
-   (num_shards, workers, transport) triple.
+   order, so the output container is identical for every shard count.
 
 The master generator is consumed only for: the θ-projection draws (naive),
 the Bernoulli(q) selection mask per pass, and one root-entropy draw per
@@ -43,8 +43,7 @@ from repro.sampling.container import Subgraph, SubgraphContainer
 from repro.sampling.frequency import FrequencyVector
 from repro.sampling.parallel import DualStageRun, SamplingStats
 from repro.sharding.partition import GraphShard, ShardSet, _row_gather
-from repro.sharding.runtime import ShardRuntime
-from repro.sharding.walker import WalkParams, WalkTask
+from repro.sharding.walker import ShardView, WalkParams, WalkTask
 from repro.utils.rng import child_generator, derive_root_entropy, ensure_rng
 
 __all__ = [
@@ -86,50 +85,53 @@ def _chunks(values: np.ndarray, chunk_size: int) -> list[np.ndarray]:
     return [values[i : i + chunk_size] for i in range(0, len(values), chunk_size)]
 
 
+def _check_workers(workers: int) -> None:
+    """``workers`` survives only because ``perfbench/workloads.py`` passes
+    ``workers=1``; every shard is hosted in process now."""
+    if workers != 1:
+        raise SamplingError(
+            f"workers={workers}: multi-process shard hosting was removed; "
+            "every shard is hosted in process (workers=1)"
+        )
+
+
 # --------------------------------------------------------------------------- #
 # building blocks
 # --------------------------------------------------------------------------- #
 def _run_walks(
-    runtime: ShardRuntime,
+    views: list[ShardView],
     assignment: np.ndarray,
     tasks: list[WalkTask],
     stats: SamplingStats,
 ) -> dict[int, list[int] | None]:
-    """Pipelined frontier-exchange loop; returns ``{key: nodes_or_None}``.
+    """BSP frontier-exchange loop; returns ``{key: nodes_or_None}``.
 
-    All initial batches scatter before the first receive, and each poll
-    round forwards whatever walks have come back without waiting for the
-    slowest shard — shard *i*'s outbound batch is serialized while shard
-    *j*'s reply is still in flight.  Every walk carries its own child RNG
-    stream, so the interleaving is pure scheduling: results are identical
-    to the strict BSP loop walk-for-walk.
+    Each round advances every shard's batch in sorted shard order; walks
+    that step onto another shard's node are coalesced per destination
+    into the next round's batches.  Every walk carries its own child RNG
+    stream, so the schedule never changes a result.
     """
     results: dict[int, list[int] | None] = {}
-    initial: dict[int, list[WalkTask]] = {}
+    batches: dict[int, list[WalkTask]] = {}
     for task in tasks:
-        initial.setdefault(int(assignment[task.start]), []).append(task)
+        batches.setdefault(int(assignment[task.start]), []).append(task)
     began = time.perf_counter()
-    runtime.scatter("walks", initial)
-    while runtime.outstanding:
-        responses = runtime.poll(block=True)
+    while batches:
         stats.exchange_rounds += 1
         pending: dict[int, list[WalkTask]] = {}
-        for shard_id, response in sorted(responses, key=lambda item: item[0]):
-            for key, nodes in response["finished"]:
-                results[key] = nodes
-            for dest in sorted(response["forward"]):
-                walks = response["forward"][dest]
-                stats.frontier_forwards += len(walks)
-                pending.setdefault(int(dest), []).extend(walks)
-        # Per-round coalescing: every forwarded walk bound for the same
-        # shard travels in one batch (one frame per host on the wire).
-        runtime.scatter("walks", pending)
+        for shard_id in sorted(batches):
+            finished, forward = views[shard_id].advance(batches[shard_id])
+            results.update(finished)
+            for dest in sorted(forward):
+                stats.frontier_forwards += len(forward[dest])
+                pending.setdefault(dest, []).extend(forward[dest])
+        batches = pending
     stats.exchange_wait_seconds += time.perf_counter() - began
     return results
 
 
 def _expand_balls(
-    runtime: ShardRuntime,
+    views: list[ShardView],
     assignment: np.ndarray,
     starts: np.ndarray,
     hops: int,
@@ -148,17 +150,10 @@ def _expand_balls(
             break
         owners = assignment[needed]
         members = {int(shard_id): owners == shard_id for shard_id in np.unique(owners)}
-        responses = runtime.request(
-            "ball_rows",
-            {
-                shard_id: {
-                    "nodes": needed[mask],
-                    "direction": direction,
-                    "use_projected": use_projected,
-                }
-                for shard_id, mask in members.items()
-            },
-        )
+        responses = {
+            shard_id: views[shard_id].ball_rows(needed[mask], direction, use_projected)
+            for shard_id, mask in members.items()
+        }
         # One CSR over ``needed`` from the shards' row blocks.
         lengths = np.zeros(len(needed), dtype=np.int64)
         for shard_id, mask in members.items():
@@ -201,34 +196,21 @@ def _build_induced(
 
 
 def _induce_subgraphs(
-    runtime: ShardRuntime,
+    views: list[ShardView],
     assignment: np.ndarray,
     node_lists: list[np.ndarray],
     directed: bool,
     use_projected: bool,
 ) -> list[Graph]:
     """Distributed induction of many node sets, preserving list order."""
-    if not node_lists:
-        return []
-    requests_by_shard: dict[int, list] = {}
-    metadata: list[tuple[np.ndarray, list[int]]] = []
-    for request_id, nodes in enumerate(node_lists):
+    subgraphs: list[Graph] = []
+    for nodes in node_lists:
         node_array = np.asarray(nodes, dtype=np.int64)
         sorted_nodes = np.sort(node_array)
-        owners = sorted(int(owner) for owner in np.unique(assignment[node_array]))
-        metadata.append((node_array, owners))
-        for owner in owners:
-            requests_by_shard.setdefault(owner, []).append((request_id, sorted_nodes))
-    responses = runtime.request(
-        "induce",
-        {
-            shard_id: {"requests": requests, "use_projected": use_projected}
-            for shard_id, requests in requests_by_shard.items()
-        },
-    )
-    subgraphs: list[Graph] = []
-    for request_id, (node_array, owners) in enumerate(metadata):
-        fragments = [responses[owner][request_id] for owner in owners]
+        fragments = [
+            views[owner].induced_arcs(sorted_nodes, use_projected)
+            for owner in np.unique(assignment[node_array]).tolist()
+        ]
         sources = np.concatenate([fragment[0] for fragment in fragments])
         targets = np.concatenate([fragment[1] for fragment in fragments])
         weights = np.concatenate([fragment[2] for fragment in fragments])
@@ -245,7 +227,7 @@ def _induce_subgraphs(
 
 
 def _distributed_projection(
-    runtime: ShardRuntime,
+    views: list[ShardView],
     shard_set: ShardSet,
     theta: int,
     generator: np.random.Generator,
@@ -258,10 +240,9 @@ def _distributed_projection(
     fragments to each source's owner; phase D assembles the projected out
     rows.  The projection stays sharded — it is never materialised whole.
     """
-    responses = runtime.broadcast("in_degrees", None)
     in_degrees = np.zeros(shard_set.num_nodes, dtype=np.int64)
-    for shard_id in sorted(responses):
-        owned, degrees = responses[shard_id]
+    for view in views:
+        owned, degrees = view.in_degrees()
         in_degrees[owned] = degrees
 
     over = np.flatnonzero(in_degrees > theta)
@@ -269,45 +250,24 @@ def _distributed_projection(
     for row, degree in enumerate(in_degrees[over].tolist()):
         keep[row] = generator.choice(degree, size=theta, replace=False)
     owners = shard_set.assignment[over]
-    keep_responses = runtime.request(
-        "project_keep",
-        {
-            shard_id: {"nodes": over[owners == shard_id], "keep": keep[owners == shard_id]}
-            for shard_id in range(shard_set.num_shards)
-        },
-    )
-    fragments_by_dest: dict[int, list] = {
-        shard_id: [] for shard_id in range(shard_set.num_shards)
-    }
-    for shard_id in sorted(keep_responses):
-        shard_fragments = keep_responses[shard_id]
-        for dest in sorted(shard_fragments):
-            fragments_by_dest[int(dest)].append(shard_fragments[dest])
-    runtime.request(
-        "project_out",
-        {
-            shard_id: {"fragments": fragments_by_dest[shard_id]}
-            for shard_id in range(shard_set.num_shards)
-        },
-    )
+    fragments_by_dest: list[list] = [[] for _ in views]
+    for shard_id, view in enumerate(views):
+        mask = owners == shard_id
+        fragments = view.project_keep(over[mask], keep[mask])
+        for dest in sorted(fragments):
+            fragments_by_dest[dest].append(fragments[dest])
+    for view, fragments in zip(views, fragments_by_dest):
+        view.project_out(fragments)
 
 
 def _collect_shard_stats(
-    runtime: ShardRuntime, stats: SamplingStats, obs: Observability
+    views: list[ShardView], stats: SamplingStats, obs: Observability
 ) -> None:
-    stats.transport = runtime.transport_name
-    wire = runtime.transport.stats
-    stats.frames_sent = wire.frames_sent
-    stats.frames_received = wire.frames_received
-    stats.bytes_sent = wire.bytes_sent
-    stats.bytes_received = wire.bytes_received
-    for shard_id, shard_stats in sorted(runtime.stats().items()):
-        stats.shard_seconds[shard_id] = float(shard_stats["seconds"])
-        stats.shard_walks[shard_id] = int(shard_stats["walks_advanced"])
+    for shard_id, view in enumerate(views):
+        stats.shard_seconds[shard_id] = view.seconds
+        stats.shard_walks[shard_id] = view.walks_advanced
         if obs.enabled:
-            obs.gauge(f"sampling.shard.{shard_id:02d}.seconds").set(
-                float(shard_stats["seconds"])
-            )
+            obs.gauge(f"sampling.shard.{shard_id:02d}.seconds").set(view.seconds)
 
 
 def _publish_stats(obs: Observability, algorithm: str, stats: SamplingStats) -> None:
@@ -327,18 +287,13 @@ def _publish_stats(obs: Observability, algorithm: str, stats: SamplingStats) -> 
     obs.counter("sampling.subgraphs_emitted").inc(stats.subgraphs_emitted)
     obs.counter("sampling.sharded.frontier_forwards").inc(stats.frontier_forwards)
     obs.counter("sampling.sharded.exchange_rounds").inc(stats.exchange_rounds)
-    obs.counter("sampling.transport.frames_sent").inc(stats.frames_sent)
-    obs.counter("sampling.transport.frames_received").inc(stats.frames_received)
-    obs.counter("sampling.transport.bytes_sent").inc(stats.bytes_sent)
-    obs.counter("sampling.transport.bytes_received").inc(stats.bytes_received)
-    obs.gauge("sampling.transport.exchange_wait_seconds").set(
+    obs.gauge("sampling.sharded.exchange_wait_seconds").set(
         stats.exchange_wait_seconds
     )
     obs.gauge("sampling.cap_hit_rate").set(stats.cap_hit_rate)
     obs.event(
         "sampling",
         algorithm=algorithm,
-        workers=stats.workers,
         num_shards=stats.num_shards,
         chunk_size=stats.chunk_size,
         starts_selected=stats.starts_selected,
@@ -350,11 +305,6 @@ def _publish_stats(obs: Observability, algorithm: str, stats: SamplingStats) -> 
         cap_hit_rate=stats.cap_hit_rate,
         frontier_forwards=stats.frontier_forwards,
         exchange_rounds=stats.exchange_rounds,
-        transport=stats.transport,
-        frames_sent=stats.frames_sent,
-        frames_received=stats.frames_received,
-        bytes_sent=stats.bytes_sent,
-        bytes_received=stats.bytes_received,
         exchange_wait_seconds=stats.exchange_wait_seconds,
         stage_seconds=dict(stats.stage_seconds),
         shard_seconds={str(k): v for k, v in stats.shard_seconds.items()},
@@ -373,19 +323,15 @@ def sample_naive_sharded(
     obs: Observability | None = None,
     sink=None,
     return_projection: bool = False,
-    transport: str | None = None,
-    shard_hosts=None,
 ) -> ShardedNaiveRun:
     """Run Algorithm 1 across edge-cut shards, bit-identical to
     :func:`repro.sampling.sample_naive` on the reassembled graph.
 
-    ``workers`` counts shard-worker *processes* (shards are assigned
-    round-robin); ``config`` is the usual
-    :class:`~repro.sampling.naive.NaiveSamplingConfig`; ``transport``
-    picks the shard channel (``local``/``tcp``, default: local for one
-    worker, spawned loopback TCP hosts beyond) and ``shard_hosts`` lists
-    running ``repro shard-host`` addresses for the TCP backend.
+    ``config`` is the usual
+    :class:`~repro.sampling.naive.NaiveSamplingConfig`; every shard is
+    hosted in process, and ``workers`` accepts only 1.
     """
+    _check_workers(workers)
     config.validate()
     obs = ensure_obs(obs)
     generator = ensure_rng(rng)
@@ -396,101 +342,90 @@ def sample_naive_sharded(
     stats.stage_seconds["projection"] = 0.0
     stats.stage_seconds["walks"] = 0.0
     container = SubgraphContainer() if sink is None else sink
+    views = [ShardView(shard) for shard in shard_set.shards]
+
+    with obs.span("sampling.projection") as span:
+        _distributed_projection(views, shard_set, config.theta, generator)
+    stats.stage_seconds["projection"] = span.seconds
+
+    selected = np.flatnonzero(
+        generator.random(shard_set.num_nodes) < config.sampling_rate
+    )
+    root = derive_root_entropy(generator)
+    stats.starts_selected = int(len(selected))
+
+    params = WalkParams(
+        kind="uniform",
+        target_size=config.subgraph_size,
+        walk_length=config.walk_length,
+        restart_probability=config.restart_probability,
+        direction=config.direction,
+        use_projected=True,
+    )
+    for view in views:
+        view.begin_pass(params, None)
+
+    with obs.span("sampling.walks") as span:
+        for chunk in _chunks(selected, config.chunk_size):
+            balls = _expand_balls(
+                views, assignment, chunk, config.hops, config.direction, True
+            )
+            statuses: list[tuple[int, bool]] = []
+            tasks: list[WalkTask] = []
+            for node, ball in zip(chunk.tolist(), balls):
+                if len(ball) < config.subgraph_size:
+                    statuses.append((node, True))
+                    continue
+                statuses.append((node, False))
+                tasks.append(
+                    WalkTask(
+                        key=node,
+                        start=node,
+                        start_owner=int(assignment[node]),
+                        current=node,
+                        steps=0,
+                        restart_drawn=False,
+                        visited=[node],
+                        generator=child_generator(root, node),
+                        allowed=frozenset(ball.tolist()),
+                    )
+                )
+            results = _run_walks(views, assignment, tasks, stats)
+            accepted: list[np.ndarray] = []
+            for node, skipped in statuses:
+                if skipped:
+                    stats.starts_skipped += 1
+                    continue
+                stats.walks_attempted += 1
+                nodes = results[node]
+                if nodes is None:
+                    stats.walks_failed += 1
+                    continue
+                accepted.append(np.asarray(nodes, dtype=np.int64))
+            subgraphs = _induce_subgraphs(
+                views, assignment, accepted, shard_set.directed, True
+            )
+            for node_map, subgraph in zip(accepted, subgraphs):
+                container.add(Subgraph(subgraph, node_map))
+                stats.subgraphs_emitted += 1
+    stats.stage_seconds["walks"] = span.seconds
+
     projected_shards = None
-
-    with ShardRuntime(
-        shard_set,
-        workers=workers,
-        snapshot=False,
-        transport=transport,
-        shard_hosts=shard_hosts,
-        obs=obs,
-    ) as runtime:
-        stats.workers = runtime.workers
-        with obs.span("sampling.projection") as span:
-            _distributed_projection(runtime, shard_set, config.theta, generator)
-        stats.stage_seconds["projection"] = span.seconds
-
-        selected = np.flatnonzero(
-            generator.random(shard_set.num_nodes) < config.sampling_rate
-        )
-        root = derive_root_entropy(generator)
-        stats.starts_selected = int(len(selected))
-
-        params = WalkParams(
-            kind="uniform",
-            target_size=config.subgraph_size,
-            walk_length=config.walk_length,
-            restart_probability=config.restart_probability,
-            direction=config.direction,
-            use_projected=True,
-        )
-        runtime.broadcast("stage", {"params": params, "availability": None})
-
-        with obs.span("sampling.walks") as span:
-            for chunk in _chunks(selected, config.chunk_size):
-                balls = _expand_balls(
-                    runtime, assignment, chunk, config.hops, config.direction, True
-                )
-                statuses: list[tuple[int, bool]] = []
-                tasks: list[WalkTask] = []
-                for node, ball in zip(chunk.tolist(), balls):
-                    if len(ball) < config.subgraph_size:
-                        statuses.append((node, True))
-                        continue
-                    statuses.append((node, False))
-                    tasks.append(
-                        WalkTask(
-                            key=node,
-                            start=node,
-                            start_owner=int(assignment[node]),
-                            current=node,
-                            steps=0,
-                            restart_drawn=False,
-                            visited=[node],
-                            generator=child_generator(root, node),
-                            allowed=frozenset(ball.tolist()),
-                        )
-                    )
-                results = _run_walks(runtime, assignment, tasks, stats)
-                accepted: list[np.ndarray] = []
-                for node, skipped in statuses:
-                    if skipped:
-                        stats.starts_skipped += 1
-                        continue
-                    stats.walks_attempted += 1
-                    nodes = results[node]
-                    if nodes is None:
-                        stats.walks_failed += 1
-                        continue
-                    accepted.append(np.asarray(nodes, dtype=np.int64))
-                subgraphs = _induce_subgraphs(
-                    runtime, assignment, accepted, shard_set.directed, True
-                )
-                for node_map, subgraph in zip(accepted, subgraphs):
-                    container.add(Subgraph(subgraph, node_map))
-                    stats.subgraphs_emitted += 1
-        stats.stage_seconds["walks"] = span.seconds
-
-        if return_projection:
-            projections = runtime.broadcast("export_projection", None)
-            projected_shards = []
-            for shard_id in sorted(projections):
-                base = shard_set.shards[shard_id]
-                projected_shards.append(
-                    GraphShard(
-                        base.shard_id,
-                        base.num_shards,
-                        base.num_global_nodes,
-                        base.directed,
-                        base.owned,
-                        base.halo,
-                        base.halo_owner,
-                        *projections[shard_id],
-                    )
-                )
-        _collect_shard_stats(runtime, stats, obs)
-
+    if return_projection:
+        projected_shards = [
+            GraphShard(
+                base.shard_id,
+                base.num_shards,
+                base.num_global_nodes,
+                base.directed,
+                base.owned,
+                base.halo,
+                base.halo_owner,
+                *view.projection,
+            )
+            for base, view in zip(shard_set.shards, views)
+        ]
+    _collect_shard_stats(views, stats, obs)
     _publish_stats(obs, "naive", stats)
     return ShardedNaiveRun(
         container=container, stats=stats, projected_shards=projected_shards
@@ -501,8 +436,9 @@ def sample_naive_sharded(
 # Algorithm 3 — dual-stage SCS + BES sampling
 # --------------------------------------------------------------------------- #
 def _frequency_pass(
-    runtime: ShardRuntime,
+    views: list[ShardView],
     assignment: np.ndarray,
+    snapshot: np.ndarray,
     frequency: FrequencyVector,
     walk_to_global: np.ndarray,
     availability: np.ndarray | None,
@@ -516,7 +452,8 @@ def _frequency_pass(
     """One chunk-synchronous ``FreqSampling`` pass (Algorithm 3, lines
     9–28).
 
-    Walks propose against the snapshot published at the chunk's start;
+    Walks propose against ``snapshot`` — the array every view reads,
+    refreshed from the live counts at each chunk's start;
     each proposal is then validated in start order against the live
     counts, and one touching any node at the cap is rejected outright, so
     ``N_g* = M`` holds exactly.  Counts live in *global* id space.  Stage 2
@@ -543,11 +480,12 @@ def _frequency_pass(
         threshold=config.threshold,
         decay=config.decay,
     )
-    runtime.broadcast("stage", {"params": params, "availability": availability})
+    for view in views:
+        view.begin_pass(params, availability)
 
     emitted = 0
     for chunk in _chunks(selected, config.chunk_size):
-        runtime.write_snapshot(live)
+        np.copyto(snapshot, live)
         statuses: list[tuple[int, bool]] = []
         tasks: list[WalkTask] = []
         for local in chunk:
@@ -569,7 +507,7 @@ def _frequency_pass(
                     generator=child_generator(root, local),
                 )
             )
-        results = _run_walks(runtime, assignment, tasks, stats)
+        results = _run_walks(views, assignment, tasks, stats)
         accepted: list[np.ndarray] = []
         for local, skipped in statuses:
             if skipped:
@@ -587,7 +525,7 @@ def _frequency_pass(
             live[node_map] += 1
             frequency.record_subgraph(node_map)
             accepted.append(node_map)
-        subgraphs = _induce_subgraphs(runtime, assignment, accepted, directed, False)
+        subgraphs = _induce_subgraphs(views, assignment, accepted, directed, False)
         for node_map, subgraph in zip(accepted, subgraphs):
             container.add(Subgraph(subgraph, node_map))
             emitted += 1
@@ -603,13 +541,13 @@ def sample_dual_stage_sharded(
     workers: int = 1,
     obs: Observability | None = None,
     sink=None,
-    transport: str | None = None,
-    shard_hosts=None,
 ) -> DualStageRun:
     """Run Algorithm 3 across edge-cut shards with globally exact caps,
     bit-identical to :func:`repro.sampling.sample_dual_stage` on the
-    reassembled graph for every (num_shards, workers, transport) triple.
+    reassembled graph for every shard count.  Every shard is hosted in
+    process, and ``workers`` accepts only 1.
     """
+    _check_workers(workers)
     config.validate()
     obs = ensure_obs(obs)
     generator = ensure_rng(rng)
@@ -623,54 +561,51 @@ def sample_dual_stage_sharded(
 
     frequency = FrequencyVector(num_nodes, config.threshold)
     container = SubgraphContainer() if sink is None else sink
+    snapshot = np.zeros(num_nodes, dtype=np.int64)
+    views = [ShardView(shard) for shard in shard_set.shards]
+    for view in views:
+        view.snapshot = snapshot
 
-    with ShardRuntime(
-        shard_set,
-        workers=workers,
-        snapshot=True,
-        transport=transport,
-        shard_hosts=shard_hosts,
-        obs=obs,
-    ) as runtime:
-        stats.workers = runtime.workers
-        with obs.span("sampling.stage1") as span:
-            stage1_count = _frequency_pass(
-                runtime,
-                assignment,
-                frequency,
-                np.arange(num_nodes, dtype=np.int64),
-                None,
-                config.subgraph_size,
-                config,
-                generator,
-                container,
-                stats,
-                shard_set.directed,
-            )
-        stats.stage_seconds["stage1"] = span.seconds
+    with obs.span("sampling.stage1") as span:
+        stage1_count = _frequency_pass(
+            views,
+            assignment,
+            snapshot,
+            frequency,
+            np.arange(num_nodes, dtype=np.int64),
+            None,
+            config.subgraph_size,
+            config,
+            generator,
+            container,
+            stats,
+            shard_set.directed,
+        )
+    stats.stage_seconds["stage1"] = span.seconds
 
-        stage2_count = 0
-        if config.include_boundary:
-            with obs.span("sampling.stage2") as span:
-                remaining = frequency.available_nodes()
-                if len(remaining) >= config.boundary_subgraph_size:
-                    availability = np.zeros(num_nodes, dtype=bool)
-                    availability[remaining] = True
-                    stage2_count = _frequency_pass(
-                        runtime,
-                        assignment,
-                        frequency,
-                        remaining,
-                        availability,
-                        config.boundary_subgraph_size,
-                        config,
-                        generator,
-                        container,
-                        stats,
-                        shard_set.directed,
-                    )
-            stats.stage_seconds["stage2"] = span.seconds
-        _collect_shard_stats(runtime, stats, obs)
+    stage2_count = 0
+    if config.include_boundary:
+        with obs.span("sampling.stage2") as span:
+            remaining = frequency.available_nodes()
+            if len(remaining) >= config.boundary_subgraph_size:
+                availability = np.zeros(num_nodes, dtype=bool)
+                availability[remaining] = True
+                stage2_count = _frequency_pass(
+                    views,
+                    assignment,
+                    snapshot,
+                    frequency,
+                    remaining,
+                    availability,
+                    config.boundary_subgraph_size,
+                    config,
+                    generator,
+                    container,
+                    stats,
+                    shard_set.directed,
+                )
+        stats.stage_seconds["stage2"] = span.seconds
+    _collect_shard_stats(views, stats, obs)
 
     _publish_stats(obs, "dual_stage", stats)
     return DualStageRun(

@@ -23,7 +23,7 @@ order).
 Shard sets persist in the :func:`repro.core.checkpoint.write_checksummed`
 framing — one ``shardset.bin`` index (partition assignment + manifest) and
 one checksummed file per shard — and load back via streaming verification
-plus ``mmap``, so a worker process only pages in the shards it hosts.
+plus ``mmap``, so sampling pages in only the shard rows its walks touch.
 """
 
 from __future__ import annotations
@@ -106,7 +106,6 @@ class GraphShard:
         "in_indptr",
         "in_local",
         "in_weights",
-        "source_path",
         "_mmap",
     )
 
@@ -126,7 +125,6 @@ class GraphShard:
         in_local: np.ndarray,
         in_weights: np.ndarray,
         *,
-        source_path: str | None = None,
         mapped=None,
     ) -> None:
         self.shard_id = int(shard_id)
@@ -145,7 +143,6 @@ class GraphShard:
         self.in_indptr = in_indptr
         self.in_local = in_local
         self.in_weights = in_weights
-        self.source_path = source_path
         self._mmap = mapped
 
     @property
@@ -240,27 +237,6 @@ class GraphShard:
             (self.in_weights, np.float64),
         )
 
-    def __reduce__(self):
-        if self.source_path is not None:
-            return (load_shard, (self.source_path,))
-        state = tuple(np.asarray(arr) for arr, _ in self._array_layout())
-        return (
-            _shard_from_arrays,
-            (
-                self.shard_id,
-                self.num_shards,
-                self.num_global_nodes,
-                self.directed,
-            )
-            + state,
-        )
-
-
-def _shard_from_arrays(
-    shard_id, num_shards, num_global_nodes, directed, *arrays
-) -> GraphShard:
-    return GraphShard(shard_id, num_shards, num_global_nodes, directed, *arrays)
-
 
 def load_shard(path: str | os.PathLike) -> GraphShard:
     """Load one shard file, streaming-verified then memory-mapped."""
@@ -318,7 +294,6 @@ def load_shard(path: str | os.PathLike) -> GraphShard:
         int(header["num_global_nodes"]),
         bool(header["directed"]),
         *views,
-        source_path=path,
         mapped=mapped,
     )
 
@@ -333,7 +308,6 @@ class ShardSet:
     num_arcs: int
     directed: bool
     method: str
-    source_dir: str | None = None
 
     @property
     def num_shards(self) -> int:
@@ -417,17 +391,11 @@ class ShardSet:
         payload = json.dumps(header, sort_keys=True).encode("utf-8") + b"\n"
         payload += np.ascontiguousarray(self.assignment, dtype=np.int64).tobytes()
         write_checksummed(os.path.join(directory, SHARDSET_INDEX), SHARDSET_MAGIC, payload)
-        self.source_dir = directory
         return directory
 
     @classmethod
-    def load(cls, directory: str | os.PathLike, *, load_shards: bool = True) -> "ShardSet":
-        """Load a saved shard set.
-
-        With ``load_shards=False`` only the index (assignment + manifest)
-        is read and ``shards`` is left empty — what the coordinator needs
-        when worker processes will map their own shard files.
-        """
+    def load(cls, directory: str | os.PathLike) -> "ShardSet":
+        """Load a saved shard set: the index, then every shard mapped."""
         directory = os.fspath(directory)
         index_path = os.path.join(directory, SHARDSET_INDEX)
         try:
@@ -452,36 +420,23 @@ class ShardSet:
         assignment = np.frombuffer(payload, dtype=np.int64, count=num_nodes, offset=newline + 1)
         if len(assignment) != num_nodes:
             raise GraphError(f"{index_path} is truncated: assignment array incomplete")
-        names = list(header["shards"])
         shards: list[GraphShard] = []
-        if load_shards:
-            for name in names:
-                shard = load_shard(os.path.join(directory, name))
-                if shard.num_global_nodes != num_nodes:
-                    raise GraphError(
-                        f"shard {name} disagrees with the shard set index about "
-                        "the global node count"
-                    )
-                shards.append(shard)
-        shard_set = cls(
+        for name in header["shards"]:
+            shard = load_shard(os.path.join(directory, name))
+            if shard.num_global_nodes != num_nodes:
+                raise GraphError(
+                    f"shard {name} disagrees with the shard set index about "
+                    "the global node count"
+                )
+            shards.append(shard)
+        return cls(
             shards=shards,
             assignment=assignment,
             num_nodes=num_nodes,
             num_arcs=int(header["num_arcs"]),
             directed=bool(header["directed"]),
             method=str(header.get("method", "unknown")),
-            source_dir=directory,
         )
-        return shard_set
-
-    def shard_paths(self) -> list[str] | None:
-        """Per-shard file paths when this set was saved/loaded from disk."""
-        if self.source_dir is None:
-            return None
-        return [
-            os.path.join(self.source_dir, _shard_filename(i))
-            for i in range(self.num_shards)
-        ]
 
 
 def build_shard_set(

@@ -1,4 +1,4 @@
-"""Resumable random-walk state machine: the sampling engine's one walk.
+"""Resumable random-walk state machine and the in-process shard host.
 
 Every sampler walks here, flat graphs included (as one whole-graph
 shard).  The serial oracle is
@@ -7,20 +7,26 @@ chooser draw per step, candidates consumed in CSR row order ("out"/"in")
 or sorted-unique order ("both").  A :class:`WalkTask` carries exactly the
 state that loop holds between steps — current node, step count, visited
 list, and the walk's own child RNG — so a walk can be suspended mid-step
-when it lands on a node another shard owns, forwarded to that shard's
-host, and resumed there **without losing or reordering a single RNG
-draw**.
+when it lands on a node another shard owns, handed to that shard's
+:class:`ShardView`, and resumed there **without losing or reordering a
+single RNG draw**.
 
 The one subtlety is the restart draw: it happens *before* we know which
 node the step leaves from (a restart teleports the walk back to its start).
 ``restart_drawn`` records that the draw for the pending step already
-happened, so a walk forwarded after its restart draw does not draw again on
-arrival.  Everything else is pure replay of the serial loop against the
+happened, so a walk handed over after its restart draw does not draw again
+on arrival.  Everything else is pure replay of the serial loop against the
 local shard's rows.
+
+:class:`ShardView` hosts one shard for the coordinator: walk batches, the
+distributed θ-projection's shard-side phases, r-hop ball rows, and induced
+arcs, each a named method the coordinator calls directly.
 """
 
 from __future__ import annotations
 
+import functools
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +39,7 @@ __all__ = ["WalkParams", "WalkTask", "ShardView", "advance_walk"]
 
 @dataclass(frozen=True)
 class WalkParams:
-    """Per-pass walk parameters, broadcast once to every shard host."""
+    """Per-pass walk parameters, installed once on every shard view."""
 
     kind: str  # "uniform" (Algorithm 1) or "frequency" (Algorithm 3)
     target_size: int
@@ -47,7 +53,7 @@ class WalkParams:
 
 @dataclass(slots=True)
 class WalkTask:
-    """One in-flight walk; picklable so it can cross process boundaries."""
+    """One in-flight walk, handed between shard views as it crosses shards."""
 
     key: int  # walk-local start id: child-stream key AND validation order
     start: int  # global start node
@@ -58,26 +64,43 @@ class WalkTask:
     visited: list[int]
     generator: np.random.Generator
     allowed: frozenset[int] | None = None
-    forwards: int = 0
+
+
+def _timed(method):
+    """Add the wall time of ``method`` to the view's ``seconds``."""
+
+    @functools.wraps(method)
+    def timed(self, *args):
+        began = time.perf_counter()
+        try:
+            return method(self, *args)
+        finally:
+            self.seconds += time.perf_counter() - began
+
+    return timed
 
 
 class ShardView:
-    """Worker-side wrapper around one shard: rows, residency, snapshots.
+    """The in-process host of one shard: rows, residency, snapshots.
 
     Walk candidates are cached per owned node for the current pass, with
     the pass's stage-2 availability mask already applied: a walk step
     costs one dict lookup however many shards there are, and residency
-    is tested only on a cache miss.
+    is tested only on a cache miss.  ``seconds`` and ``walks_advanced``
+    account the work done through the coordinator-facing methods.
     """
 
     def __init__(self, shard) -> None:
         self.shard = shard
+        self.seconds = 0.0
+        self.walks_advanced = 0
         self.params: WalkParams | None = None
         # Stage-2 availability mask over GLOBAL ids (bool[num_global_nodes])
         # or None when walking the full graph.
         self.availability: np.ndarray | None = None
         # Live-count snapshot over GLOBAL ids: the chunk-synchronous
-        # frequency snapshot the Eq. 9 chooser reads.
+        # frequency snapshot the Eq. 9 chooser reads, one array shared by
+        # every view and refreshed by the coordinator at each chunk's start.
         self.snapshot: np.ndarray | None = None
         # Projected CSR installed by the distributed θ-projection:
         # (out_indptr, out_local, out_weights, in_indptr, in_local, in_weights)
@@ -86,6 +109,7 @@ class ShardView:
         # Eq. 9 weight per occurrence count 0..M (counts never pass M).
         self.weight_of_count: np.ndarray | None = None
 
+    @_timed
     def begin_pass(self, params: WalkParams, availability: np.ndarray | None) -> None:
         """Install one pass's walk parameters and availability mask."""
         self.params = params
@@ -99,6 +123,115 @@ class ShardView:
     def install_projection(self, projection: tuple | None) -> None:
         self.projection = projection
         self._candidates = {}
+
+    @_timed
+    def advance(
+        self, walks: list[WalkTask]
+    ) -> tuple[dict[int, list[int] | None], dict[int, list[WalkTask]]]:
+        """Advance a batch of walks on this shard.
+
+        Returns ``(finished, forward)``: ``{key: nodes_or_None}`` for the
+        walks that terminated here, and ``{dest_shard: walks}`` for the
+        ones that stepped onto a node another shard owns."""
+        finished: dict[int, list[int] | None] = {}
+        forward: dict[int, list[WalkTask]] = {}
+        for walk in walks:
+            status, value = advance_walk(walk, self)
+            if status == "done":
+                finished[walk.key] = value
+            else:
+                forward.setdefault(value, []).append(walk)
+        self.walks_advanced += len(walks)
+        return finished, forward
+
+    # ------------------------------------------------------------------ #
+    # distributed θ-projection (phases A, C, D)
+    # ------------------------------------------------------------------ #
+    @_timed
+    def in_degrees(self) -> tuple[np.ndarray, np.ndarray]:
+        """Phase A: ``(owned global ids, their in-degrees)``."""
+        shard = self.shard
+        return shard.owned, np.diff(shard.in_indptr)
+
+    @_timed
+    def project_keep(
+        self, nodes: np.ndarray, keep: np.ndarray
+    ) -> dict[int, tuple[np.ndarray, ...]]:
+        """Phase C: build the projected *in* rows of owned nodes and emit
+        out-arc fragments grouped by the owner shard of each kept source.
+
+        ``nodes`` are the owned nodes over θ and row ``i`` of ``keep`` the
+        in-row positions node ``i`` keeps, in draw order; every other row
+        is kept whole."""
+        shard = self.shard
+        over = shard.to_local(nodes)
+        in_indptr = shard.in_indptr
+        lengths = np.diff(in_indptr)
+        lengths[over] = keep.shape[1]
+        kept_indptr = np.zeros(shard.num_owned + 1, dtype=np.int64)
+        np.cumsum(lengths, out=kept_indptr[1:])
+        total = int(kept_indptr[-1])
+        # Arc index per kept slot: whole rows first, then the over-θ rows
+        # overwritten with their kept positions in draw order.
+        take = np.repeat(in_indptr[:-1] - kept_indptr[:-1], lengths) + np.arange(
+            total, dtype=np.int64
+        )
+        take[(kept_indptr[over][:, None] + np.arange(keep.shape[1])).ravel()] = (
+            in_indptr[over][:, None] + keep
+        ).ravel()
+        in_local = shard.in_local[take]
+        in_weights = shard.in_weights[take]
+        self._projected_in = (kept_indptr, in_local, in_weights)
+
+        sources = shard.global_ids[in_local]
+        targets = np.repeat(shard.owned, lengths)
+        positions = np.arange(total, dtype=np.int64) - np.repeat(
+            kept_indptr[:-1], lengths
+        )
+        owners = np.full(total, shard.shard_id, dtype=np.int64)
+        halo = in_local >= shard.num_owned
+        owners[halo] = shard.halo_owner[in_local[halo] - shard.num_owned]
+        fragments: dict[int, tuple[np.ndarray, ...]] = {}
+        for owner in np.unique(owners):
+            mask = owners == owner
+            fragments[int(owner)] = (
+                sources[mask],
+                targets[mask],
+                positions[mask],
+                in_weights[mask],
+            )
+        return fragments
+
+    @_timed
+    def project_out(self, parts: list[tuple[np.ndarray, ...]]) -> None:
+        """Phase D: assemble the projected *out* rows from the fragments
+        every shard emitted for this one, and install the projection."""
+        shard = self.shard
+        if parts:
+            sources = np.concatenate([part[0] for part in parts])
+            targets = np.concatenate([part[1] for part in parts])
+            positions = np.concatenate([part[2] for part in parts])
+            weights = np.concatenate([part[3] for part in parts])
+        else:
+            sources = targets = positions = np.empty(0, dtype=np.int64)
+            weights = np.empty(0, dtype=np.float64)
+        # Serial project_in_degree rebuilds the graph from the edge list
+        # ordered by (target ascending, kept-position ascending); the
+        # stable CSR sort then leaves each out row ordered the same way.
+        order = np.lexsort((positions, targets, sources))
+        sources = sources[order]
+        targets = targets[order]
+        weights = weights[order]
+        source_positions = shard.to_local(sources)
+        counts = np.bincount(source_positions, minlength=shard.num_owned)
+        out_indptr = np.zeros(shard.num_owned + 1, dtype=np.int64)
+        np.cumsum(counts, out=out_indptr[1:])
+        out_local = shard.to_local(targets)
+        in_indptr, in_local, in_weights = self._projected_in
+        del self._projected_in
+        self.install_projection(
+            (out_indptr, out_local, weights, in_indptr, in_local, in_weights)
+        )
 
     # ------------------------------------------------------------------ #
     # rows
@@ -146,6 +279,7 @@ class ShardView:
             self._candidates[node] = row
         return row
 
+    @_timed
     def ball_rows(
         self, nodes: np.ndarray, direction: str, use_projected: bool
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -167,6 +301,7 @@ class ShardView:
         np.cumsum(np.bincount(owner, minlength=len(nodes)), out=indptr[1:])
         return indptr, np.concatenate(values)[order]
 
+    @_timed
     def induced_arcs(
         self, nodes_sorted: np.ndarray, use_projected: bool
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -30,8 +30,8 @@ The samplers have their own serial oracle, :func:`serial_naive` and
 :class:`Graph` — ``project_in_degree``, ``k_hop_nodes``,
 ``random_walk_nodes`` with the uniform or Eq. 9 chooser, chunked cap
 validation against a :class:`FrequencyVector`, and ``Graph.subgraph``
-induction.  The sampling engine (the shard coordinator, flat or sharded,
-on any transport) must reproduce it bit for bit.
+induction.  The sampling engine (the shard coordinator, flat or sharded)
+must reproduce it bit for bit.
 """
 
 from __future__ import annotations

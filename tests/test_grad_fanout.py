@@ -16,7 +16,12 @@ import signal
 from multiprocessing import shared_memory
 
 from repro.core.compute_plan import ComputePlan, ComputePlanCache
-from repro.core.grad_fanout import GRAD_MODES, GradientFanout, subgraph_gradient
+from repro.core.grad_fanout import (
+    GRAD_MODES,
+    GradientFanout,
+    resolve_workers,
+    subgraph_gradient,
+)
 from tests.oracles import assert_outcomes_identical, resumed_outcome
 from tests.oracles import train_outcome as oracle_train_outcome
 from repro.core.loss import PenaltyLossConfig
@@ -90,6 +95,11 @@ class TestWorkerBitIdentity:
     def test_negative_workers_rejected(self):
         with pytest.raises(TrainingError, match="grad_workers"):
             DPTrainingConfig(grad_workers=-1).validate()
+
+    def test_workers_zero_means_auto(self):
+        assert resolve_workers(0) >= 1
+        with pytest.raises(TrainingError):
+            resolve_workers(-1)
 
 
 class TestCheckpointAcrossWorkerCounts:

@@ -2,10 +2,10 @@
 
 Every sampler runs on the shard coordinator: the flat entry points hand
 it the graph as one in-process shard, the sharded ones an edge-cut shard
-set on ``workers`` shard-host processes.  The contract is that for a fixed
-seed every layout reproduces the serial oracle of :mod:`tests.oracles`
-bit for bit (same subgraphs, same order, same node maps, same edges), so
-shard workers are a pure throughput knob.
+set.  The contract is that for a fixed seed every layout reproduces the
+serial oracle of :mod:`tests.oracles` bit for bit (same subgraphs, same
+order, same node maps, same edges), so the shard count is a pure memory
+layout.
 """
 
 import numpy as np
@@ -20,7 +20,6 @@ from repro.sampling.dual_stage import (
 from repro.sampling.naive import NaiveSamplingConfig, extract_subgraphs_naive
 from repro.sampling.parallel import (
     SamplingStats,
-    resolve_workers,
     sample_dual_stage,
     sample_naive,
 )
@@ -31,7 +30,7 @@ from repro.sharding import (
 )
 from tests.oracles import serial_dual_stage, serial_naive
 
-WORKER_COUNTS = [1, 2, 4]
+SHARD_COUNTS = [1, 2, 4]
 
 
 def assert_containers_identical(first, second):
@@ -42,13 +41,13 @@ def assert_containers_identical(first, second):
         assert a.graph == b.graph
 
 
-def shards_for(graph, workers):
-    """``workers`` shards of ``graph`` (empty shards where it has fewer
-    nodes), so each of ``workers`` shard hosts serves one."""
-    if graph.num_nodes >= workers:
-        return build_shard_set(graph, workers, rng=1)
+def shards_for(graph, num_shards):
+    """``num_shards`` shards of ``graph`` (empty shards where it has fewer
+    nodes)."""
+    if graph.num_nodes >= num_shards:
+        return build_shard_set(graph, num_shards, rng=1)
     return build_shard_set(
-        graph, workers, assignment=np.zeros(graph.num_nodes, dtype=np.int64)
+        graph, num_shards, assignment=np.zeros(graph.num_nodes, dtype=np.int64)
     )
 
 
@@ -61,9 +60,9 @@ class TestNaiveEquivalence:
         assert len(oracle.container) > 0
         return oracle
 
-    @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    def test_bit_identical_across_worker_counts(
-        self, clustered_graph, reference, workers
+    @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
+    def test_bit_identical_across_shard_counts(
+        self, clustered_graph, reference, num_shards
     ):
         container, projected = extract_subgraphs_naive(
             clustered_graph, self.CONFIG, rng=7
@@ -71,19 +70,17 @@ class TestNaiveEquivalence:
         assert_containers_identical(container, reference.container)
         assert projected == reference.projected
         run = sample_naive_sharded(
-            shards_for(clustered_graph, workers), self.CONFIG, rng=7, workers=workers
+            shards_for(clustered_graph, num_shards), self.CONFIG, rng=7
         )
         assert_containers_identical(run.container, reference.container)
-        assert run.stats.workers == workers
+        assert run.stats.num_shards == num_shards
 
-    def test_stats_identical_across_worker_counts(self, clustered_graph):
+    def test_stats_identical_across_shard_counts(self, clustered_graph):
         config = NaiveSamplingConfig(subgraph_size=8, sampling_rate=0.5)
         oracle = serial_naive(clustered_graph, config, rng=3).stats
         runs = [sample_naive(clustered_graph, config, rng=3)] + [
-            sample_naive_sharded(
-                shards_for(clustered_graph, w), config, rng=3, workers=w
-            )
-            for w in (1, 4)
+            sample_naive_sharded(shards_for(clustered_graph, n), config, rng=3)
+            for n in (1, 4)
         ]
         for run in runs:
             assert run.stats.walks_attempted == oracle.walks_attempted
@@ -103,13 +100,13 @@ class TestDualStageEquivalence:
         assert len(oracle.container) > 0
         return oracle
 
-    @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    def test_bit_identical_across_worker_counts(
-        self, clustered_graph, reference, workers
+    @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
+    def test_bit_identical_across_shard_counts(
+        self, clustered_graph, reference, num_shards
     ):
         flat = extract_subgraphs_dual_stage(clustered_graph, self.CONFIG, rng=7)
         sharded = sample_dual_stage_sharded(
-            shards_for(clustered_graph, workers), self.CONFIG, rng=7, workers=workers
+            shards_for(clustered_graph, num_shards), self.CONFIG, rng=7
         )
         for result in (flat, sharded):
             assert_containers_identical(result.container, reference.container)
@@ -125,7 +122,7 @@ class TestDualStageEquivalence:
         for stats in (
             sample_dual_stage(clustered_graph, config, rng=11).stats,
             sample_dual_stage_sharded(
-                shards_for(clustered_graph, 2), config, rng=11, workers=2
+                shards_for(clustered_graph, 2), config, rng=11
             ).stats,
         ):
             assert stats.walks_attempted == oracle.walks_attempted
@@ -146,30 +143,26 @@ class TestDualStageEquivalence:
 
 
 class TestEdgeCases:
-    @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    def test_empty_graph(self, workers):
+    @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
+    def test_empty_graph(self, num_shards):
         graph = Graph(0, [])
         container, _ = extract_subgraphs_naive(graph, NaiveSamplingConfig(), rng=0)
         assert len(container) == 0
         result = extract_subgraphs_dual_stage(graph, DualStageSamplingConfig(), rng=0)
         assert len(result.container) == 0
-        shard_set = shards_for(graph, workers)
-        naive = sample_naive_sharded(
-            shard_set, NaiveSamplingConfig(), rng=0, workers=workers
-        )
+        shard_set = shards_for(graph, num_shards)
+        naive = sample_naive_sharded(shard_set, NaiveSamplingConfig(), rng=0)
         assert len(naive.container) == 0
-        dual = sample_dual_stage_sharded(
-            shard_set, DualStageSamplingConfig(), rng=0, workers=workers
-        )
+        dual = sample_dual_stage_sharded(shard_set, DualStageSamplingConfig(), rng=0)
         assert len(dual.container) == 0
 
-    @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    def test_single_node_graph(self, workers):
+    @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
+    def test_single_node_graph(self, num_shards):
         graph = Graph(1, [])
-        shard_set = shards_for(graph, workers)
+        shard_set = shards_for(graph, num_shards)
         naive = NaiveSamplingConfig(subgraph_size=1, sampling_rate=1.0)
         container, _ = extract_subgraphs_naive(graph, naive, rng=0)
-        sharded = sample_naive_sharded(shard_set, naive, rng=0, workers=workers)
+        sharded = sample_naive_sharded(shard_set, naive, rng=0)
         for pool in (container, sharded.container):
             assert len(pool) == 1
             assert pool[0].node_map.tolist() == [0]
@@ -178,26 +171,31 @@ class TestEdgeCases:
         reference = serial_dual_stage(graph, dual, rng=0)
         for result in (
             extract_subgraphs_dual_stage(graph, dual, rng=0),
-            sample_dual_stage_sharded(shard_set, dual, rng=0, workers=workers),
+            sample_dual_stage_sharded(shard_set, dual, rng=0),
         ):
             assert result.container.max_occurrence(1) <= dual.threshold
             assert_containers_identical(result.container, reference.container)
 
-    def test_workers_exceed_start_nodes(self, tiny_graph):
-        """More shard workers than start nodes must neither hang nor diverge."""
+    def test_shards_exceed_start_nodes(self, tiny_graph):
+        """More shards than start nodes must neither hang nor diverge."""
         config = DualStageSamplingConfig(subgraph_size=2, sampling_rate=0.4)
         reference = serial_dual_stage(tiny_graph, config, rng=5)
-        flooded = sample_dual_stage_sharded(
-            shards_for(tiny_graph, 5), config, rng=5, workers=8
-        )
-        assert flooded.stats.workers == 5
-        assert flooded.stats.starts_selected < flooded.stats.workers
+        flooded = sample_dual_stage_sharded(shards_for(tiny_graph, 5), config, rng=5)
+        assert flooded.stats.starts_selected < flooded.stats.num_shards
         assert_containers_identical(flooded.container, reference.container)
 
-    def test_workers_zero_means_auto(self):
-        assert resolve_workers(0) >= 1
-        with pytest.raises(SamplingError):
-            resolve_workers(-1)
+    @pytest.mark.parametrize(
+        "sampler, config",
+        [
+            (sample_naive_sharded, NaiveSamplingConfig()),
+            (sample_dual_stage_sharded, DualStageSamplingConfig()),
+        ],
+        ids=["naive", "dual_stage"],
+    )
+    def test_multiple_workers_rejected(self, clustered_graph, sampler, config):
+        """Every shard is hosted in process: ``workers`` accepts only 1."""
+        with pytest.raises(SamplingError, match="multi-process shard hosting"):
+            sampler(shards_for(clustered_graph, 2), config, rng=0, workers=2)
 
     def test_config_validation(self):
         with pytest.raises(SamplingError):
@@ -262,5 +260,5 @@ class TestStats:
         )
         text = render_sampling_stats(run.stats)
         assert "cap-hit rate" in text
-        assert "workers" in text
+        assert "shards" in text
         assert "stage wall time" in text

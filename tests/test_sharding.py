@@ -1,10 +1,9 @@
 """Sharded-engine equivalence: sharded sampling must be bit-identical to
 the serial oracle of :mod:`tests.oracles` on the reassembled graph.
 
-The contract mirrors :mod:`tests.test_sampling_parallel`: ``num_shards``,
-``shard_workers`` and the transport are pure throughput knobs.  For a
-fixed seed every (shards, workers, transport) triple must produce the
-same subgraphs, in the same order, with the same node maps, frequency
+The contract mirrors :mod:`tests.test_sampling_parallel`: ``num_shards``
+is a pure memory layout.  For a fixed seed every shard count must produce
+the same subgraphs, in the same order, with the same node maps, frequency
 counts, and stats — and the dual-stage occurrence caps must stay
 *globally* exact.
 """
@@ -29,7 +28,6 @@ from repro.sharding import (
 from tests.oracles import serial_dual_stage, serial_naive
 
 SHARD_COUNTS = [1, 2, 4]
-WORKER_COUNTS = [1, 2]
 
 
 def assert_containers_identical(first, second):
@@ -65,12 +63,9 @@ class TestDualStageSharded:
         return run
 
     @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
-    @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    def test_bit_identical_to_serial(self, graph, reference, num_shards, workers):
+    def test_bit_identical_to_serial(self, graph, reference, num_shards):
         shard_set = build_shard_set(graph, num_shards, rng=1)
-        run = sample_dual_stage_sharded(
-            shard_set, DUAL_CONFIG, rng=7, workers=workers
-        )
+        run = sample_dual_stage_sharded(shard_set, DUAL_CONFIG, rng=7)
         assert_containers_identical(run.container, reference.container)
         np.testing.assert_array_equal(
             run.frequency.counts, reference.frequency.counts
@@ -89,40 +84,6 @@ class TestDualStageSharded:
             assert stats.frontier_forwards > 0
             assert stats.exchange_rounds > 0
 
-    @pytest.mark.parametrize("transport", ["local", "tcp"])
-    def test_transport_bit_identical(self, graph, reference, transport):
-        """Transports are pure channels: local calls and TCP frames both
-        reproduce the serial sampler bit-for-bit."""
-        shard_set = build_shard_set(graph, 3, rng=1)
-        workers = 1 if transport == "local" else 2
-        run = sample_dual_stage_sharded(
-            shard_set, DUAL_CONFIG, rng=7, workers=workers, transport=transport
-        )
-        assert_containers_identical(run.container, reference.container)
-        np.testing.assert_array_equal(
-            run.frequency.counts, reference.frequency.counts
-        )
-        assert run.stats.transport == transport
-        if transport == "tcp":
-            assert run.stats.frames_sent > 0
-            assert run.stats.bytes_sent > 0
-            assert run.stats.frames_received > 0
-            assert run.stats.bytes_received > 0
-
-    @pytest.mark.parametrize("num_shards", [2, 4])
-    @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    def test_tcp_grid_bit_identical(self, graph, reference, num_shards, workers):
-        """The TCP arm of the differential grid: shard and host counts are
-        throughput knobs over the wire too."""
-        shard_set = build_shard_set(graph, num_shards, rng=1)
-        run = sample_dual_stage_sharded(
-            shard_set, DUAL_CONFIG, rng=7, workers=workers, transport="tcp"
-        )
-        assert_containers_identical(run.container, reference.container)
-        np.testing.assert_array_equal(
-            run.frequency.counts, reference.frequency.counts
-        )
-
     def test_partition_method_is_irrelevant(self, graph, reference):
         """The assignment is a layout choice: hash shards sample the same."""
         shard_set = build_shard_set(graph, 3, method="hash", rng=99)
@@ -132,8 +93,23 @@ class TestDualStageSharded:
     def test_disk_loaded_shards_identical(self, graph, reference, tmp_path):
         build_shard_set(graph, 2, rng=1).save(tmp_path)
         shard_set = ShardSet.load(tmp_path)
-        run = sample_dual_stage_sharded(shard_set, DUAL_CONFIG, rng=7, workers=2)
+        run = sample_dual_stage_sharded(shard_set, DUAL_CONFIG, rng=7)
         assert_containers_identical(run.container, reference.container)
+
+    def test_exchange_counts_pinned(self, graph):
+        """The BSP exchange is part of the engine's observable behaviour:
+        one fixed-seed 4-shard run takes exactly these rounds and hand-offs,
+        and a second run agrees with it exactly."""
+        runs = [
+            sample_dual_stage_sharded(
+                build_shard_set(graph, 4, rng=1), DUAL_CONFIG, rng=7
+            ).stats
+            for _ in range(2)
+        ]
+        for stats in runs:
+            assert stats.exchange_rounds == 875
+            assert stats.frontier_forwards == 5483
+        assert runs[0].shard_walks == runs[1].shard_walks
 
     def test_directed_graph(self, directed_graph):
         config = DualStageSamplingConfig(
@@ -141,7 +117,7 @@ class TestDualStageSharded:
         )
         reference = serial_dual_stage(directed_graph, config, rng=3)
         shard_set = build_shard_set(directed_graph, 3, rng=2)
-        run = sample_dual_stage_sharded(shard_set, config, rng=3, workers=2)
+        run = sample_dual_stage_sharded(shard_set, config, rng=3)
         assert_containers_identical(run.container, reference.container)
 
     @settings(max_examples=8, deadline=None)
@@ -192,19 +168,6 @@ class TestNaiveSharded:
         )
         assert run.reassemble_projected() == reference.projected
 
-    def test_workers_identical(self, graph, reference):
-        shard_set = build_shard_set(graph, 4, rng=1)
-        run = sample_naive_sharded(shard_set, NAIVE_CONFIG, rng=13, workers=2)
-        assert_containers_identical(run.container, reference.container)
-
-    def test_tcp_transport_identical(self, graph, reference):
-        shard_set = build_shard_set(graph, 3, rng=1)
-        run = sample_naive_sharded(
-            shard_set, NAIVE_CONFIG, rng=13, workers=2, transport="tcp"
-        )
-        assert_containers_identical(run.container, reference.container)
-        assert run.stats.transport == "tcp"
-
 
 GRID = [
     pytest.param(
@@ -221,8 +184,9 @@ GRID = [
 
 
 class TestOracleGrid:
-    """Flat and sharded runs match the serial oracle on directed and
-    undirected graphs, with and without BES, walking out or both ways."""
+    """Flat, 2-shard and 4-shard runs match the serial oracle on directed
+    and undirected graphs, with and without BES, walking out or both
+    ways."""
 
     @staticmethod
     def grid_graph(directed):
@@ -243,11 +207,13 @@ class TestOracleGrid:
         )
         reference = serial_dual_stage(graph, config, rng=9)
         assert len(reference.container) > 0
-        flat = sample_dual_stage(graph, config, rng=9)
-        sharded = sample_dual_stage_sharded(
-            build_shard_set(graph, 2, rng=1), config, rng=9
-        )
-        for run in (flat, sharded):
+        runs = [sample_dual_stage(graph, config, rng=9)] + [
+            sample_dual_stage_sharded(
+                build_shard_set(graph, num_shards, rng=1), config, rng=9
+            )
+            for num_shards in (2, 4)
+        ]
+        for run in runs:
             assert_containers_identical(run.container, reference.container)
             assert run.stage2_count == reference.stage2_count
             assert run.stats.walks_rejected == reference.stats.walks_rejected
@@ -267,8 +233,13 @@ class TestOracleGrid:
         assert len(reference.container) > 0
         flat = sample_naive(graph, config, rng=9)
         assert flat.projected == reference.projected
-        sharded = sample_naive_sharded(build_shard_set(graph, 2, rng=1), config, rng=9)
-        for run in (flat, sharded):
+        sharded = [
+            sample_naive_sharded(
+                build_shard_set(graph, num_shards, rng=1), config, rng=9
+            )
+            for num_shards in (2, 4)
+        ]
+        for run in [flat] + sharded:
             assert_containers_identical(run.container, reference.container)
             assert run.stats.starts_skipped == reference.stats.starts_skipped
 
@@ -307,35 +278,6 @@ class TestWholeGraphShard:
         ).fit(graph)
 
 
-class TestTransportFaults:
-    """Misbehaving shard hosts must surface as a clean SamplingError at
-    the sampler API — never a hang, never a partial result."""
-
-    def test_host_death_mid_run_is_clean_error(self, graph):
-        from tests.test_shard_transport import _ScriptedHost
-
-        shard_set = build_shard_set(graph, 2, rng=1)
-        host = _ScriptedHost("die", shards=[0, 1])
-        try:
-            with pytest.raises(SamplingError, match="closed the connection"):
-                sample_dual_stage_sharded(
-                    shard_set,
-                    DUAL_CONFIG,
-                    rng=7,
-                    transport="tcp",
-                    shard_hosts=host.spec,
-                )
-        finally:
-            host.close()
-
-    def test_unknown_transport_rejected_before_any_work(self, graph):
-        shard_set = build_shard_set(graph, 2, rng=1)
-        with pytest.raises(SamplingError, match="unknown shard transport"):
-            sample_dual_stage_sharded(
-                shard_set, DUAL_CONFIG, rng=7, transport="smoke-signals"
-            )
-
-
 class TestShardedSink:
     def test_merged_store_matches_serial_emission(self, graph, tmp_path):
         reference = serial_dual_stage(graph, DUAL_CONFIG, rng=7)
@@ -369,11 +311,11 @@ class TestShardedSink:
             )
 
 
-class TestTcpStoreTrainEndToEnd:
-    def test_tcp_sampled_store_trains_identical_to_flat(self, graph, tmp_path):
-        """The full multi-host workflow — partition, sample over TCP into
-        per-shard stores, merge, train — is byte-identical to sampling and
-        training on the flat graph, including a mid-run checkpoint resume."""
+class TestShardedStoreTrainEndToEnd:
+    def test_sharded_store_trains_identical_to_flat(self, graph, tmp_path):
+        """The full sharded workflow — partition, sample into per-shard
+        stores, merge, train — is byte-identical to sampling and training
+        on the flat graph, including a mid-run checkpoint resume."""
         from tests.oracles import (
             assert_outcomes_identical,
             resumed_outcome,
@@ -386,9 +328,7 @@ class TestTcpStoreTrainEndToEnd:
         sink = ShardedStoreSink(
             str(tmp_path / "shards"), shard_set.assignment, 3
         )
-        sample_dual_stage_sharded(
-            shard_set, DUAL_CONFIG, rng=7, sink=sink, transport="tcp", workers=2
-        )
+        sample_dual_stage_sharded(shard_set, DUAL_CONFIG, rng=7, sink=sink)
         merged = sink.finalize_merged(
             str(tmp_path / "merged"),
             expected_max_occurrence=DUAL_CONFIG.threshold,
@@ -397,7 +337,7 @@ class TestTcpStoreTrainEndToEnd:
         try:
             assert_containers_identical(merged, reference.container)
             candidate = train_outcome(merged, iterations=4)
-            assert_outcomes_identical(candidate, oracle, label="tcp-sampled store")
+            assert_outcomes_identical(candidate, oracle, label="sharded store")
             resumed = resumed_outcome(
                 merged,
                 split_at=2,
@@ -405,7 +345,7 @@ class TestTcpStoreTrainEndToEnd:
                 checkpoint_path=str(tmp_path / "resume.ckpt"),
             )
             assert_outcomes_identical(
-                resumed, oracle, label="tcp-sampled store resume"
+                resumed, oracle, label="sharded store resume"
             )
         finally:
             merged.close()
@@ -432,7 +372,6 @@ class TestPipelineSharded:
             PrivIMConfig(
                 **base,
                 num_shards=2,
-                shard_workers=2,
                 shard_dir=str(tmp_path / "shards"),
             )
         ).fit(graph)
