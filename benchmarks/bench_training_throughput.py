@@ -10,8 +10,7 @@ history** — the engine's core guarantee — and the script exits non-zero if
 any pair diverges, which is what the CI smoke job (``--tiny --workers 1 2``)
 asserts on every push.  The grid includes a paired in-memory-vs-store arm:
 the same pool is written to an on-disk :class:`SubgraphStore` and trained
-from there (with and without prefetching), and its loss histories join the
-identity assertion.
+from there, and its loss history joins the identity assertion.
 
 Three regression gates guard the recorded numbers:
 
@@ -80,14 +79,13 @@ def build_container(tiny: bool):
 
 
 def make_training_config(
-    iterations: int, container, workers: int | None, grad_mode: str | None = None,
-    prefetch_depth: int | None = None,
+    iterations: int, container, workers: int | None, grad_mode: str | None = None
 ):
     """Build the default training config, portable across source trees.
 
-    ``grad_workers``, ``grad_mode``, and ``prefetch_depth`` only exist in
-    the engine's config dataclass, so they are passed conditionally —
-    baseline subprocesses construct the same config minus the fields.
+    ``grad_workers`` and ``grad_mode`` only exist in the engine's config
+    dataclass, so they are passed conditionally — baseline subprocesses
+    construct the same config minus the fields.
     """
     kwargs = dict(
         iterations=iterations,
@@ -99,8 +97,6 @@ def make_training_config(
         kwargs["grad_workers"] = workers
     if grad_mode is not None:
         kwargs["grad_mode"] = grad_mode
-    if prefetch_depth is not None:
-        kwargs["prefetch_depth"] = prefetch_depth
     return DPTrainingConfig(**kwargs)
 
 
@@ -111,7 +107,6 @@ def run_configuration(
     workers,
     model_kind,
     grad_mode=None,
-    prefetch_depth=None,
     clock=time.perf_counter,
 ):
     """One timed training run; returns (iterations/sec, loss history).
@@ -122,9 +117,7 @@ def run_configuration(
     frequency drift.
     """
     model = build_gnn(model_kind, rng=bench_seed())
-    config = make_training_config(
-        iterations, container, workers, grad_mode, prefetch_depth
-    )
+    config = make_training_config(iterations, container, workers, grad_mode)
     trainer = DPGNNTrainer(model, container, config, rng=bench_seed())
     try:
         start = clock()
@@ -187,7 +180,6 @@ def run_rss_probe(source: str, count: int, iterations: int, model_kind: str) -> 
                     workers=1,
                     model_kind=model_kind,
                     grad_mode="vectorized",
-                    prefetch_depth=2,
                 )
             finally:
                 pool.close()
@@ -230,28 +222,21 @@ def run_sharded_prep(directory: str, nodes: int) -> int:
 
 def run_sharded_probe(directory: str, iterations: int, model_kind: str) -> int:
     """Subprocess body: the full sharded path — open shard set from disk,
-    sharded dual-stage sampling into per-shard stores, merge, train from
-    the merged store — then print this process's peak RSS."""
+    sharded dual-stage sampling into one store, train from that store —
+    then print this process's peak RSS."""
     import resource
     import tempfile
 
     from repro.sampling.dual_stage import DualStageSamplingConfig
-    from repro.sharding import ShardSet, ShardedStoreSink, sample_dual_stage_sharded
+    from repro.sampling.store import SubgraphStoreWriter
+    from repro.sharding import ShardSet, sample_dual_stage_sharded
 
     shard_set = ShardSet.load(directory)
     config = DualStageSamplingConfig(**SHARDED_PROBE_CONFIG)
     with tempfile.TemporaryDirectory() as tmp:
-        sink = ShardedStoreSink(
-            os.path.join(tmp, "shards"),
-            shard_set.assignment,
-            SHARDED_PROBE_SHARDS,
-        )
-        sample_dual_stage_sharded(shard_set, config, rng=bench_seed(), sink=sink)
-        pool = sink.finalize_merged(
-            os.path.join(tmp, "merged"),
-            expected_max_occurrence=config.threshold,
-            num_original_nodes=shard_set.num_nodes,
-        )
+        writer = SubgraphStoreWriter(os.path.join(tmp, "store"))
+        sample_dual_stage_sharded(shard_set, config, rng=bench_seed(), sink=writer)
+        pool = writer.finalize()
         try:
             num_subgraphs = len(pool)
             run_configuration(
@@ -260,7 +245,6 @@ def run_sharded_probe(directory: str, iterations: int, model_kind: str) -> int:
                 workers=1,
                 model_kind=model_kind,
                 grad_mode="vectorized",
-                prefetch_depth=2,
             )
         finally:
             pool.close()
@@ -586,29 +570,23 @@ def main(argv=None) -> int:
             writer.add(subgraph)
         store = writer.finalize()
         try:
-            for depth in (0, 2):
-                rate, losses = run_configuration(
-                    store,
-                    iterations=iterations,
-                    workers=1,
-                    model_kind=args.model,
-                    grad_mode="vectorized",
-                    prefetch_depth=depth,
-                )
-                runs.append(
-                    {
-                        "source": "store",
-                        "grad_mode": "vectorized",
-                        "grad_workers": 1,
-                        "prefetch_depth": depth,
-                        "iterations_per_sec": round(rate, 3),
-                        "losses": losses,
-                    }
-                )
-                print(
-                    f"  mode=vectorized workers=1 source=store "
-                    f"depth={depth} -> {rate:7.3f} it/s"
-                )
+            rate, losses = run_configuration(
+                store,
+                iterations=iterations,
+                workers=1,
+                model_kind=args.model,
+                grad_mode="vectorized",
+            )
+            runs.append(
+                {
+                    "source": "store",
+                    "grad_mode": "vectorized",
+                    "grad_workers": 1,
+                    "iterations_per_sec": round(rate, 3),
+                    "losses": losses,
+                }
+            )
+            print(f"  mode=vectorized workers=1 source=store -> {rate:7.3f} it/s")
         finally:
             store.close()
 
@@ -728,12 +706,12 @@ def main(argv=None) -> int:
             )
 
     # ------------------------------------------------------------------ #
-    # Sharded end-to-end: partition -> sharded sample -> per-shard stores
-    # -> merge -> train, at a base graph and a 10x graph.  The probe
-    # process opens the shard set cold from disk (the full graph is built
-    # and thrown away in a separate prep interpreter) and trains from the
-    # merged on-disk store, so its peak RSS must grow far slower than the
-    # graph: the gate bounds the 10x-graph probe at 2x the base probe.
+    # Sharded end-to-end: partition -> sharded sample -> one store ->
+    # train, at a base graph and a 10x graph.  The probe process opens the
+    # shard set cold from disk (the full graph is built and thrown away in
+    # a separate prep interpreter) and trains from the on-disk store, so
+    # its peak RSS must grow far slower than the graph: the gate bounds
+    # the 10x-graph probe at 2x the base probe.
     # ------------------------------------------------------------------ #
     sharded = None
     if not args.skip_sharded:
@@ -767,8 +745,8 @@ def main(argv=None) -> int:
         }
         gates["sharded_rss_bounded"] = gate
         sharded = {
-            "pipeline": "partition -> sharded sample -> per-shard stores -> "
-                        "merge -> train (probe opens shards cold from disk)",
+            "pipeline": "partition -> sharded sample -> one store -> train "
+                        "(probe opens shards cold from disk)",
             "sampling": SHARDED_PROBE_CONFIG,
             **gate,
         }

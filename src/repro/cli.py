@@ -83,10 +83,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             "as an mmap-backed on-disk store; training memory "
                             "stays flat in the pool size, results are "
                             "bit-identical to the in-memory pool")
-    train.add_argument("--prefetch-depth", type=int, default=0,
-                       help="minibatches prepared ahead of training on a "
-                            "background thread (0=off); results are "
-                            "bit-identical for any depth")
     train.add_argument("--log-level", default=None,
                        choices=["debug", "info", "warning", "error"],
                        help="enable structured logging at this level "
@@ -161,8 +157,6 @@ def _build_parser() -> argparse.ArgumentParser:
     publish.add_argument("--subgraph-store", metavar="DIR",
                          help="spill the sampled pool to an on-disk store "
                               "(see train --subgraph-store)")
-    publish.add_argument("--prefetch-depth", type=int, default=0,
-                         help="minibatch prefetch depth (see train)")
     publish.add_argument("--grad-mode", choices=["loop", "vectorized"],
                          default="vectorized")
 
@@ -236,7 +230,6 @@ def _command_train(args: argparse.Namespace) -> int:
         checkpoint_path=args.checkpoint,
         resume=args.resume,
         subgraph_store=args.subgraph_store,
-        prefetch_depth=args.prefetch_depth,
         rng=args.seed,
     )
     obs = _build_observability(args)
@@ -390,7 +383,6 @@ def _build_pipeline(args: argparse.Namespace):
         grad_workers=args.grad_workers,
         grad_mode=args.grad_mode,
         subgraph_store=args.subgraph_store,
-        prefetch_depth=args.prefetch_depth,
         rng=args.seed,
     )
     if args.method == "privim":

@@ -23,7 +23,6 @@ container simply gets a fresh cache.
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
 from typing import Callable, Hashable, TypeVar
 
@@ -178,12 +177,6 @@ class ComputePlanCache:
     ``max_plans`` and the cache evicts least-recently-used plans beyond
     that bound.  Plans are pure functions of subgraph structure, so
     eviction and rebuild can never change results — only timing.
-
-    Thread safety: ``plan()`` may be called concurrently by the prefetch
-    producer (cache warming) and the training thread.  Lookups and
-    insertions are lock-protected; plan *construction* happens outside the
-    lock, so the worst concurrency artefact is a harmless duplicate build
-    of a deterministic plan.
     """
 
     def __init__(
@@ -194,7 +187,6 @@ class ComputePlanCache:
         self._container = container
         self._max_plans = max_plans
         self._plans: OrderedDict[int, ComputePlan] = OrderedDict()
-        self._lock = threading.Lock()
 
     @property
     def container(self) -> SubgraphSource:
@@ -211,24 +203,19 @@ class ComputePlanCache:
     def plan(self, index: int) -> ComputePlan:
         """The plan for source slot ``index`` (built on first use)."""
         index = int(index)
-        with self._lock:
-            plan = self._plans.get(index)
-            if plan is not None:
-                if self._max_plans is not None:
-                    self._plans.move_to_end(index)
-                return plan
+        plan = self._plans.get(index)
+        if plan is not None:
+            if self._max_plans is not None:
+                self._plans.move_to_end(index)
+            return plan
         if not 0 <= index < len(self._container):
             raise TrainingError(
                 f"plan index {index} out of range [0, {len(self._container)})"
             )
         plan = ComputePlan(self._container[index].graph)
-        with self._lock:
-            existing = self._plans.get(index)
-            if existing is not None:
-                return existing
-            self._plans[index] = plan
-            if self._max_plans is not None and len(self._plans) > self._max_plans:
-                self._plans.popitem(last=False)
+        self._plans[index] = plan
+        if self._max_plans is not None and len(self._plans) > self._max_plans:
+            self._plans.popitem(last=False)
         return plan
 
     def prebuild(self, feature_dim: int | None = None) -> None:
@@ -248,16 +235,4 @@ class ComputePlanCache:
                 plan.features(feature_dim)
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._plans)
-
-    # Locks don't pickle; the spawn-context fan-out path ships the cache to
-    # workers, which get a fresh lock (single-threaded there anyway).
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
+        return len(self._plans)

@@ -15,6 +15,7 @@ score.  ``epsilon=None`` gives the Non-Private reference (ε = ∞).
 from __future__ import annotations
 
 import os
+import shutil
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -25,7 +26,7 @@ from repro.core.seed_selection import score_nodes, select_top_k_seeds
 from repro.core.trainer import DPGNNTrainer, DPTrainingConfig, TrainingHistory
 from repro.dp.accountant import calibrate_sigma
 from repro.dp.sensitivity import max_occurrences_dual_stage, max_occurrences_naive
-from repro.errors import TrainingError
+from repro.errors import SamplingError, TrainingError
 from repro.gnn.models import build_gnn
 from repro.graphs.graph import Graph
 from repro.obs import Observability, PrivacyLedger, ensure_obs
@@ -33,6 +34,7 @@ from repro.sampling.container import SubgraphContainer
 from repro.sampling.dual_stage import DualStageSamplingConfig
 from repro.sampling.naive import NaiveSamplingConfig
 from repro.sampling.parallel import SamplingStats
+from repro.sampling.store import SubgraphStoreWriter
 from repro.sharding import (
     ShardSet,
     build_shard_set,
@@ -104,11 +106,8 @@ class PrivIMConfig:
             subgraphs through mmap instead of keeping the pool in RAM, so
             memory stays flat however large ``num_subgraphs`` grows —
             with bit-identical weights, losses, and ε versus the in-memory
-            pool.  ``None`` (default) keeps the pool in memory.
-        prefetch_depth: minibatches drawn/paged-in/plan-built ahead of
-            training on a background thread (0 disables).  An execution
-            detail with byte-identical results; pairs naturally with
-            ``subgraph_store`` to overlap disk reads with compute.
+            pool.  Every shard count writes this one store.  ``None``
+            (default) keeps the pool in memory.
         rng: master seed for the whole pipeline.
     """
 
@@ -141,7 +140,6 @@ class PrivIMConfig:
     checkpoint_path: str | None = None
     resume: bool = False
     subgraph_store: str | None = None
-    prefetch_depth: int = 0
     rng: int | np.random.Generator | None = field(default=None, repr=False)
 
     def resolved_sampling_rate(self, num_nodes: int) -> float:
@@ -166,7 +164,9 @@ class PipelineResult:
     Attributes:
         num_subgraphs: container size ``m``.
         max_occurrences: the sensitivity bound ``N_g`` used for noise.
-        empirical_max_occurrence: the audited occurrence maximum (≤ bound).
+        empirical_max_occurrence: the occurrence maximum ``fit`` audits
+            before calibration (a pool over the bound raises
+            :class:`~repro.errors.SamplingError`).
         sigma: calibrated noise multiplier (0 when non-private).
         epsilon: achieved ε (``inf`` when non-private).
         delta: the δ used.
@@ -362,139 +362,131 @@ class _BasePipeline:
             batch_size=config.batch_size,
             model=config.model,
         )
-        sink = None
+        # Every shard count spills through one writer: the coordinator
+        # emits in global start order, so the store receives exactly the
+        # sequence an in-memory pool would.
+        sink = store = None
         if config.subgraph_store:
-            store_meta = {"method": self.method_name, "num_nodes": graph.num_nodes}
-            if self._sharded:
-                from repro.sharding import ShardedStoreSink
-
-                shard_set = self._shard_set(graph)
-                sink = ShardedStoreSink(
-                    config.subgraph_store + ".shards",
-                    shard_set.assignment,
-                    len(shard_set.shards),
-                    meta=store_meta,
+            sink = SubgraphStoreWriter(
+                config.subgraph_store,
+                meta={"method": self.method_name, "num_nodes": graph.num_nodes},
+            )
+        try:
+            with obs.span("pipeline.sampling") as sampling_span:
+                container, max_occurrences, stage1, stage2, sampling_stats = (
+                    self._sample(graph, sink)
                 )
+            preprocessing_seconds = sampling_span.seconds
+            if sink is not None:
+                # Seal the spilled pool and reopen it read-only: from here
+                # on, training touches subgraphs only through mmap.
+                with obs.span("pipeline.store_finalize") as span:
+                    container = store = sink.finalize()
+                preprocessing_seconds += span.seconds
+                obs.event(
+                    "subgraph_store",
+                    path=store.path,
+                    num_subgraphs=len(store),
+                    seconds=span.seconds,
+                )
+            if len(container) == 0:
+                raise TrainingError(
+                    "sampling produced no subgraphs; increase sampling_rate or "
+                    "walk_length, or decrease subgraph_size"
+                )
+            # The privacy proof needs every node in at most N_g subgraphs;
+            # audit the sealed pool (node_map prefixes only, for a store)
+            # before any noise is calibrated against that bound.
+            empirical_max_occurrence = container.max_occurrence(graph.num_nodes)
+            if empirical_max_occurrence > max_occurrences:
+                if store is not None:
+                    store.close()
+                    shutil.rmtree(store.path, ignore_errors=True)
+                raise SamplingError(
+                    f"sampled pool violates the occurrence bound: a node occurs "
+                    f"{empirical_max_occurrence} times, over N_g = {max_occurrences}"
+                )
+            batch_size = min(config.batch_size, len(container))
+            delta = config.resolved_delta(graph.num_nodes)
+
+            if config.epsilon is None:
+                # Non-private reference (ε = ∞): no noise AND no clipping, per
+                # the trainer's documented non-private mode — leaving the clip
+                # on would bias the upper-reference rows of Table II / Fig. 5.
+                sigma = 0.0
+                achieved_epsilon = float("inf")
+                clip_bound = None
             else:
-                from repro.sampling.store import SubgraphStoreWriter
-
-                sink = SubgraphStoreWriter(config.subgraph_store, meta=store_meta)
-        with obs.span("pipeline.sampling") as sampling_span:
-            container, max_occurrences, stage1, stage2, sampling_stats = self._sample(
-                graph, sink
-            )
-        preprocessing_seconds = sampling_span.seconds
-        if sink is not None:
-            # Seal the spilled shards and reopen the pool read-only: from
-            # here on, training touches subgraphs only through mmap.  A
-            # sharded sink merges its per-shard stores back into global
-            # emission order (re-auditing the occurrence bound) first.
-            with obs.span("pipeline.store_finalize") as span:
-                if hasattr(sink, "finalize_merged"):
-                    container = sink.finalize_merged(
-                        config.subgraph_store,
-                        expected_max_occurrence=max_occurrences,
-                        num_original_nodes=graph.num_nodes,
+                with obs.span("pipeline.calibration"):
+                    sigma = calibrate_sigma(
+                        config.epsilon,
+                        delta,
+                        steps=config.iterations,
+                        batch_size=batch_size,
+                        num_subgraphs=len(container),
+                        max_occurrences=max_occurrences,
                     )
-                else:
-                    container = sink.finalize()
-            preprocessing_seconds += span.seconds
+                achieved_epsilon = config.epsilon
+                clip_bound = config.clip_bound
             obs.event(
-                "subgraph_store",
-                path=container.path,
+                "calibration",
+                sigma=sigma,
+                delta=delta,
+                clip_bound=clip_bound,
                 num_subgraphs=len(container),
-                seconds=span.seconds,
+                max_occurrences=max_occurrences,
             )
 
-        if len(container) == 0:
-            raise TrainingError(
-                "sampling produced no subgraphs; increase sampling_rate or "
-                "walk_length, or decrease subgraph_size"
+            self.model = build_gnn(
+                config.model,
+                hidden_features=config.hidden_features,
+                num_layers=config.num_layers,
+                rng=self._model_rng,
             )
-        batch_size = min(config.batch_size, len(container))
-        delta = config.resolved_delta(graph.num_nodes)
-
-        if config.epsilon is None:
-            # Non-private reference (ε = ∞): no noise AND no clipping, per
-            # the trainer's documented non-private mode — leaving the clip
-            # on would bias the upper-reference rows of Table II / Fig. 5.
-            sigma = 0.0
-            achieved_epsilon = float("inf")
-            clip_bound = None
-        else:
-            with obs.span("pipeline.calibration"):
-                sigma = calibrate_sigma(
-                    config.epsilon,
-                    delta,
-                    steps=config.iterations,
-                    batch_size=batch_size,
-                    num_subgraphs=len(container),
-                    max_occurrences=max_occurrences,
+            training_config = DPTrainingConfig(
+                iterations=config.iterations,
+                batch_size=batch_size,
+                learning_rate=config.learning_rate,
+                clip_bound=clip_bound,
+                sigma=sigma,
+                max_occurrences=max_occurrences,
+                loss=PenaltyLossConfig(
+                    diffusion_steps=config.diffusion_steps,
+                    penalty=config.penalty,
+                    phi=config.phi,
+                ),
+                checkpoint_every=config.checkpoint_every,
+                checkpoint_path=config.checkpoint_path,
+                grad_workers=config.grad_workers,
+                grad_mode=config.grad_mode,
+            )
+            trainer = DPGNNTrainer(
+                self.model, container, training_config, self._training_rng, obs=obs
+            )
+            if trainer.accountant is not None and obs.enabled:
+                self.ledger = PrivacyLedger(
+                    delta, sink=obs.ledger_sink(), logger=obs.logger
                 )
-            achieved_epsilon = config.epsilon
-            clip_bound = config.clip_bound
-        obs.event(
-            "calibration",
-            sigma=sigma,
-            delta=delta,
-            clip_bound=clip_bound,
-            num_subgraphs=len(container),
-            max_occurrences=max_occurrences,
-        )
+                trainer.accountant.attach_ledger(self.ledger)
+            if config.resume:
+                if not config.checkpoint_path:
+                    raise TrainingError("resume=True requires a checkpoint_path")
+                resume_path = normalize_checkpoint_path(config.checkpoint_path)
+                if os.path.exists(resume_path):
+                    trainer.load_checkpoint(resume_path)
+            with obs.span("pipeline.training"):
+                history = trainer.train()
 
-        self.model = build_gnn(
-            config.model,
-            hidden_features=config.hidden_features,
-            num_layers=config.num_layers,
-            rng=self._model_rng,
-        )
-        training_config = DPTrainingConfig(
-            iterations=config.iterations,
-            batch_size=batch_size,
-            learning_rate=config.learning_rate,
-            clip_bound=clip_bound,
-            sigma=sigma,
-            max_occurrences=max_occurrences,
-            loss=PenaltyLossConfig(
-                diffusion_steps=config.diffusion_steps,
-                penalty=config.penalty,
-                phi=config.phi,
-            ),
-            checkpoint_every=config.checkpoint_every,
-            checkpoint_path=config.checkpoint_path,
-            grad_workers=config.grad_workers,
-            grad_mode=config.grad_mode,
-            prefetch_depth=config.prefetch_depth,
-        )
-        trainer = DPGNNTrainer(
-            self.model, container, training_config, self._training_rng, obs=obs
-        )
-        if trainer.accountant is not None and obs.enabled:
-            self.ledger = PrivacyLedger(
-                delta, sink=obs.ledger_sink(), logger=obs.logger
-            )
-            trainer.accountant.attach_ledger(self.ledger)
-        if config.resume:
-            if not config.checkpoint_path:
-                raise TrainingError("resume=True requires a checkpoint_path")
-            resume_path = normalize_checkpoint_path(config.checkpoint_path)
-            if os.path.exists(resume_path):
-                trainer.load_checkpoint(resume_path)
-        with obs.span("pipeline.training"):
-            history = trainer.train()
-
-        if trainer.accountant is not None:
-            achieved_epsilon = trainer.accountant.epsilon(delta)
-
-        # The audit streams node_map prefixes for a store — it never loads
-        # the pool; computed before the store (which this fit owns) closes.
-        empirical_max_occurrence = container.max_occurrence(graph.num_nodes)
-        num_subgraphs = len(container)
-        if sink is not None:
-            container.close()
+            if trainer.accountant is not None:
+                achieved_epsilon = trainer.accountant.epsilon(delta)
+        finally:
+            if store is not None:
+                store.close()
+            elif sink is not None:
+                sink.abort()
 
         self.result = PipelineResult(
-            num_subgraphs=num_subgraphs,
+            num_subgraphs=len(container),
             max_occurrences=max_occurrences,
             empirical_max_occurrence=empirical_max_occurrence,
             sigma=sigma,

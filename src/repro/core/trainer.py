@@ -35,7 +35,6 @@ from repro.errors import TrainingError
 from repro.gnn.models import GNN
 from repro.nn.optim import SGD
 from repro.sampling.container import Subgraph, SubgraphContainer, SubgraphSource
-from repro.sampling.prefetch import MinibatchPrefetcher
 from repro.utils.rng import (
     ensure_rng,
     restore_rng_state,
@@ -74,12 +73,6 @@ class DPTrainingConfig:
             differential-testing oracle).  Like ``grad_workers`` this is
             an execution detail with byte-identical results, excluded from
             the checkpoint privacy fingerprint.
-        prefetch_depth: batches drawn (and, for on-disk sources, paged in
-            and plan-built) ahead of training on a producer thread; 0
-            disables prefetching.  A third execution detail with
-            byte-identical results — the batch-index stream, weights,
-            losses, and ε are unchanged for every depth — so it is also
-            excluded from the checkpoint privacy fingerprint.
     """
 
     iterations: int = 30
@@ -93,7 +86,6 @@ class DPTrainingConfig:
     checkpoint_path: str | None = None
     grad_workers: int = 1
     grad_mode: str = "vectorized"
-    prefetch_depth: int = 0
 
     def validate(self) -> None:
         """Raise :class:`TrainingError` on invalid settings."""
@@ -116,10 +108,6 @@ class DPTrainingConfig:
         if self.grad_mode not in GRAD_MODES:
             raise TrainingError(
                 f"grad_mode must be one of {GRAD_MODES}, got {self.grad_mode!r}"
-            )
-        if self.prefetch_depth < 0:
-            raise TrainingError(
-                f"prefetch_depth must be >= 0, got {self.prefetch_depth}"
             )
         if self.checkpoint_every is not None:
             if self.checkpoint_every < 1:
@@ -219,14 +207,9 @@ class DPGNNTrainer:
         if getattr(container, "in_memory", True):
             self._plans = ComputePlanCache(container)
         else:
-            bound = max(32, config.batch_size * (config.prefetch_depth + 3))
+            bound = max(32, 3 * config.batch_size)
             self._plans = ComputePlanCache(container, max_plans=bound)
         self._fanout: GradientFanout | None = None
-        # Active prefetch pipeline (train() only) and the RNG snapshot of
-        # the last *consumed* batch — what state_dict serializes while the
-        # producer's live generator runs ahead.
-        self._prefetcher: MinibatchPrefetcher | None = None
-        self._batch_rng_snapshot: dict | None = None
         # Diagnostics of the most recent train_step (observability only).
         self._last_clip_fraction = 0.0
         self._last_noise_norm = 0.0
@@ -287,17 +270,9 @@ class DPGNNTrainer:
                 "ratio and the batch picks both depend on it, so continuing "
                 "would invalidate the accounted epsilon"
             )
-        if self._prefetcher is not None:
-            # The producer thread owns the live generator: it drew these
-            # indices ahead of time and snapshotted the state right after
-            # the draw, so checkpoints taken mid-stream serialize exactly
-            # the state a depth-0 run would have here.
-            with self.obs.span("train.prefetch.wait"):
-                batch_indices, self._batch_rng_snapshot = next(self._prefetcher)
-        else:
-            batch_indices = self._batch_rng.choice(
-                len(self.container), size=self.config.batch_size, replace=False
-            )
+        batch_indices = self._batch_rng.choice(
+            len(self.container), size=self.config.batch_size, replace=False
+        )
         fanout = self._ensure_fanout()
         with self.obs.span("train.grad.fanout"):
             results, kernel_stats = fanout.compute(batch_indices)
@@ -364,27 +339,6 @@ class DPGNNTrainer:
         """
         config = self.config
         obs = self.obs
-        if config.prefetch_depth > 0 and self._iteration < config.iterations:
-            # Warming the parent's plan cache only helps when gradients are
-            # computed in-process; fan-out workers hold their own caches.
-            warm = self._plans if resolve_workers(config.grad_workers) == 1 else None
-            self._batch_rng_snapshot = serialize_rng_state(self._batch_rng)
-            self._prefetcher = MinibatchPrefetcher(
-                self._batch_rng,
-                len(self.container),
-                config.batch_size,
-                config.iterations - self._iteration,
-                depth=config.prefetch_depth,
-                plans=warm,
-            )
-            if obs.enabled:
-                obs.event(
-                    "prefetch",
-                    action="start",
-                    depth=config.prefetch_depth,
-                    batches=config.iterations - self._iteration,
-                    warm_plans=warm is not None,
-                )
         try:
             while self._iteration < config.iterations:
                 with obs.span("train.iteration") as span:
@@ -411,18 +365,6 @@ class DPGNNTrainer:
                 ):
                     self.save_checkpoint(scheduler=scheduler)
         finally:
-            if self._prefetcher is not None:
-                self._prefetcher.close()
-                self._prefetcher = None
-                # Rewind the live generator to the last *consumed* batch:
-                # on a clean finish this is a no-op (draws were capped at
-                # the remaining iterations), but after an exception it
-                # discards the producer's read-ahead so the trainer object
-                # is indistinguishable from a depth-0 run that failed at
-                # the same iteration.
-                if self._batch_rng_snapshot is not None:
-                    restore_rng_state(self._batch_rng, self._batch_rng_snapshot)
-                self._batch_rng_snapshot = None
             # Release the gradient pool between runs; a later train() or
             # train_step() call simply recreates it.
             self.close()
@@ -461,17 +403,11 @@ class DPGNNTrainer:
         the accountant's step count, the per-iteration history, and (when
         given) the scheduler's progress.
         """
-        if self._prefetcher is not None and self._batch_rng_snapshot is not None:
-            # The live generator has run ahead of training; serialize the
-            # consumed position so resume redraws the unconsumed batches.
-            batch_rng_state = self._batch_rng_snapshot
-        else:
-            batch_rng_state = serialize_rng_state(self._batch_rng)
         return {
             "iteration": int(self._iteration),
             "model": self.model.state_dict(),
             "optimizer": self.optimizer.state_dict(),
-            "batch_rng": batch_rng_state,
+            "batch_rng": serialize_rng_state(self._batch_rng),
             "noise_rng": serialize_rng_state(self._noise_rng),
             "accountant_steps": int(self.accountant.steps) if self.accountant else 0,
             "scheduler": None if scheduler is None else scheduler.state_dict(),

@@ -17,11 +17,7 @@ from repro.sampling.parallel import (
     sample_dual_stage,
     sample_naive,
 )
-from repro.sampling.store import (
-    SubgraphStore,
-    SubgraphStoreWriter,
-    merge_stores,
-)
+from repro.sampling.store import SubgraphStore, SubgraphStoreWriter
 
 __all__ = [
     "Subgraph",
@@ -42,5 +38,4 @@ __all__ = [
     "sample_dual_stage",
     "SubgraphStore",
     "SubgraphStoreWriter",
-    "merge_stores",
 ]

@@ -6,6 +6,10 @@ them back through :class:`SubgraphStore`, a :class:`~repro.sampling.
 container.SubgraphSource` whose memory footprint is flat in the number of
 stored subgraphs (only the pages a batch touches are resident).
 
+A pipeline run spills into at most one store.  The sampling coordinator
+emits accepted subgraphs in global start order for every shard count, so
+one writer receives exactly the sequence the serial sampler produces.
+
 Layout — a store is a directory:
 
 ``shard-00000.bin`` …
@@ -76,7 +80,6 @@ __all__ = [
     "SubgraphStore",
     "SubgraphStoreWriter",
     "DEFAULT_SHARD_BYTES",
-    "merge_stores",
 ]
 
 
@@ -202,14 +205,6 @@ class SubgraphStoreWriter:
         write_checksummed(os.path.join(self._path, INDEX_NAME), INDEX_MAGIC, payload)
         self._finalized = True
         return SubgraphStore(self._path)
-
-    def set_meta(self, key: str, value) -> None:
-        """Set one metadata entry before :meth:`finalize` (must be JSON
-        serialisable; the sharded sink uses this to record each store's
-        global emission sequence)."""
-        if self._finalized:
-            raise SamplingError("store writer is finalized; cannot set metadata")
-        self._meta[str(key)] = value
 
     def abort(self) -> None:
         """Drop buffered records (already-flushed shards stay on disk but
@@ -468,114 +463,3 @@ class SubgraphStore:
             f"shards={len(self._payload_offsets)})"
         )
 
-
-def merge_stores(
-    paths,
-    out: str | os.PathLike,
-    *,
-    shard_bytes: int = DEFAULT_SHARD_BYTES,
-    meta: dict | None = None,
-    expected_max_occurrence: int | None = None,
-    num_original_nodes: int | None = None,
-) -> SubgraphStore:
-    """Merge several finalized stores into one store at ``out``.
-
-    Unifies multi-round ``extend`` workflows and the sharded sampler's
-    per-shard stores.  When every input store carries a ``"sequence"``
-    metadata list (one global emission index per record — what
-    :class:`repro.sharding.sink.ShardedStoreSink` writes), records are
-    interleaved back into exact emission order; otherwise they concatenate
-    in ``paths`` order.
-
-    Safety rails:
-
-    * **duplicate-record collisions** are rejected (two byte-identical
-      records across inputs would double-count occurrences, silently
-      breaking the DP sensitivity bound);
-    * occurrence counts are **re-audited across the union** after the
-      merge — if ``expected_max_occurrence`` is given and the merged
-      maximum exceeds it, the merged store is deleted and a
-      :class:`~repro.errors.SamplingError` raised.
-
-    Returns the opened merged :class:`SubgraphStore`.
-    """
-    paths = [os.fspath(p) for p in paths]
-    if not paths:
-        raise SamplingError("merge_stores needs at least one input store")
-    stores = [SubgraphStore(p) for p in paths]
-    try:
-        sequences = [store.meta.get("sequence") for store in stores]
-        use_sequence = all(
-            isinstance(seq, list) and len(seq) == len(store)
-            for seq, store in zip(sequences, stores)
-        )
-        if use_sequence:
-            entries = [
-                (int(seq), store_index, record_index)
-                for store_index, seq_list in enumerate(sequences)
-                for record_index, seq in enumerate(seq_list)
-            ]
-            if len({entry[0] for entry in entries}) != len(entries):
-                raise SamplingError(
-                    "duplicate emission sequence numbers across input stores; "
-                    "refusing to merge (inputs overlap)"
-                )
-            entries.sort()
-            order = [(si, ri) for _seq, si, ri in entries]
-        else:
-            order = [
-                (store_index, record_index)
-                for store_index in range(len(stores))
-                for record_index in range(len(stores[store_index]))
-            ]
-
-        merged_meta = {
-            "merged_from": [os.path.basename(p.rstrip(os.sep)) or p for p in paths],
-            "num_sources": len(paths),
-        }
-        merged_meta.update(meta or {})
-        writer = SubgraphStoreWriter(out, shard_bytes=shard_bytes, meta=merged_meta)
-        seen_digests: set[bytes] = set()
-        max_node_id = -1
-        try:
-            for store_index, record_index in order:
-                subgraph = stores[store_index][record_index]
-                blob, _, _ = _encode_record(subgraph)
-                digest = hashlib.sha256(blob).digest()
-                if digest in seen_digests:
-                    raise SamplingError(
-                        f"duplicate subgraph record while merging (store "
-                        f"{paths[store_index]}, record {record_index}); two inputs "
-                        "hold the same record — merging would double-count "
-                        "occurrences"
-                    )
-                seen_digests.add(digest)
-                if len(subgraph.node_map):
-                    max_node_id = max(max_node_id, int(subgraph.node_map.max()))
-                writer.add(subgraph)
-            merged = writer.finalize()
-        except Exception:
-            writer.abort()
-            raise
-    finally:
-        for store in stores:
-            store.close()
-
-    if num_original_nodes is None:
-        num_original_nodes = max_node_id + 1
-    if num_original_nodes > 0:
-        merged_max = merged.max_occurrence(num_original_nodes)
-        if (
-            expected_max_occurrence is not None
-            and merged_max > expected_max_occurrence
-        ):
-            merged.close()
-            import shutil
-
-            shutil.rmtree(os.fspath(out), ignore_errors=True)
-            raise SamplingError(
-                f"merged store violates the occurrence bound: max occurrence "
-                f"{merged_max} > expected {expected_max_occurrence}; inputs were "
-                "sampled against different cap ledgers and cannot be unified"
-            )
-    return merged

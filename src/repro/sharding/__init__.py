@@ -19,8 +19,11 @@ Modules:
   :func:`sample_dual_stage_sharded`: the sampling engine — chunk-
   synchronous propose/validate with BSP cross-shard frontier exchange.
   The flat samplers run here too, on :func:`whole_graph_shard_set`.
-* :mod:`~repro.sharding.sink` — :class:`ShardedStoreSink`: per-shard
-  subgraph stores merged back into emission order.
+
+The coordinator emits accepted subgraphs in global start order, so its
+``sink`` — an in-memory container or one
+:class:`~repro.sampling.store.SubgraphStoreWriter` — receives the serial
+sampler's exact sequence for every shard count.
 """
 
 from repro.sharding.partition import (
@@ -36,7 +39,6 @@ from repro.sharding.coordinator import (
     sample_dual_stage_sharded,
     sample_naive_sharded,
 )
-from repro.sharding.sink import ShardedStoreSink
 
 __all__ = [
     "GraphShard",
@@ -49,5 +51,4 @@ __all__ = [
     "ShardedNaiveRun",
     "sample_naive_sharded",
     "sample_dual_stage_sharded",
-    "ShardedStoreSink",
 ]

@@ -1,7 +1,8 @@
 """Differential-testing oracles for the training stack and the samplers.
 
 The repo's correctness story for every execution knob (``grad_mode``,
-``grad_workers``, the fused scatter kernels, checkpoint/resume) is the same
+``grad_workers``, the fused scatter kernels, checkpoint/resume, and an
+in-memory pool versus the on-disk subgraph store) is the same
 sentence: *the final weights, the per-iteration losses, and the accounted
 ε are byte-equal to the serial reference*.  This module turns that
 sentence into reusable helpers so each test states only the pair of

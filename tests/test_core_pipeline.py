@@ -1,12 +1,14 @@
 """Tests for the PrivIM / PrivIM* pipelines and seed selection."""
 
+import os
+
 import numpy as np
 import pytest
 
 from repro.core.pipeline import PrivIM, PrivIMConfig, PrivIMStar, non_private_config
 from repro.core.seed_selection import score_nodes, select_top_k_seeds, top_k_by_score
 from repro.baselines.nonprivate import NonPrivatePipeline
-from repro.errors import TrainingError
+from repro.errors import SamplingError, TrainingError
 from repro.gnn.models import build_gnn
 from repro.graphs.generators import powerlaw_cluster_graph
 
@@ -90,6 +92,47 @@ class TestPrivIMStar:
         tight = PrivIMStar(fast_config(epsilon=1.0))
         loose = PrivIMStar(fast_config(epsilon=6.0))
         assert tight.fit(graph).sigma > loose.fit(graph).sigma
+
+
+class TestPoolSafety:
+    """``fit`` audits every pool against N_g and releases what it opened."""
+
+    @pytest.mark.parametrize("spill", [False, True], ids=["memory", "store"])
+    def test_occurrence_bound_violation_raises(
+        self, graph, tmp_path, monkeypatch, spill
+    ):
+        import repro.core.pipeline as pipeline_module
+
+        monkeypatch.setattr(
+            pipeline_module, "max_occurrences_dual_stage", lambda threshold: 0
+        )
+        store_path = str(tmp_path / "pool") if spill else None
+        with pytest.raises(SamplingError, match="occurrence bound"):
+            PrivIMStar(fast_config(subgraph_store=store_path)).fit(graph)
+        assert not os.path.exists(tmp_path / "pool")
+
+    def test_calibration_failure_closes_store(self, graph, tmp_path, monkeypatch):
+        import repro.core.pipeline as pipeline_module
+        from repro.sampling.store import SubgraphStoreWriter
+
+        opened = []
+        finalize = SubgraphStoreWriter.finalize
+
+        def recording_finalize(writer):
+            opened.append(finalize(writer))
+            return opened[-1]
+
+        def failing_calibration(*args, **kwargs):
+            raise RuntimeError("calibration failed")
+
+        monkeypatch.setattr(SubgraphStoreWriter, "finalize", recording_finalize)
+        monkeypatch.setattr(pipeline_module, "calibrate_sigma", failing_calibration)
+        config = fast_config(subgraph_store=str(tmp_path / "pool"))
+        with pytest.raises(RuntimeError, match="calibration failed"):
+            PrivIMStar(config).fit(graph)
+        (store,) = opened
+        with pytest.raises(SamplingError, match="closed"):
+            store[0]
 
 
 class TestPrivIMNaive:

@@ -1,16 +1,13 @@
-"""On-disk subgraph store + prefetch pipeline: round-trip, faults, bit-identity.
+"""On-disk subgraph store: round-trip, faults, bit-identity.
 
 The contract under test mirrors the repo's other execution knobs: training
-from a :class:`SubgraphStore` (with or without prefetching) produces
-byte-identical weights, per-iteration losses, and accounted ε versus the
+from a :class:`SubgraphStore` produces byte-identical weights, per-iteration losses, and accounted ε versus the
 in-memory :class:`SubgraphContainer` holding the same pool — and every
 corruption mode (truncated shard, flipped bit, damaged index) is rejected
 with a clean :class:`SamplingError` before any training happens.
 """
 
 import os
-import threading
-import time
 
 import numpy as np
 import pytest
@@ -28,14 +25,7 @@ from repro.sampling.container import Subgraph, SubgraphContainer, SubgraphSource
 from repro.sampling.dual_stage import DualStageSamplingConfig
 from repro.sampling.naive import NaiveSamplingConfig
 from repro.sampling.parallel import sample_dual_stage, sample_naive
-from repro.sampling.prefetch import MinibatchPrefetcher, PrefetchIterator
-from repro.sampling.store import (
-    INDEX_NAME,
-    SubgraphStore,
-    SubgraphStoreWriter,
-    merge_stores,
-)
-from repro.utils.rng import restore_rng_state, serialize_rng_state
+from repro.sampling.store import INDEX_NAME, SubgraphStore, SubgraphStoreWriter
 
 
 @pytest.fixture(scope="module")
@@ -203,99 +193,6 @@ class TestWriterGuards:
             assert len(store) == len(container)
 
 
-class TestMergeStores:
-    def _split_stores(self, container, tmp_path, parts=3, sequenced=True):
-        """Round-robin the pool into ``parts`` stores, recording each
-        record's global emission sequence number in the store meta."""
-        writers = [
-            SubgraphStoreWriter(tmp_path / f"part-{i}") for i in range(parts)
-        ]
-        sequences: list[list[int]] = [[] for _ in range(parts)]
-        for index, subgraph in enumerate(container):
-            writers[index % parts].add(subgraph)
-            sequences[index % parts].append(index)
-        stores = []
-        for i, writer in enumerate(writers):
-            if sequenced:
-                writer.set_meta("sequence", sequences[i])
-            stores.append(writer.finalize())
-        paths = [store.path for store in stores]
-        for store in stores:
-            store.close()
-        return paths
-
-    def test_sequenced_merge_restores_emission_order(self, pool, tmp_path):
-        _, container = pool
-        paths = self._split_stores(container, tmp_path)
-        merged = merge_stores(paths, tmp_path / "merged")
-        try:
-            assert len(merged) == len(container)
-            for ours, theirs in zip(merged, container):
-                assert_subgraphs_equal(ours, theirs)
-            assert merged.meta["num_sources"] == 3
-        finally:
-            merged.close()
-
-    def test_unsequenced_merge_concatenates_in_path_order(self, pool, tmp_path):
-        _, container = pool
-        paths = self._split_stores(container, tmp_path, parts=2, sequenced=False)
-        merged = merge_stores(paths, tmp_path / "merged")
-        try:
-            expected = [s for i, s in enumerate(container) if i % 2 == 0]
-            expected += [s for i, s in enumerate(container) if i % 2 == 1]
-            assert len(merged) == len(expected)
-            for ours, theirs in zip(merged, expected):
-                assert_subgraphs_equal(ours, theirs)
-        finally:
-            merged.close()
-
-    def test_duplicate_record_rejected(self, pool, tmp_path):
-        """A subgraph present in two input stores would double-count
-        occurrences; the merge must refuse, not silently keep both."""
-        _, container = pool
-        first = list(container)[:4]
-        write_store(first, tmp_path / "a").close()
-        write_store(first[2:], tmp_path / "b").close()
-        with pytest.raises(SamplingError, match="duplicate subgraph record"):
-            merge_stores([tmp_path / "a", tmp_path / "b"], tmp_path / "merged")
-        assert not os.path.exists(tmp_path / "merged" / INDEX_NAME)
-
-    def test_duplicate_sequence_numbers_rejected(self, pool, tmp_path):
-        _, container = pool
-        subgraphs = list(container)
-        for name, batch in (("a", subgraphs[:2]), ("b", subgraphs[2:4])):
-            writer = SubgraphStoreWriter(tmp_path / name)
-            for subgraph in batch:
-                writer.add(subgraph)
-            writer.set_meta("sequence", [0, 1])  # collides across stores
-            writer.finalize().close()
-        with pytest.raises(SamplingError, match="duplicate emission sequence"):
-            merge_stores([tmp_path / "a", tmp_path / "b"], tmp_path / "merged")
-
-    def test_occurrence_audit_passes_at_true_bound(self, pool, tmp_path):
-        graph, container = pool
-        paths = self._split_stores(container, tmp_path)
-        merged = merge_stores(
-            paths,
-            tmp_path / "merged",
-            expected_max_occurrence=4,  # the pool's threshold M
-            num_original_nodes=graph.num_nodes,
-        )
-        merged.close()
-
-    def test_occurrence_audit_failure_removes_output(self, pool, tmp_path):
-        graph, container = pool
-        paths = self._split_stores(container, tmp_path)
-        with pytest.raises(SamplingError, match="occurrence bound"):
-            merge_stores(
-                paths,
-                tmp_path / "merged",
-                expected_max_occurrence=0,
-                num_original_nodes=graph.num_nodes,
-            )
-        assert not os.path.exists(tmp_path / "merged")
-
-
 class TestFaultInjection:
     def test_truncated_shard_rejected(self, pool, tmp_path):
         _, container = pool
@@ -364,115 +261,6 @@ class TestFaultInjection:
             store.occurrence_counts(10)
 
 
-class TestPrefetchIterator:
-    def test_preserves_order_and_items(self):
-        with PrefetchIterator(range(100), depth=4) as it:
-            assert list(it) == list(range(100))
-
-    def test_producer_error_surfaces_in_position(self):
-        def gen():
-            yield 1
-            yield 2
-            raise ValueError("boom at three")
-
-        it = PrefetchIterator(gen(), depth=2)
-        assert next(it) == 1
-        assert next(it) == 2
-        with pytest.raises(ValueError, match="boom at three"):
-            next(it)
-        it.close()
-
-    def test_depth_bounds_readahead(self):
-        produced = []
-
-        def gen():
-            for value in range(50):
-                produced.append(value)
-                yield value
-
-        it = PrefetchIterator(gen(), depth=3)
-        time.sleep(0.2)
-        # queue(depth) + the one item blocked in put() + the generator's
-        # next pending value: read-ahead can never exceed depth + 2.
-        assert len(produced) <= 5
-        it.close()
-
-    def test_consumer_exception_drains_and_joins(self):
-        """The fault-injection contract: a consumer that dies mid-stream can
-        always close() — the producer unblocks and joins cleanly."""
-        started = threading.Event()
-
-        def gen():
-            for value in range(10_000):
-                started.set()
-                yield value
-
-        it = PrefetchIterator(gen(), depth=1)
-        started.wait(timeout=5.0)
-        try:
-            next(it)
-            raise RuntimeError("consumer crash")
-        except RuntimeError:
-            it.close()  # must not deadlock on the blocked producer
-        assert not it._thread.is_alive()
-        with pytest.raises(SamplingError, match="closed"):
-            next(it)
-
-    def test_close_is_idempotent(self):
-        it = PrefetchIterator(range(5), depth=2)
-        it.close()
-        it.close()
-
-    def test_exhausted_iterator_keeps_raising_stopiteration(self):
-        it = PrefetchIterator(range(2), depth=2)
-        assert list(it) == [0, 1]
-        with pytest.raises(StopIteration):
-            next(it)
-        it.close()
-
-    def test_invalid_depth_rejected(self):
-        with pytest.raises(SamplingError, match="depth"):
-            PrefetchIterator(range(2), depth=0)
-
-
-class TestMinibatchPrefetcher:
-    def test_matches_direct_draws_and_snapshots(self):
-        reference = np.random.default_rng(42)
-        expected = []
-        for _ in range(7):
-            expected.append(reference.choice(20, size=5, replace=False))
-
-        rng = np.random.default_rng(42)
-        prefetcher = MinibatchPrefetcher(rng, 20, 5, 7, depth=3)
-        states = []
-        try:
-            for want in expected:
-                got, state_after = next(prefetcher)
-                np.testing.assert_array_equal(got, want)
-                states.append(state_after)
-        finally:
-            prefetcher.close()
-
-        # Each snapshot replays to exactly the next batch of the stream.
-        replay = np.random.default_rng(1)
-        restore_rng_state(replay, states[2])
-        np.testing.assert_array_equal(
-            replay.choice(20, size=5, replace=False), expected[3]
-        )
-
-    def test_draws_capped_at_num_batches(self):
-        rng = np.random.default_rng(0)
-        prefetcher = MinibatchPrefetcher(rng, 10, 2, 3, depth=8)
-        batches = list(prefetcher)
-        prefetcher.close()
-        assert len(batches) == 3
-        # The live generator ends exactly where 3 serial draws leave it.
-        serial = np.random.default_rng(0)
-        for _ in range(3):
-            serial.choice(10, size=2, replace=False)
-        assert serialize_rng_state(rng) == serialize_rng_state(serial)
-
-
 class TestStoreTrainingBitIdentity:
     """The acceptance criterion: store training is byte-identical."""
 
@@ -486,23 +274,16 @@ class TestStoreTrainingBitIdentity:
         store.close()
 
     @pytest.mark.parametrize("grad_mode", ["loop", "vectorized"])
-    @pytest.mark.parametrize("prefetch_depth", [0, 3])
-    def test_store_matches_memory(self, sources, grad_mode, prefetch_depth):
+    def test_store_matches_memory(self, sources, grad_mode):
         container, store = sources
         oracle = train_outcome(container)
-        candidate = train_outcome(
-            store, grad_mode=grad_mode, prefetch_depth=prefetch_depth
-        )
-        assert_outcomes_identical(
-            candidate, oracle, label=f"store/{grad_mode}/depth{prefetch_depth}"
-        )
+        candidate = train_outcome(store, grad_mode=grad_mode)
+        assert_outcomes_identical(candidate, oracle, label=f"store/{grad_mode}")
 
     def test_nonprivate_store_matches_memory(self, sources):
         container, store = sources
         oracle = train_outcome(container, sigma=0.0, clip_bound=None)
-        candidate = train_outcome(
-            store, sigma=0.0, clip_bound=None, prefetch_depth=2
-        )
+        candidate = train_outcome(store, sigma=0.0, clip_bound=None)
         assert_outcomes_identical(candidate, oracle, label="nonprivate store")
 
     def test_store_fanout_workers_match_memory(self, sources):
@@ -513,10 +294,9 @@ class TestStoreTrainingBitIdentity:
         candidate = train_outcome(store, grad_workers=2)
         assert_outcomes_identical(candidate, oracle, label="store workers=2")
 
-    def test_resume_from_store_with_prefetch(self, sources, tmp_path):
-        """Checkpoint written mid-run under prefetch (the RNG-snapshot path)
-        resumes to the uninterrupted outcome, including when the resuming
-        run uses a different prefetch depth than the interrupted one."""
+    def test_resume_from_store(self, sources, tmp_path):
+        """A checkpoint written mid-run from a store resumes to the
+        uninterrupted in-memory outcome."""
         container, store = sources
         oracle = train_outcome(container, iterations=6)
         candidate = resumed_outcome(
@@ -524,53 +304,5 @@ class TestStoreTrainingBitIdentity:
             split_at=3,
             checkpoint_path=str(tmp_path / "ckpt.npz"),
             iterations=6,
-            first=dict(prefetch_depth=4),
         )
-        assert_outcomes_identical(candidate, oracle, label="store+prefetch resume")
-
-        across = resumed_outcome(
-            container,
-            split_at=2,
-            checkpoint_path=str(tmp_path / "ckpt2.npz"),
-            iterations=6,
-            first=dict(prefetch_depth=2),
-            second=dict(prefetch_depth=0),
-        )
-        assert_outcomes_identical(across, oracle, label="cross-depth resume")
-
-    def test_midrun_state_dict_uses_consumed_snapshot(self, sources):
-        """state_dict() captured while the producer has read ahead must
-        serialize the consumed position, not the live generator's."""
-        from repro.core.trainer import DPGNNTrainer, DPTrainingConfig
-        from tests.oracles import make_model
-
-        container, store = sources
-        config = DPTrainingConfig(
-            iterations=4, batch_size=4, sigma=1.0, clip_bound=1.0,
-            max_occurrences=4, prefetch_depth=3,
-            checkpoint_every=2, checkpoint_path="ignored",
-        )
-        captured = {}
-        trainer = DPGNNTrainer(make_model("gcn"), store, config, rng=7)
-        original = DPGNNTrainer.save_checkpoint
-
-        def capture(self, path=None, scheduler=None):
-            if not captured:
-                captured["state"] = self.state_dict()
-            return "skipped"
-
-        DPGNNTrainer.save_checkpoint = capture
-        try:
-            trainer.train()
-        finally:
-            DPGNNTrainer.save_checkpoint = original
-
-        # Serial reference: after 2 iterations the batch RNG has advanced
-        # by exactly 2 draws.
-        serial = np.random.default_rng(0)
-        restore_rng_state(serial, captured["state"]["batch_rng"])
-        from repro.utils.rng import spawn_rngs, ensure_rng
-        batch_rng, _ = spawn_rngs(ensure_rng(7), 2)
-        for _ in range(2):
-            batch_rng.choice(len(store), size=4, replace=False)
-        assert serialize_rng_state(serial) == serialize_rng_state(batch_rng)
+        assert_outcomes_identical(candidate, oracle, label="store resume")

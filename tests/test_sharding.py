@@ -8,18 +8,19 @@ counts, and stats — and the dual-stage occurrence caps must stay
 *globally* exact.
 """
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import SamplingError
 from repro.graphs.generators import erdos_renyi_graph, powerlaw_cluster_graph
 from repro.sampling.dual_stage import DualStageSamplingConfig
 from repro.sampling.naive import NaiveSamplingConfig
 from repro.sampling.parallel import sample_dual_stage, sample_naive
+from repro.sampling.store import SubgraphStoreWriter
 from repro.sharding import (
     ShardSet,
-    ShardedStoreSink,
     build_shard_set,
     sample_dual_stage_sharded,
     sample_naive_sharded,
@@ -278,44 +279,11 @@ class TestWholeGraphShard:
         ).fit(graph)
 
 
-class TestShardedSink:
-    def test_merged_store_matches_serial_emission(self, graph, tmp_path):
-        reference = serial_dual_stage(graph, DUAL_CONFIG, rng=7)
-        shard_set = build_shard_set(graph, 3, rng=1)
-        sink = ShardedStoreSink(
-            str(tmp_path / "shards"), shard_set.assignment, 3
-        )
-        sample_dual_stage_sharded(shard_set, DUAL_CONFIG, rng=7, sink=sink)
-        merged = sink.finalize_merged(
-            str(tmp_path / "merged"),
-            expected_max_occurrence=DUAL_CONFIG.threshold,
-            num_original_nodes=graph.num_nodes,
-        )
-        try:
-            assert_containers_identical(merged, reference.container)
-            assert merged.meta["num_sources"] == 3
-        finally:
-            merged.close()
-
-    def test_audit_rejects_violating_bound(self, graph, tmp_path):
-        shard_set = build_shard_set(graph, 2, rng=1)
-        sink = ShardedStoreSink(
-            str(tmp_path / "shards"), shard_set.assignment, 2
-        )
-        sample_dual_stage_sharded(shard_set, DUAL_CONFIG, rng=7, sink=sink)
-        with pytest.raises(SamplingError, match="occurrence bound"):
-            sink.finalize_merged(
-                str(tmp_path / "merged"),
-                expected_max_occurrence=0,
-                num_original_nodes=graph.num_nodes,
-            )
-
-
 class TestShardedStoreTrainEndToEnd:
     def test_sharded_store_trains_identical_to_flat(self, graph, tmp_path):
-        """The full sharded workflow — partition, sample into per-shard
-        stores, merge, train — is byte-identical to sampling and training
-        on the flat graph, including a mid-run checkpoint resume."""
+        """The full sharded workflow — partition, sample into one store,
+        train — is byte-identical to sampling and training on the flat
+        graph, including a mid-run checkpoint resume."""
         from tests.oracles import (
             assert_outcomes_identical,
             resumed_outcome,
@@ -325,21 +293,15 @@ class TestShardedStoreTrainEndToEnd:
         reference = serial_dual_stage(graph, DUAL_CONFIG, rng=7)
         oracle = train_outcome(reference.container, iterations=4)
         shard_set = build_shard_set(graph, 3, rng=1)
-        sink = ShardedStoreSink(
-            str(tmp_path / "shards"), shard_set.assignment, 3
-        )
-        sample_dual_stage_sharded(shard_set, DUAL_CONFIG, rng=7, sink=sink)
-        merged = sink.finalize_merged(
-            str(tmp_path / "merged"),
-            expected_max_occurrence=DUAL_CONFIG.threshold,
-            num_original_nodes=graph.num_nodes,
-        )
+        writer = SubgraphStoreWriter(tmp_path / "store")
+        sample_dual_stage_sharded(shard_set, DUAL_CONFIG, rng=7, sink=writer)
+        store = writer.finalize()
         try:
-            assert_containers_identical(merged, reference.container)
-            candidate = train_outcome(merged, iterations=4)
+            assert_containers_identical(store, reference.container)
+            candidate = train_outcome(store, iterations=4)
             assert_outcomes_identical(candidate, oracle, label="sharded store")
             resumed = resumed_outcome(
-                merged,
+                store,
                 split_at=2,
                 iterations=4,
                 checkpoint_path=str(tmp_path / "resume.ckpt"),
@@ -348,29 +310,30 @@ class TestShardedStoreTrainEndToEnd:
                 resumed, oracle, label="sharded store resume"
             )
         finally:
-            merged.close()
+            store.close()
 
 
 class TestPipelineSharded:
+    BASE = dict(
+        epsilon=2.0,
+        subgraph_size=8,
+        threshold=4,
+        walk_length=80,
+        sampling_rate=0.6,
+        iterations=3,
+        batch_size=8,
+        hidden_features=8,
+        rng=42,
+    )
+
     def test_fit_bit_identical_to_flat(self, tmp_path):
         from repro.core.pipeline import PrivIMConfig, PrivIMStar
 
         graph = powerlaw_cluster_graph(120, 3, 0.3, rng=21)
-        base = dict(
-            epsilon=2.0,
-            subgraph_size=8,
-            threshold=4,
-            walk_length=80,
-            sampling_rate=0.6,
-            iterations=3,
-            batch_size=8,
-            hidden_features=8,
-            rng=42,
-        )
-        flat = PrivIMStar(PrivIMConfig(**base)).fit(graph)
+        flat = PrivIMStar(PrivIMConfig(**self.BASE)).fit(graph)
         sharded = PrivIMStar(
             PrivIMConfig(
-                **base,
+                **self.BASE,
                 num_shards=2,
                 shard_dir=str(tmp_path / "shards"),
             )
@@ -380,9 +343,29 @@ class TestPipelineSharded:
         assert flat.num_subgraphs == sharded.num_subgraphs
         # A second run reloads the persisted shard set and still agrees.
         reloaded = PrivIMStar(
-            PrivIMConfig(**base, num_shards=2, shard_dir=str(tmp_path / "shards"))
+            PrivIMConfig(**self.BASE, num_shards=2, shard_dir=str(tmp_path / "shards"))
         ).fit(graph)
         assert flat.history.losses == reloaded.history.losses
+
+    def test_sharded_store_fit_matches_flat_memory_fit(self, tmp_path):
+        """A sharded run spills into the one configured store, in emission
+        order: it trains like the flat in-memory run, leaves nothing else
+        on disk, and can run again once its store is removed."""
+        import shutil
+
+        from repro.core.pipeline import PrivIMConfig, PrivIMStar
+
+        graph = powerlaw_cluster_graph(120, 3, 0.3, rng=21)
+        flat = PrivIMStar(PrivIMConfig(**self.BASE)).fit(graph)
+        store_path = str(tmp_path / "pool")
+        config = PrivIMConfig(**self.BASE, num_shards=2, subgraph_store=store_path)
+        sharded = PrivIMStar(config).fit(graph)
+        assert sharded.history.losses == flat.history.losses
+        assert sharded.epsilon == flat.epsilon
+        assert sorted(os.listdir(tmp_path)) == ["pool"]
+        shutil.rmtree(store_path)
+        again = PrivIMStar(config).fit(graph)
+        assert again.history.losses == flat.history.losses
 
     def test_shard_dir_node_count_mismatch_rejected(self, tmp_path):
         from repro.core.pipeline import PrivIMConfig, PrivIMStar
