@@ -17,9 +17,12 @@ from repro.datasets.registry import load_dataset
 from repro.dp.accountant import PrivacyAccountant
 from repro.gnn.models import build_gnn
 from repro.im.celf import celf_coverage
-from repro.sampling.dual_stage import DualStageSamplingConfig, extract_subgraphs_dual_stage
-from repro.sampling.naive import NaiveSamplingConfig, extract_subgraphs_naive
-from repro.sampling.parallel import sample_dual_stage
+from repro.sampling import (
+    DualStageSamplingConfig,
+    NaiveSamplingConfig,
+    sample_dual_stage,
+    sample_naive,
+)
 from repro.utils.rng import bench_seed
 
 
@@ -30,15 +33,15 @@ def _graph():
 def test_bench_dual_stage_sampling(benchmark):
     graph = _graph()
     config = DualStageSamplingConfig(subgraph_size=30, threshold=4, sampling_rate=0.4)
-    result = benchmark(extract_subgraphs_dual_stage, graph, config, bench_seed())
+    result = benchmark(sample_dual_stage, graph, config, bench_seed())
     assert len(result.container) > 0
 
 
 def test_bench_naive_sampling(benchmark):
     graph = _graph()
     config = NaiveSamplingConfig(subgraph_size=30, sampling_rate=0.4)
-    container, _ = benchmark(extract_subgraphs_naive, graph, config, bench_seed())
-    assert container is not None
+    run = benchmark(sample_naive, graph, config, bench_seed())
+    assert run.container is not None
 
 
 def test_bench_observed_dual_stage_sampling(benchmark, record_run_summary):
@@ -63,7 +66,7 @@ def test_bench_observed_dual_stage_sampling(benchmark, record_run_summary):
 
 def test_bench_dp_sgd_step(benchmark):
     graph = _graph()
-    container = extract_subgraphs_dual_stage(
+    container = sample_dual_stage(
         graph,
         DualStageSamplingConfig(subgraph_size=30, threshold=4, sampling_rate=0.4),
         bench_seed(),

@@ -56,7 +56,7 @@ import time
 from repro.core.trainer import DPGNNTrainer, DPTrainingConfig
 from repro.gnn.models import build_gnn
 from repro.graphs.generators import powerlaw_cluster_graph
-from repro.sampling.dual_stage import DualStageSamplingConfig, extract_subgraphs_dual_stage
+from repro.sampling import DualStageSamplingConfig, sample_dual_stage
 from repro.utils.rng import bench_seed
 
 
@@ -75,7 +75,7 @@ def build_container(tiny: bool):
         config = DualStageSamplingConfig(
             subgraph_size=40, threshold=4, sampling_rate=0.8, walk_length=300
         )
-    return extract_subgraphs_dual_stage(graph, config, bench_seed()).container
+    return sample_dual_stage(graph, config, bench_seed()).container
 
 
 def make_training_config(

@@ -27,7 +27,7 @@ from repro.gnn.models import build_gnn
 from repro.im.analysis import ranking_quality
 from repro.nn.schedulers import StepDecayLR
 from repro.sampling.diagnostics import diagnose_container, render_diagnostics
-from repro.sampling.dual_stage import DualStageSamplingConfig, extract_subgraphs_dual_stage
+from repro.sampling import DualStageSamplingConfig, sample_dual_stage
 
 
 def main() -> None:
@@ -40,7 +40,7 @@ def main() -> None:
         train_graph.num_nodes, n_candidates=(10, 20, 30), m_candidates=(2, 4, 6)
     )
     print(f"indicator recommends n={n}, M={m_cap}")
-    result = extract_subgraphs_dual_stage(
+    result = sample_dual_stage(
         train_graph,
         DualStageSamplingConfig(subgraph_size=n, threshold=m_cap, sampling_rate=0.8),
         rng=1,
@@ -54,7 +54,7 @@ def main() -> None:
     # 3. Clip bound from a PUBLIC surrogate (here: a fresh synthetic graph
     #    of the same family — never the private training graph).
     surrogate = load_dataset("hepph", scale=0.05, rng=999)
-    surrogate_pool = extract_subgraphs_dual_stage(
+    surrogate_pool = sample_dual_stage(
         surrogate,
         DualStageSamplingConfig(subgraph_size=n, threshold=m_cap, sampling_rate=0.8),
         rng=2,

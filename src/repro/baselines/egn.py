@@ -24,7 +24,7 @@ from repro.errors import TrainingError
 from repro.gnn.models import build_gnn
 from repro.graphs.graph import Graph
 from repro.obs import Observability, PrivacyLedger, ensure_obs
-from repro.sampling.random_sets import extract_subgraphs_random
+from repro.sampling.random_sets import sample_random_sets
 from repro.utils.rng import ensure_rng, spawn_rngs
 
 
@@ -99,7 +99,7 @@ class EGNPipeline:
         )
         with obs.span("pipeline.sampling") as span:
             subgraph_size = min(config.subgraph_size, graph.num_nodes)
-            container = extract_subgraphs_random(
+            container = sample_random_sets(
                 graph, subgraph_size, config.num_subgraphs, self._sampling_rng
             )
         preprocessing_seconds = span.seconds
@@ -179,6 +179,7 @@ class EGNPipeline:
             history=history,
             preprocessing_seconds=preprocessing_seconds,
             training_seconds=history.total_seconds,
+            clip_bound=None if config.epsilon is None else config.clip_bound,
             model=self.model,
             config=config,
             method=self.method_name,

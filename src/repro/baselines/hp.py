@@ -235,6 +235,7 @@ class HPPipeline:
             history=history,
             preprocessing_seconds=preprocessing_seconds,
             training_seconds=history.total_seconds,
+            clip_bound=None if config.epsilon is None else config.clip_bound,
             model=self.model,
             config=config,
             method=self.method_name,

@@ -1,15 +1,16 @@
-"""Subgraph extraction: Algorithm 1 (naive) and Algorithm 3 (dual-stage)."""
+"""Subgraph extraction: Algorithm 1 (naive) and Algorithm 3 (dual-stage).
+
+Each sampler has one entry on a flat graph, :func:`sample_naive` /
+:func:`sample_dual_stage`, over the one engine in
+:mod:`repro.sharding.coordinator` (whose ``sample_*_sharded`` entries
+take a shard set).
+"""
 
 from repro.sampling.container import Subgraph, SubgraphContainer
-from repro.sampling.random_walk import random_walk_nodes
-from repro.sampling.naive import NaiveSamplingConfig, extract_subgraphs_naive
-from repro.sampling.frequency import FrequencyVector, adaptive_neighbor_probabilities
-from repro.sampling.dual_stage import (
-    DualStageResult,
-    DualStageSamplingConfig,
-    extract_subgraphs_dual_stage,
-)
-from repro.sampling.random_sets import extract_subgraphs_random
+from repro.sampling.naive import NaiveSamplingConfig
+from repro.sampling.frequency import FrequencyVector
+from repro.sampling.dual_stage import DualStageSamplingConfig
+from repro.sampling.random_sets import sample_random_sets
 from repro.sampling.parallel import (
     DualStageRun,
     NaiveSamplingRun,
@@ -22,15 +23,10 @@ from repro.sampling.store import SubgraphStore, SubgraphStoreWriter
 __all__ = [
     "Subgraph",
     "SubgraphContainer",
-    "random_walk_nodes",
     "NaiveSamplingConfig",
-    "extract_subgraphs_naive",
     "FrequencyVector",
-    "adaptive_neighbor_probabilities",
     "DualStageSamplingConfig",
-    "DualStageResult",
-    "extract_subgraphs_dual_stage",
-    "extract_subgraphs_random",
+    "sample_random_sets",
     "SamplingStats",
     "NaiveSamplingRun",
     "DualStageRun",

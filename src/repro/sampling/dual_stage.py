@@ -9,22 +9,18 @@ removed; the frequency sampler runs again on the residual graph with a
 smaller subgraph size ``n / s``, harvesting boundary clusters that are too
 small to fill full-size subgraphs.  Because the same frequency vector keeps
 counting, the cap — and hence the privacy budget — is unchanged.
+
+This module holds the configuration;
+:func:`repro.sampling.sample_dual_stage` (flat graph) and
+:func:`repro.sharding.sample_dual_stage_sharded` (shard set) run it on the
+one sampling engine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
-
-import numpy as np
 
 from repro.errors import SamplingError
-from repro.graphs.graph import Graph
-from repro.sampling.container import SubgraphContainer
-from repro.sampling.frequency import FrequencyVector
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    from repro.sampling.parallel import SamplingStats
 
 
 @dataclass
@@ -40,7 +36,8 @@ class DualStageSamplingConfig:
         restart_probability: τ (paper: 0.3).
         boundary_divisor: ``s`` — stage 2 uses subgraphs of size ``n / s``.
         include_boundary: run stage 2 (disable to get "PrivIM+SCS").
-        direction: walk traversal direction.
+        direction: walk traversal direction, ``"out"``, ``"in"`` or
+            ``"both"``.
         chunk_size: start nodes per frequency-snapshot synchronisation
             chunk.  Part of the algorithm definition for the dual-stage
             sampler (walks inside a chunk see the same snapshot), so it
@@ -74,6 +71,10 @@ class DualStageSamplingConfig:
             raise SamplingError(f"walk_length must be >= 1, got {self.walk_length}")
         if not 0.0 <= self.restart_probability < 1.0:
             raise SamplingError("restart_probability must be in [0, 1)")
+        if self.direction not in ("out", "in", "both"):
+            raise SamplingError(
+                f"direction must be 'out', 'in', or 'both', got {self.direction!r}"
+            )
         if self.boundary_divisor < 1:
             raise SamplingError(
                 f"boundary_divisor s must be >= 1, got {self.boundary_divisor}"
@@ -85,51 +86,3 @@ class DualStageSamplingConfig:
     def boundary_subgraph_size(self) -> int:
         """Stage-2 subgraph size ``max(n // s, 2)``."""
         return max(self.subgraph_size // self.boundary_divisor, 2)
-
-
-@dataclass
-class DualStageResult:
-    """Output of :func:`extract_subgraphs_dual_stage`.
-
-    Attributes:
-        container: combined pool ``G_sub`` (stage 1 + stage 2).
-        frequency: final frequency vector (indexed by original node id).
-        stage1_count: subgraphs from SCS.
-        stage2_count: subgraphs from BES.
-        stats: engine counters (walks attempted / failed / cap-rejected,
-            per-stage wall time) — see
-            :class:`repro.sampling.parallel.SamplingStats`.
-    """
-
-    container: SubgraphContainer
-    frequency: FrequencyVector
-    stage1_count: int
-    stage2_count: int
-    stats: "SamplingStats | None" = None
-
-
-def extract_subgraphs_dual_stage(
-    graph: Graph,
-    config: DualStageSamplingConfig | None = None,
-    rng: int | np.random.Generator | None = None,
-) -> DualStageResult:
-    """Run Algorithm 3 (SCS, then optionally BES) on ``graph``.
-
-    Returns a :class:`DualStageResult`; the occurrence of every node across
-    ``result.container`` is guaranteed ≤ ``config.threshold`` (this is the
-    invariant the privacy analysis needs, and both the coordinator's cap
-    validation and the frequency vector enforce it with hard errors rather
-    than clipping).  Both stages run on the chunk-synchronous engine of
-    :mod:`repro.sharding.coordinator`, so the result is bit-identical to a
-    sharded run of the same seed on any shard layout.
-    """
-    from repro.sampling.parallel import sample_dual_stage
-
-    run = sample_dual_stage(graph, config or DualStageSamplingConfig(), rng)
-    return DualStageResult(
-        container=run.container,
-        frequency=run.frequency,
-        stage1_count=run.stage1_count,
-        stage2_count=run.stage2_count,
-        stats=run.stats,
-    )

@@ -15,7 +15,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import SamplingError
-from repro.utils.rng import ensure_rng
 
 
 class FrequencyVector:
@@ -82,77 +81,3 @@ def adaptive_neighbor_weights(
         raise SamplingError(f"decay mu must be >= 0, got {decay}")
     freq = np.asarray(frequencies, dtype=np.float64)
     return np.where(freq < threshold, 1.0 / np.power(freq + 1.0, decay), 0.0)
-
-
-def adaptive_neighbor_probabilities(
-    frequencies: np.ndarray,
-    threshold: int,
-    decay: float,
-) -> np.ndarray:
-    """Eq. 9's weights ``e_v`` for a candidate set, normalised.
-
-    Args:
-        frequencies: ``f_v`` for each candidate.
-        threshold: global cap ``M``.
-        decay: decay factor μ ≥ 0; μ = 0 degrades to uniform-over-available.
-
-    Returns:
-        Normalised probabilities (sums to 1), or an all-zero vector when
-        every candidate is saturated.
-    """
-    weights = adaptive_neighbor_weights(frequencies, threshold, decay)
-    total = weights.sum()
-    if total <= 0:
-        return np.zeros_like(weights)
-    return weights / total
-
-
-def make_frequency_chooser(frequency: FrequencyVector, decay: float):
-    """A :func:`random_walk_nodes` chooser implementing Eq. 9."""
-
-    def chooser(
-        _current: int, candidates: np.ndarray, generator: np.random.Generator
-    ) -> int | None:
-        if len(candidates) == 0:
-            return None
-        probabilities = adaptive_neighbor_probabilities(
-            frequency.counts[candidates], frequency.threshold, decay
-        )
-        if probabilities.sum() <= 0:
-            return None
-        choice = generator.choice(len(candidates), p=probabilities)
-        return int(candidates[int(choice)])
-
-    return chooser
-
-
-def frequency_walk(
-    graph,
-    frequency: FrequencyVector,
-    start: int,
-    target_size: int,
-    *,
-    walk_length: int,
-    restart_probability: float,
-    decay: float,
-    rng: int | np.random.Generator | None = None,
-    direction: str = "both",
-):
-    """One Eq. 9-weighted RWR; returns the node list or ``None``.
-
-    Unlike the naive walk there is no r-hop whitelist: the frequency decay
-    itself spreads sampling across the graph (Section IV-A).
-    """
-    from repro.sampling.random_walk import random_walk_nodes
-
-    generator = ensure_rng(rng)
-    return random_walk_nodes(
-        graph,
-        start,
-        target_size,
-        walk_length=walk_length,
-        restart_probability=restart_probability,
-        rng=generator,
-        chooser=make_frequency_chooser(frequency, decay),
-        direction=direction,
-    )

@@ -5,17 +5,17 @@ node selected with sampling rate ``q`` run an RWR confined to the node's
 r-hop ball, emitting a subgraph whenever ``n`` unique nodes are collected
 within ``L`` steps.  Lemma 1 bounds any node's occurrences across the
 output by ``N_g = Σ_{i=0..r} θ^i``.
+
+This module holds the configuration; :func:`repro.sampling.sample_naive`
+(flat graph) and :func:`repro.sharding.sample_naive_sharded` (shard set)
+run it on the one sampling engine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.errors import SamplingError
-from repro.graphs.graph import Graph
-from repro.sampling.container import SubgraphContainer
 
 
 @dataclass
@@ -31,7 +31,8 @@ class NaiveSamplingConfig:
             (paper: 256 / |V_train|).
         walk_length: step budget ``L`` (paper: 200).
         restart_probability: RWR return probability τ (paper: 0.3).
-        direction: walk traversal direction.  The default ``"out"`` is what
+        direction: walk traversal direction, ``"out"``, ``"in"`` or
+            ``"both"``.  The default ``"out"`` is what
             Lemma 1's proof needs: a walk confined to the start node's
             out-direction r-hop ball can only capture node ``v`` when the
             start is one of ``v``'s ≤ Σθ^i ancestors in the θ-in-bounded
@@ -66,23 +67,9 @@ class NaiveSamplingConfig:
             raise SamplingError(f"walk_length must be >= 1, got {self.walk_length}")
         if not 0.0 <= self.restart_probability < 1.0:
             raise SamplingError("restart_probability must be in [0, 1)")
+        if self.direction not in ("out", "in", "both"):
+            raise SamplingError(
+                f"direction must be 'out', 'in', or 'both', got {self.direction!r}"
+            )
         if self.chunk_size < 1:
             raise SamplingError(f"chunk_size must be >= 1, got {self.chunk_size}")
-
-
-def extract_subgraphs_naive(
-    graph: Graph,
-    config: NaiveSamplingConfig | None = None,
-    rng: int | np.random.Generator | None = None,
-) -> tuple[SubgraphContainer, Graph]:
-    """Run Algorithm 1 and return ``(container, projected_graph)``.
-
-    The projected graph is returned as well because training must present
-    the same θ-bounded topology to the GNN that the sensitivity analysis
-    assumed.  Use :func:`repro.sampling.parallel.sample_naive` directly to
-    also get the engine's :class:`~repro.sampling.parallel.SamplingStats`.
-    """
-    from repro.sampling.parallel import sample_naive
-
-    run = sample_naive(graph, config or NaiveSamplingConfig(), rng)
-    return run.container, run.projected

@@ -108,24 +108,24 @@ class SamplingStats:
 
 @dataclass
 class NaiveSamplingRun:
-    """Output of :func:`sample_naive`.
+    """Output of :func:`sample_naive` and
+    :func:`~repro.sharding.sample_naive_sharded`.
 
     ``container`` is whatever sink the caller supplied (the default
     in-memory :class:`SubgraphContainer`, or e.g. a
     :class:`~repro.sampling.store.SubgraphStoreWriter` awaiting
-    ``finalize()``).
+    ``finalize()``).  Its subgraphs are induced on the θ-projected rows,
+    so every one has in-degree ≤ θ.
     """
 
     container: SubgraphContainer
-    projected: Graph
     stats: SamplingStats
 
 
 @dataclass
 class DualStageRun:
     """Output of :func:`sample_dual_stage` and
-    :func:`~repro.sharding.sample_dual_stage_sharded` (wrapped by
-    ``DualStageResult``).
+    :func:`~repro.sharding.sample_dual_stage_sharded`.
 
     ``container`` is the caller-supplied sink (see
     :class:`NaiveSamplingRun`); in-memory container by default.
@@ -167,16 +167,8 @@ def sample_naive(
     from repro.sharding.coordinator import sample_naive_sharded
     from repro.sharding.partition import whole_graph_shard_set
 
-    run = sample_naive_sharded(
-        whole_graph_shard_set(graph),
-        config,
-        rng,
-        obs=obs,
-        sink=sink,
-        return_projection=True,
-    )
-    return NaiveSamplingRun(
-        container=run.container, projected=run.reassemble_projected(), stats=run.stats
+    return sample_naive_sharded(
+        whole_graph_shard_set(graph), config, rng, obs=obs, sink=sink
     )
 
 

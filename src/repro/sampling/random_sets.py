@@ -17,7 +17,7 @@ from repro.sampling.container import Subgraph, SubgraphContainer
 from repro.utils.rng import ensure_rng
 
 
-def extract_subgraphs_random(
+def sample_random_sets(
     graph: Graph,
     subgraph_size: int,
     count: int,

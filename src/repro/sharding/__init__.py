@@ -34,11 +34,7 @@ from repro.sharding.partition import (
     whole_graph_shard_set,
 )
 from repro.sharding.walker import WalkParams, WalkTask
-from repro.sharding.coordinator import (
-    ShardedNaiveRun,
-    sample_dual_stage_sharded,
-    sample_naive_sharded,
-)
+from repro.sharding.coordinator import sample_dual_stage_sharded, sample_naive_sharded
 
 __all__ = [
     "GraphShard",
@@ -48,7 +44,6 @@ __all__ = [
     "whole_graph_shard_set",
     "WalkParams",
     "WalkTask",
-    "ShardedNaiveRun",
     "sample_naive_sharded",
     "sample_dual_stage_sharded",
 ]

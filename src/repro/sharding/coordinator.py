@@ -24,15 +24,14 @@ exchange:
 
 The master generator is consumed only for: the θ-projection draws (naive),
 the Bernoulli(q) selection mask per pass, and one root-entropy draw per
-pass — the consumption sequence of the serial oracle in the test suite
-(``random_walk_nodes`` with a chunked cap validation), which is what makes
-the differential tests exact.
+pass — the consumption sequence of the serial oracle in
+``tests/oracles.py`` (a scalar RWR over a :class:`Graph` with a chunked
+cap validation), which is what makes the differential tests exact.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,43 +40,15 @@ from repro.graphs.graph import Graph
 from repro.obs import Observability, ensure_obs
 from repro.sampling.container import Subgraph, SubgraphContainer
 from repro.sampling.frequency import FrequencyVector
-from repro.sampling.parallel import DualStageRun, SamplingStats
-from repro.sharding.partition import GraphShard, ShardSet, _row_gather
+from repro.sampling.parallel import DualStageRun, NaiveSamplingRun, SamplingStats
+from repro.sharding.partition import ShardSet, _row_gather
 from repro.sharding.walker import ShardView, WalkParams, WalkTask
 from repro.utils.rng import child_generator, derive_root_entropy, ensure_rng
 
 __all__ = [
-    "ShardedNaiveRun",
     "sample_naive_sharded",
     "sample_dual_stage_sharded",
 ]
-
-
-@dataclass
-class ShardedNaiveRun:
-    """Outcome of :func:`sample_naive_sharded`."""
-
-    container: SubgraphContainer
-    stats: SamplingStats
-    projected_shards: list[GraphShard] | None = None
-
-    def reassemble_projected(self) -> Graph:
-        """Rebuild the θ-projected graph from the per-shard projections
-        (available when sampling ran with ``return_projection=True``)."""
-        if self.projected_shards is None:
-            raise SamplingError(
-                "projection was not exported; pass return_projection=True"
-            )
-        template = self.projected_shards[0]
-        shard_set = ShardSet(
-            shards=self.projected_shards,
-            assignment=np.empty(0, dtype=np.int64),
-            num_nodes=template.num_global_nodes,
-            num_arcs=sum(len(s.out_local) for s in self.projected_shards),
-            directed=template.directed,
-            method="projected",
-        )
-        return shard_set.reassemble()
 
 
 def _chunks(values: np.ndarray, chunk_size: int) -> list[np.ndarray]:
@@ -322,8 +293,7 @@ def sample_naive_sharded(
     workers: int = 1,
     obs: Observability | None = None,
     sink=None,
-    return_projection: bool = False,
-) -> ShardedNaiveRun:
+) -> NaiveSamplingRun:
     """Run Algorithm 1 across edge-cut shards, bit-identical to
     :func:`repro.sampling.sample_naive` on the reassembled graph.
 
@@ -410,26 +380,9 @@ def sample_naive_sharded(
                 stats.subgraphs_emitted += 1
     stats.stage_seconds["walks"] = span.seconds
 
-    projected_shards = None
-    if return_projection:
-        projected_shards = [
-            GraphShard(
-                base.shard_id,
-                base.num_shards,
-                base.num_global_nodes,
-                base.directed,
-                base.owned,
-                base.halo,
-                base.halo_owner,
-                *view.projection,
-            )
-            for base, view in zip(shard_set.shards, views)
-        ]
     _collect_shard_stats(views, stats, obs)
     _publish_stats(obs, "naive", stats)
-    return ShardedNaiveRun(
-        container=container, stats=stats, projected_shards=projected_shards
-    )
+    return NaiveSamplingRun(container=container, stats=stats)
 
 
 # --------------------------------------------------------------------------- #

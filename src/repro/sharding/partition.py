@@ -16,9 +16,8 @@ Layout per shard (all ids sorted ascending):
 * out/in CSR over owned rows only, targets/sources stored as *local* ids.
 
 Row order inside each CSR row is preserved verbatim from the parent graph,
-which is what makes sharded random walks draw-for-draw identical to the
-serial sampler (`repro.sampling.random_walk` consumes candidates in row
-order).
+which is what makes sharded random walks draw-for-draw identical to a
+walk on the whole graph (the walker consumes candidates in row order).
 
 Shard sets persist in the :func:`repro.core.checkpoint.write_checksummed`
 framing — one ``shardset.bin`` index (partition assignment + manifest) and
@@ -198,12 +197,6 @@ class GraphShard:
 
     def to_local(self, nodes: np.ndarray) -> np.ndarray:
         return _to_local(self.owned, self.halo, nodes)
-
-    def out_row(self, node: int) -> tuple[np.ndarray, np.ndarray]:
-        """Out-neighbours (global ids, parent row order) and weights."""
-        pos = self.owned_position(node)
-        window = slice(int(self.out_indptr[pos]), int(self.out_indptr[pos + 1]))
-        return self.global_ids[self.out_local[window]], self.out_weights[window]
 
     def save(self, path: str | os.PathLike) -> str:
         """Persist this shard in ``write_checksummed`` framing."""

@@ -1,8 +1,8 @@
 """Resumable random-walk state machine and the in-process shard host.
 
 Every sampler walks here, flat graphs included (as one whole-graph
-shard).  The serial oracle is
-:func:`repro.sampling.random_walk.random_walk_nodes`: one restart draw, one
+shard); this is the program's only random walk.  Its serial oracle is the
+scalar RWR loop in ``tests/oracles.py``: one restart draw, one
 chooser draw per step, candidates consumed in CSR row order ("out"/"in")
 or sorted-unique order ("both").  A :class:`WalkTask` carries exactly the
 state that loop holds between steps — current node, step count, visited
@@ -328,13 +328,14 @@ def _choose(
     candidates: np.ndarray,
     generator: np.random.Generator,
 ) -> int | None:
-    """Replay of uniform_chooser / make_frequency_chooser, draw-for-draw."""
+    """One neighbour choice: uniform (Algorithm 1) or Eq. 9-weighted
+    (Algorithm 3), draw-for-draw with the serial oracle's choosers."""
     if len(candidates) == 0:
         return None
     if params.kind == "uniform":
         index = int(generator.integers(0, len(candidates)))
         return int(candidates[index])
-    # adaptive_neighbor_probabilities, then generator.choice(len, p=...)
+    # Eq. 9's normalised probabilities, then generator.choice(len, p=...)
     # inlined without its per-call validation of p: the same weights, the
     # same cdf and the same one draw.
     weights = view.weight_of_count[view.snapshot[candidates]]
@@ -352,7 +353,7 @@ def advance_walk(walk: WalkTask, view: ShardView):
     Returns ``("done", nodes_or_None)`` when the walk terminates (success
     or exhausted walk budget) or ``("forward", dest_shard)`` when the
     current node belongs to another shard; the caller forwards the mutated
-    task there.  Mirrors ``random_walk_nodes`` step-for-step.
+    task there.  Mirrors the serial oracle's walk step-for-step.
     """
     params = view.params
     generator = walk.generator

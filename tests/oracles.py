@@ -28,11 +28,13 @@ the reference scatters.
 
 The samplers have their own serial oracle, :func:`serial_naive` and
 :func:`serial_dual_stage`: Algorithms 1 and 3 written directly over a
-:class:`Graph` — ``project_in_degree``, ``k_hop_nodes``,
-``random_walk_nodes`` with the uniform or Eq. 9 chooser, chunked cap
+:class:`Graph` — ``project_in_degree``, ``k_hop_nodes``, the scalar RWR
+:func:`random_walk_nodes` with the uniform or Eq. 9 chooser, chunked cap
 validation against a :class:`FrequencyVector`, and ``Graph.subgraph``
 induction.  The sampling engine (the shard coordinator, flat or sharded)
-must reproduce it bit for bit.
+must reproduce it bit for bit; :func:`coordinator_projection` exposes the
+engine's distributed θ-projection for comparison with
+``project_in_degree``.
 """
 
 from __future__ import annotations
@@ -40,17 +42,22 @@ from __future__ import annotations
 import dataclasses
 
 from types import SimpleNamespace
+from typing import Callable
 
 import numpy as np
 
 from repro.core.trainer import DPGNNTrainer, DPTrainingConfig
+from repro.errors import SamplingError
 from repro.gnn.models import build_gnn
 from repro.graphs.degree import project_in_degree
+from repro.graphs.graph import Graph
 from repro.graphs.neighborhoods import k_hop_nodes
 from repro.sampling import FrequencyVector, Subgraph, SubgraphContainer
-from repro.sampling.frequency import make_frequency_chooser
+from repro.sampling.frequency import adaptive_neighbor_weights
 from repro.sampling.parallel import SamplingStats
-from repro.sampling.random_walk import random_walk_nodes
+from repro.sharding import GraphShard, ShardSet
+from repro.sharding.coordinator import _distributed_projection
+from repro.sharding.walker import ShardView
 from repro.utils.rng import child_generator, derive_root_entropy, ensure_rng
 
 __all__ = [
@@ -62,9 +69,16 @@ __all__ = [
     "assert_outcomes_identical",
     "reference_segment_sum",
     "reference_segment_max",
+    "walk_neighbors",
+    "uniform_chooser",
+    "random_walk_nodes",
+    "adaptive_neighbor_probabilities",
+    "make_frequency_chooser",
+    "frequency_walk",
     "SerialSample",
     "serial_naive",
     "serial_dual_stage",
+    "coordinator_projection",
 ]
 
 
@@ -208,6 +222,159 @@ def reference_segment_max(values, segments, num_segments, *, fill=-np.inf,
 
 
 # --------------------------------------------------------------------------- #
+# scalar random walk with restart
+# --------------------------------------------------------------------------- #
+# Algorithm 1 and Algorithm 3's ``FreqSampling`` share one walk skeleton —
+# start at ``v0``, at each step restart to ``v0`` with probability τ,
+# otherwise move to a neighbour, collect unique visited nodes, succeed when
+# ``n`` distinct nodes are gathered within ``L`` steps — and differ only in
+# how the next neighbour is chosen.  :func:`random_walk_nodes` is that
+# skeleton, one step at a time over a :class:`Graph`; the chooser is a
+# callable.  The engine's resumable walker
+# (:func:`repro.sharding.walker.advance_walk`) must match it draw for draw.
+
+NeighborChooser = Callable[[int, np.ndarray, np.random.Generator], int | None]
+
+
+def walk_neighbors(graph: Graph, node: int, direction: str) -> np.ndarray:
+    """Neighbours reachable in one walk step from ``node``."""
+    if direction == "out":
+        return graph.out_neighbors(node)
+    if direction == "in":
+        return graph.in_neighbors(node)
+    if direction == "both":
+        merged = np.concatenate([graph.out_neighbors(node), graph.in_neighbors(node)])
+        return np.unique(merged)
+    raise SamplingError(f"direction must be 'out', 'in', or 'both', got {direction!r}")
+
+
+def uniform_chooser(
+    _current: int, candidates: np.ndarray, generator: np.random.Generator
+) -> int | None:
+    """Algorithm 1's neighbour rule: uniform over the candidate set."""
+    if len(candidates) == 0:
+        return None
+    return int(candidates[int(generator.integers(0, len(candidates)))])
+
+
+def random_walk_nodes(
+    graph: Graph,
+    start: int,
+    target_size: int,
+    *,
+    walk_length: int,
+    restart_probability: float,
+    rng: int | np.random.Generator | None = None,
+    allowed: set[int] | None = None,
+    chooser: NeighborChooser = uniform_chooser,
+    direction: str = "both",
+) -> list[int] | None:
+    """Collect ``target_size`` unique nodes by RWR, or ``None`` on failure.
+
+    ``allowed`` is an optional whitelist (Algorithm 1 passes the r-hop ball
+    ``N_r(v0)``); ``chooser`` picks the next node from the candidate
+    neighbours and returns ``None`` for "stuck", which forces a restart to
+    ``v0``.  Returns the visited node list (start first, insertion order)
+    when ``target_size`` nodes were gathered within ``walk_length`` steps —
+    Algorithm 1 only admits complete subgraphs.
+    """
+    if not 0 <= start < graph.num_nodes:
+        raise SamplingError(f"start node {start} out of range")
+    if target_size < 1:
+        raise SamplingError(f"target_size must be >= 1, got {target_size}")
+    if walk_length < 1:
+        raise SamplingError(f"walk_length must be >= 1, got {walk_length}")
+    if not 0.0 <= restart_probability < 1.0:
+        raise SamplingError(
+            f"restart_probability must be in [0, 1), got {restart_probability}"
+        )
+    generator = ensure_rng(rng)
+
+    visited: dict[int, None] = {start: None}  # ordered set
+    if target_size == 1:
+        return [start]
+    current = start
+    for _ in range(walk_length):
+        if generator.random() < restart_probability:
+            current = start
+        candidates = walk_neighbors(graph, current, direction)
+        if allowed is not None and len(candidates):
+            mask = np.fromiter(
+                (int(c) in allowed for c in candidates), dtype=bool, count=len(candidates)
+            )
+            candidates = candidates[mask]
+        next_node = chooser(current, candidates, generator)
+        if next_node is None:
+            # Dead end under the constraints: teleport home and try again.
+            current = start
+            continue
+        current = next_node
+        if next_node not in visited:
+            visited[next_node] = None
+            if len(visited) == target_size:
+                return list(visited)
+    return None
+
+
+def adaptive_neighbor_probabilities(
+    frequencies: np.ndarray, threshold: int, decay: float
+) -> np.ndarray:
+    """Eq. 9's weights ``e_v`` for a candidate set, normalised (sums to 1),
+    or an all-zero vector when every candidate is saturated."""
+    weights = adaptive_neighbor_weights(frequencies, threshold, decay)
+    total = weights.sum()
+    if total <= 0:
+        return np.zeros_like(weights)
+    return weights / total
+
+
+def make_frequency_chooser(frequency, decay: float) -> NeighborChooser:
+    """A :func:`random_walk_nodes` chooser implementing Eq. 9 against
+    ``frequency.counts`` and ``frequency.threshold``."""
+
+    def chooser(
+        _current: int, candidates: np.ndarray, generator: np.random.Generator
+    ) -> int | None:
+        if len(candidates) == 0:
+            return None
+        probabilities = adaptive_neighbor_probabilities(
+            frequency.counts[candidates], frequency.threshold, decay
+        )
+        if probabilities.sum() <= 0:
+            return None
+        choice = generator.choice(len(candidates), p=probabilities)
+        return int(candidates[int(choice)])
+
+    return chooser
+
+
+def frequency_walk(
+    graph: Graph,
+    frequency: FrequencyVector,
+    start: int,
+    target_size: int,
+    *,
+    walk_length: int,
+    restart_probability: float,
+    decay: float,
+    rng: int | np.random.Generator | None = None,
+    direction: str = "both",
+) -> list[int] | None:
+    """One Eq. 9-weighted RWR with no r-hop whitelist; the node list or
+    ``None``."""
+    return random_walk_nodes(
+        graph,
+        start,
+        target_size,
+        walk_length=walk_length,
+        restart_probability=restart_probability,
+        rng=rng,
+        chooser=make_frequency_chooser(frequency, decay),
+        direction=direction,
+    )
+
+
+# --------------------------------------------------------------------------- #
 # serial sampling oracle
 # --------------------------------------------------------------------------- #
 @dataclasses.dataclass
@@ -312,3 +479,35 @@ def serial_dual_stage(graph, config, rng) -> SerialSample:
     return SerialSample(
         container, stats, frequency=frequency, stage1_count=stage1, stage2_count=stage2
     )
+
+
+def coordinator_projection(shard_set: ShardSet, theta: int, rng) -> Graph:
+    """The θ-projected graph the naive sampler's engine walks on.
+
+    Runs the coordinator's distributed projection — the first consumer of
+    the master generator, as in :func:`serial_naive` — on fresh shard
+    views, and reassembles the per-shard projected rows into one graph.
+    """
+    views = [ShardView(shard) for shard in shard_set.shards]
+    _distributed_projection(views, shard_set, theta, ensure_rng(rng))
+    shards = [
+        GraphShard(
+            base.shard_id,
+            base.num_shards,
+            base.num_global_nodes,
+            base.directed,
+            base.owned,
+            base.halo,
+            base.halo_owner,
+            *view.projection,
+        )
+        for base, view in zip(shard_set.shards, views)
+    ]
+    return ShardSet(
+        shards=shards,
+        assignment=shard_set.assignment,
+        num_nodes=shard_set.num_nodes,
+        num_arcs=sum(len(shard.out_local) for shard in shards),
+        directed=shard_set.directed,
+        method=shard_set.method,
+    ).reassemble()

@@ -51,6 +51,16 @@ class TestEGN:
         assert result.sigma == 0.0
         assert result.epsilon == float("inf")
 
+    def test_artifact_publishes_clip_bound(self, graph):
+        """The trainer clips at C with σ > 0, so the provenance must say
+        so; ``None`` would read as non-private."""
+        result = EGNPipeline(self.fast_config(clip_bound=0.7)).fit(graph)
+        privacy = result.build_artifact().privacy
+        assert privacy.sigma > 0
+        assert privacy.clip_bound == 0.7
+        nonprivate = EGNPipeline(self.fast_config(epsilon=None)).fit(graph)
+        assert nonprivate.build_artifact().privacy.clip_bound is None
+
     def test_select_before_fit(self, graph):
         with pytest.raises(TrainingError):
             EGNPipeline(self.fast_config()).select_seeds(graph, 3)
@@ -91,6 +101,14 @@ class TestHP:
         pipeline = HPPipeline(self.fast_config(theta=5, accounting_hops=2))
         result = pipeline.fit(graph)
         assert result.max_occurrences == 1 + 5 + 25
+
+    def test_artifact_publishes_clip_bound(self, graph):
+        result = HPPipeline(self.fast_config(clip_bound=0.7)).fit(graph)
+        privacy = result.build_artifact().privacy
+        assert privacy.sigma > 0
+        assert privacy.clip_bound == 0.7
+        nonprivate = HPPipeline(self.fast_config(epsilon=None)).fit(graph)
+        assert nonprivate.build_artifact().privacy.clip_bound is None
 
     def test_method_names(self):
         assert HPPipeline(HPConfig(model="gcn")).method_name == "HP"

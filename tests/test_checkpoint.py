@@ -24,7 +24,7 @@ from repro.errors import TrainingError
 from repro.gnn.models import build_gnn
 from repro.graphs.generators import powerlaw_cluster_graph
 from repro.nn.schedulers import StepDecayLR
-from repro.sampling.dual_stage import DualStageSamplingConfig, extract_subgraphs_dual_stage
+from repro.sampling import DualStageSamplingConfig, sample_dual_stage
 
 
 @pytest.fixture(scope="module")
@@ -33,7 +33,7 @@ def container():
     config = DualStageSamplingConfig(
         subgraph_size=10, threshold=4, sampling_rate=0.8, walk_length=300
     )
-    return extract_subgraphs_dual_stage(graph, config, rng=4).container
+    return sample_dual_stage(graph, config, rng=4).container
 
 
 @pytest.fixture(scope="module")

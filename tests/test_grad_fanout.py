@@ -29,7 +29,7 @@ from repro.core.trainer import DPGNNTrainer, DPTrainingConfig
 from repro.errors import TrainingError
 from repro.gnn.models import build_gnn
 from repro.graphs.generators import powerlaw_cluster_graph
-from repro.sampling.dual_stage import DualStageSamplingConfig, extract_subgraphs_dual_stage
+from repro.sampling import DualStageSamplingConfig, sample_dual_stage
 
 
 @pytest.fixture(scope="module")
@@ -38,7 +38,7 @@ def container():
     config = DualStageSamplingConfig(
         subgraph_size=10, threshold=4, sampling_rate=0.8, walk_length=300
     )
-    return extract_subgraphs_dual_stage(graph, config, rng=4).container
+    return sample_dual_stage(graph, config, rng=4).container
 
 
 def make_model(kind="gcn"):
@@ -218,7 +218,7 @@ class TestComputePlanCache:
         cache = ComputePlanCache(container)
         assert cache.matches(container)
         graph = powerlaw_cluster_graph(60, 2, 0.2, rng=9)
-        other = extract_subgraphs_dual_stage(
+        other = sample_dual_stage(
             graph,
             DualStageSamplingConfig(
                 subgraph_size=8, threshold=3, sampling_rate=0.8, walk_length=100

@@ -125,11 +125,11 @@ class TestShardSetReassembly:
         shard = load_shard(tmp_path / "shard-00001.bin")
         original = shard_set.shards[1]
         np.testing.assert_array_equal(shard.owned, original.owned)
-        for node in original.owned[:5]:
-            row, weights = shard.out_row(int(node))
-            ref_row, ref_weights = original.out_row(int(node))
-            np.testing.assert_array_equal(row, ref_row)
-            np.testing.assert_array_equal(weights, ref_weights)
+        for name in ("global_ids", "out_indptr", "out_local", "out_weights",
+                     "in_indptr", "in_local", "in_weights"):
+            np.testing.assert_array_equal(
+                getattr(shard, name), getattr(original, name)
+            )
 
     def test_corrupt_shard_file_rejected(self, tmp_path):
         graph = erdos_renyi_graph(50, 0.1, rng=1)

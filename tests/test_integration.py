@@ -132,12 +132,9 @@ class TestFailureInjection:
         train, test, _ = setting
         from repro.core.trainer import DPGNNTrainer, DPTrainingConfig
         from repro.gnn.models import build_gnn
-        from repro.sampling.dual_stage import (
-            DualStageSamplingConfig,
-            extract_subgraphs_dual_stage,
-        )
+        from repro.sampling import DualStageSamplingConfig, sample_dual_stage
 
-        container = extract_subgraphs_dual_stage(
+        container = sample_dual_stage(
             train,
             DualStageSamplingConfig(subgraph_size=10, threshold=4, sampling_rate=0.8),
             rng=0,
@@ -151,16 +148,13 @@ class TestFailureInjection:
     def test_disconnected_graph_handled(self):
         """Graphs with isolated components still produce subgraphs."""
         from repro.graphs.graph import Graph
-        from repro.sampling.dual_stage import (
-            DualStageSamplingConfig,
-            extract_subgraphs_dual_stage,
-        )
+        from repro.sampling import DualStageSamplingConfig, sample_dual_stage
 
         # Two disjoint cliques of 20 nodes.
         edges = [(u, v) for u in range(20) for v in range(u + 1, 20)]
         edges += [(u + 20, v + 20) for u, v in edges]
         graph = Graph(40, edges, directed=False)
-        result = extract_subgraphs_dual_stage(
+        result = sample_dual_stage(
             graph,
             DualStageSamplingConfig(subgraph_size=5, threshold=3, sampling_rate=1.0),
             rng=0,
@@ -169,13 +163,13 @@ class TestFailureInjection:
 
     def test_single_node_components_do_not_crash(self):
         from repro.graphs.graph import Graph
-        from repro.sampling.naive import NaiveSamplingConfig, extract_subgraphs_naive
+        from repro.sampling import NaiveSamplingConfig, sample_naive
 
         graph = Graph(30, [(0, 1), (1, 2)])
-        container, _ = extract_subgraphs_naive(
+        container = sample_naive(
             graph,
             NaiveSamplingConfig(subgraph_size=3, sampling_rate=1.0, walk_length=50),
             rng=0,
-        )
+        ).container
         # Only the chain can yield 3-node subgraphs; isolated nodes cannot.
         assert all(sub.num_nodes == 3 for sub in container)

@@ -112,13 +112,10 @@ class TestSchedulers:
         from repro.core.trainer import DPGNNTrainer, DPTrainingConfig
         from repro.gnn.models import build_gnn
         from repro.graphs.generators import powerlaw_cluster_graph
-        from repro.sampling.dual_stage import (
-            DualStageSamplingConfig,
-            extract_subgraphs_dual_stage,
-        )
+        from repro.sampling import DualStageSamplingConfig, sample_dual_stage
 
         graph = powerlaw_cluster_graph(100, 3, 0.3, rng=0)
-        container = extract_subgraphs_dual_stage(
+        container = sample_dual_stage(
             graph,
             DualStageSamplingConfig(subgraph_size=8, threshold=4, sampling_rate=0.8),
             rng=0,

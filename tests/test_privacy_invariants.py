@@ -14,11 +14,12 @@ from hypothesis import given, settings, strategies as st
 from repro.dp.accountant import PrivacyAccountant, calibrate_sigma
 from repro.dp.sensitivity import max_occurrences_dual_stage, max_occurrences_naive
 from repro.graphs.graph import Graph
-from repro.sampling.dual_stage import (
+from repro.sampling import (
     DualStageSamplingConfig,
-    extract_subgraphs_dual_stage,
+    NaiveSamplingConfig,
+    sample_dual_stage,
+    sample_naive,
 )
-from repro.sampling.naive import NaiveSamplingConfig, extract_subgraphs_naive
 from repro.sharding import (
     build_shard_set,
     sample_dual_stage_sharded,
@@ -63,18 +64,16 @@ class TestNaiveOccurrenceBound:
             chunk_size=8,
         )
         if num_shards == 1:
-            container, projected = extract_subgraphs_naive(graph, config, rng=seed)
+            container = sample_naive(graph, config, rng=seed).container
         else:
-            run = sample_naive_sharded(
-                build_shard_set(graph, num_shards, rng=seed),
-                config,
-                rng=seed,
-                return_projection=True,
-            )
-            container, projected = run.container, run.reassemble_projected()
+            container = sample_naive_sharded(
+                build_shard_set(graph, num_shards, rng=seed), config, rng=seed
+            ).container
         bound = max_occurrences_naive(theta, hops)
         assert container.max_occurrence(graph.num_nodes) <= bound
-        assert projected.in_degrees().max(initial=0) <= theta
+        # Subgraphs are induced on the θ-projected rows.
+        for subgraph in container:
+            assert subgraph.graph.in_degrees().max(initial=0) <= theta
 
 
 class TestDualStageOccurrenceBound:
@@ -101,7 +100,7 @@ class TestDualStageOccurrenceBound:
             chunk_size=chunk_size,
         )
         if num_shards == 1:
-            result = extract_subgraphs_dual_stage(graph, config, rng=seed)
+            result = sample_dual_stage(graph, config, rng=seed)
         else:
             result = sample_dual_stage_sharded(
                 build_shard_set(graph, num_shards, rng=seed), config, rng=seed
@@ -130,7 +129,7 @@ class TestDualStageOccurrenceBound:
             walk_length=80,
             chunk_size=64,  # large chunks -> maximally stale snapshots
         )
-        result = extract_subgraphs_dual_stage(graph, config, rng=seed)
+        result = sample_dual_stage(graph, config, rng=seed)
         stats = result.stats
         assert stats.subgraphs_emitted == len(result.container)
         assert result.container.max_occurrence(graph.num_nodes) <= threshold

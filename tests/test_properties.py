@@ -15,10 +15,7 @@ from repro.dp.clipping import clip_to_norm
 from repro.graphs.graph import Graph
 from repro.im.spread import coverage_spread
 from repro.nn.tensor import Tensor
-from repro.sampling.dual_stage import (
-    DualStageSamplingConfig,
-    extract_subgraphs_dual_stage,
-)
+from repro.sampling import DualStageSamplingConfig, sample_dual_stage
 from repro.utils.tables import format_table
 
 
@@ -66,7 +63,7 @@ class TestSamplingProperties:
             sampling_rate=1.0,
             walk_length=150,
         )
-        result = extract_subgraphs_dual_stage(graph, config, rng=seed)
+        result = sample_dual_stage(graph, config, rng=seed)
         assert result.container.max_occurrence(graph.num_nodes) <= threshold
 
     @settings(max_examples=15, deadline=None)
@@ -191,7 +188,7 @@ class TestNaiveSamplingProperties:
     )
     def test_lemma1_bound_always_holds(self, seed, theta, hops):
         from repro.dp.sensitivity import max_occurrences_naive
-        from repro.sampling.naive import NaiveSamplingConfig, extract_subgraphs_naive
+        from repro.sampling import NaiveSamplingConfig, sample_naive
 
         graph = random_graph(seed, 80, 240)
         config = NaiveSamplingConfig(
@@ -201,7 +198,7 @@ class TestNaiveSamplingProperties:
             sampling_rate=1.0,
             walk_length=120,
         )
-        container, _ = extract_subgraphs_naive(graph, config, rng=seed)
+        container = sample_naive(graph, config, rng=seed).container
         bound = max_occurrences_naive(theta, hops)
         assert container.max_occurrence(graph.num_nodes) <= bound
 

@@ -10,19 +10,21 @@ from repro.sampling.container import (
     SubgraphSource,
     accumulate_occurrence_counts,
 )
-from repro.sampling.dual_stage import (
+from repro.sampling import (
     DualStageSamplingConfig,
-    extract_subgraphs_dual_stage,
-)
-from repro.sampling.frequency import (
     FrequencyVector,
+    NaiveSamplingConfig,
+    sample_dual_stage,
+    sample_naive,
+    sample_random_sets,
+)
+from repro.graphs.graph import Graph
+from tests.oracles import (
     adaptive_neighbor_probabilities,
     frequency_walk,
+    random_walk_nodes,
+    walk_neighbors,
 )
-from repro.sampling.naive import NaiveSamplingConfig, extract_subgraphs_naive
-from repro.sampling.random_sets import extract_subgraphs_random
-from repro.sampling.random_walk import random_walk_nodes, walk_neighbors
-from repro.graphs.graph import Graph
 
 
 class TestContainer:
@@ -220,14 +222,17 @@ class TestNaiveSampling:
         config = NaiveSamplingConfig(
             theta=10, subgraph_size=12, hops=3, sampling_rate=0.5, walk_length=300
         )
-        container, _ = extract_subgraphs_naive(clustered_graph, config, rng=0)
+        container = sample_naive(clustered_graph, config, rng=0).container
         assert len(container) > 0
         assert all(sub.num_nodes == 12 for sub in container)
 
-    def test_projected_graph_bounded(self, clustered_graph):
+    def test_subgraph_in_degrees_bounded(self, clustered_graph):
+        """Subgraphs are induced on the θ-projected rows, so none has a
+        node with more than θ in-arcs."""
         config = NaiveSamplingConfig(theta=4, subgraph_size=8, sampling_rate=0.3)
-        _, projected = extract_subgraphs_naive(clustered_graph, config, rng=0)
-        assert projected.in_degrees().max() <= 4
+        container = sample_naive(clustered_graph, config, rng=0).container
+        assert len(container) > 0
+        assert all(sub.graph.in_degrees().max() <= 4 for sub in container)
 
     def test_occurrences_bounded_by_lemma1(self, clustered_graph):
         from repro.dp.sensitivity import max_occurrences_naive
@@ -235,19 +240,19 @@ class TestNaiveSampling:
         config = NaiveSamplingConfig(
             theta=5, subgraph_size=10, hops=2, sampling_rate=1.0, walk_length=300
         )
-        container, _ = extract_subgraphs_naive(clustered_graph, config, rng=0)
+        container = sample_naive(clustered_graph, config, rng=0).container
         bound = max_occurrences_naive(5, 2)
         assert container.max_occurrence(clustered_graph.num_nodes) <= bound
 
     def test_zero_rate_yields_nothing(self, clustered_graph):
         config = NaiveSamplingConfig(sampling_rate=1e-9, subgraph_size=5)
-        container, _ = extract_subgraphs_naive(clustered_graph, config, rng=0)
+        container = sample_naive(clustered_graph, config, rng=0).container
         assert len(container) == 0
 
     def test_deterministic(self, clustered_graph):
         config = NaiveSamplingConfig(subgraph_size=8, sampling_rate=0.3)
-        first, _ = extract_subgraphs_naive(clustered_graph, config, rng=5)
-        second, _ = extract_subgraphs_naive(clustered_graph, config, rng=5)
+        first = sample_naive(clustered_graph, config, rng=5).container
+        second = sample_naive(clustered_graph, config, rng=5).container
         assert len(first) == len(second)
         for a, b in zip(first, second):
             assert np.array_equal(a.node_map, b.node_map)
@@ -259,6 +264,8 @@ class TestNaiveSampling:
             NaiveSamplingConfig(sampling_rate=0.0).validate()
         with pytest.raises(SamplingError):
             NaiveSamplingConfig(restart_probability=1.0).validate()
+        with pytest.raises(SamplingError, match="direction"):
+            NaiveSamplingConfig(direction="backwards").validate()
 
 
 class TestFrequencyMachinery:
@@ -335,7 +342,7 @@ class TestDualStage:
         config = DualStageSamplingConfig(
             subgraph_size=10, threshold=3, sampling_rate=1.0, walk_length=300
         )
-        result = extract_subgraphs_dual_stage(clustered_graph, config, rng=0)
+        result = sample_dual_stage(clustered_graph, config, rng=0)
         assert result.container.max_occurrence(clustered_graph.num_nodes) <= 3
         assert result.frequency.max_frequency() <= 3
 
@@ -343,7 +350,7 @@ class TestDualStage:
         config = DualStageSamplingConfig(
             subgraph_size=10, threshold=4, sampling_rate=0.8, walk_length=300
         )
-        result = extract_subgraphs_dual_stage(clustered_graph, config, rng=1)
+        result = sample_dual_stage(clustered_graph, config, rng=1)
         counts = result.container.occurrence_counts(clustered_graph.num_nodes)
         np.testing.assert_array_equal(counts, result.frequency.counts)
 
@@ -355,7 +362,7 @@ class TestDualStage:
             walk_length=300,
             boundary_divisor=3,
         )
-        result = extract_subgraphs_dual_stage(clustered_graph, config, rng=0)
+        result = sample_dual_stage(clustered_graph, config, rng=0)
         if result.stage2_count:
             stage2 = list(result.container)[result.stage1_count :]
             assert all(sub.num_nodes == config.boundary_subgraph_size for sub in stage2)
@@ -364,7 +371,7 @@ class TestDualStage:
         config = DualStageSamplingConfig(
             subgraph_size=10, threshold=3, sampling_rate=0.8, include_boundary=False
         )
-        result = extract_subgraphs_dual_stage(clustered_graph, config, rng=0)
+        result = sample_dual_stage(clustered_graph, config, rng=0)
         assert result.stage2_count == 0
         assert len(result.container) == result.stage1_count
 
@@ -372,7 +379,7 @@ class TestDualStage:
         base = DualStageSamplingConfig(
             subgraph_size=10, threshold=2, sampling_rate=1.0, walk_length=300
         )
-        with_bes = extract_subgraphs_dual_stage(clustered_graph, base, rng=3)
+        with_bes = sample_dual_stage(clustered_graph, base, rng=3)
         scs_only = DualStageSamplingConfig(
             subgraph_size=10,
             threshold=2,
@@ -380,7 +387,7 @@ class TestDualStage:
             walk_length=300,
             include_boundary=False,
         )
-        without = extract_subgraphs_dual_stage(clustered_graph, scs_only, rng=3)
+        without = sample_dual_stage(clustered_graph, scs_only, rng=3)
         assert len(with_bes.container) >= len(without.container)
 
     def test_config_validation(self):
@@ -390,6 +397,8 @@ class TestDualStage:
             DualStageSamplingConfig(boundary_divisor=0).validate()
         with pytest.raises(SamplingError):
             DualStageSamplingConfig(decay=-0.5).validate()
+        with pytest.raises(SamplingError, match="direction"):
+            DualStageSamplingConfig(direction="backwards").validate()
 
     def test_boundary_subgraph_size_floor(self):
         config = DualStageSamplingConfig(subgraph_size=3, boundary_divisor=10)
@@ -398,22 +407,22 @@ class TestDualStage:
 
 class TestRandomSets:
     def test_count_and_size(self, clustered_graph):
-        container = extract_subgraphs_random(clustered_graph, 15, 10, rng=0)
+        container = sample_random_sets(clustered_graph, 15, 10, rng=0)
         assert len(container) == 10
         assert all(sub.num_nodes == 15 for sub in container)
 
     def test_nodes_are_distinct_within_subgraph(self, clustered_graph):
-        container = extract_subgraphs_random(clustered_graph, 15, 5, rng=0)
+        container = sample_random_sets(clustered_graph, 15, 5, rng=0)
         for sub in container:
             assert len(np.unique(sub.node_map)) == 15
 
     def test_validation(self, clustered_graph):
         with pytest.raises(SamplingError):
-            extract_subgraphs_random(clustered_graph, 0, 5)
+            sample_random_sets(clustered_graph, 0, 5)
         with pytest.raises(SamplingError):
-            extract_subgraphs_random(clustered_graph, 10_000, 5)
+            sample_random_sets(clustered_graph, 10_000, 5)
         with pytest.raises(SamplingError):
-            extract_subgraphs_random(clustered_graph, 5, -1)
+            sample_random_sets(clustered_graph, 5, -1)
 
 
 class TestDiagnostics:
@@ -423,7 +432,7 @@ class TestDiagnostics:
         config = DualStageSamplingConfig(
             subgraph_size=10, threshold=4, sampling_rate=0.8, walk_length=300
         )
-        result = extract_subgraphs_dual_stage(clustered_graph, config, rng=0)
+        result = sample_dual_stage(clustered_graph, config, rng=0)
         diagnostics = diagnose_container(
             result.container, clustered_graph.num_nodes, occurrence_bound=4
         )
@@ -442,7 +451,7 @@ class TestDiagnostics:
         with pytest.raises(SamplingError):
             diagnose_container(SubgraphContainer(), 10)
         config = DualStageSamplingConfig(subgraph_size=5, sampling_rate=0.5)
-        result = extract_subgraphs_dual_stage(clustered_graph, config, rng=0)
+        result = sample_dual_stage(clustered_graph, config, rng=0)
         with pytest.raises(SamplingError):
             diagnose_container(result.container, 0)
         with pytest.raises(SamplingError):

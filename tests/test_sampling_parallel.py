@@ -13,12 +13,9 @@ import pytest
 
 from repro.errors import SamplingError
 from repro.graphs.graph import Graph
-from repro.sampling.dual_stage import (
+from repro.sampling import (
     DualStageSamplingConfig,
-    extract_subgraphs_dual_stage,
-)
-from repro.sampling.naive import NaiveSamplingConfig, extract_subgraphs_naive
-from repro.sampling.parallel import (
+    NaiveSamplingConfig,
     SamplingStats,
     sample_dual_stage,
     sample_naive,
@@ -64,11 +61,8 @@ class TestNaiveEquivalence:
     def test_bit_identical_across_shard_counts(
         self, clustered_graph, reference, num_shards
     ):
-        container, projected = extract_subgraphs_naive(
-            clustered_graph, self.CONFIG, rng=7
-        )
-        assert_containers_identical(container, reference.container)
-        assert projected == reference.projected
+        flat = sample_naive(clustered_graph, self.CONFIG, rng=7)
+        assert_containers_identical(flat.container, reference.container)
         run = sample_naive_sharded(
             shards_for(clustered_graph, num_shards), self.CONFIG, rng=7
         )
@@ -104,7 +98,7 @@ class TestDualStageEquivalence:
     def test_bit_identical_across_shard_counts(
         self, clustered_graph, reference, num_shards
     ):
-        flat = extract_subgraphs_dual_stage(clustered_graph, self.CONFIG, rng=7)
+        flat = sample_dual_stage(clustered_graph, self.CONFIG, rng=7)
         sharded = sample_dual_stage_sharded(
             shards_for(clustered_graph, num_shards), self.CONFIG, rng=7
         )
@@ -136,7 +130,7 @@ class TestDualStageEquivalence:
         small = DualStageSamplingConfig(
             subgraph_size=10, threshold=3, sampling_rate=1.0, chunk_size=1
         )
-        result = extract_subgraphs_dual_stage(clustered_graph, small, rng=7)
+        result = sample_dual_stage(clustered_graph, small, rng=7)
         # chunk_size=1 refreshes the snapshot before every walk, so no
         # proposal can ever be stale enough to get cap-rejected.
         assert result.stats.walks_rejected == 0
@@ -146,9 +140,8 @@ class TestEdgeCases:
     @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
     def test_empty_graph(self, num_shards):
         graph = Graph(0, [])
-        container, _ = extract_subgraphs_naive(graph, NaiveSamplingConfig(), rng=0)
-        assert len(container) == 0
-        result = extract_subgraphs_dual_stage(graph, DualStageSamplingConfig(), rng=0)
+        assert len(sample_naive(graph, NaiveSamplingConfig(), rng=0).container) == 0
+        result = sample_dual_stage(graph, DualStageSamplingConfig(), rng=0)
         assert len(result.container) == 0
         shard_set = shards_for(graph, num_shards)
         naive = sample_naive_sharded(shard_set, NaiveSamplingConfig(), rng=0)
@@ -161,16 +154,16 @@ class TestEdgeCases:
         graph = Graph(1, [])
         shard_set = shards_for(graph, num_shards)
         naive = NaiveSamplingConfig(subgraph_size=1, sampling_rate=1.0)
-        container, _ = extract_subgraphs_naive(graph, naive, rng=0)
+        flat = sample_naive(graph, naive, rng=0)
         sharded = sample_naive_sharded(shard_set, naive, rng=0)
-        for pool in (container, sharded.container):
+        for pool in (flat.container, sharded.container):
             assert len(pool) == 1
             assert pool[0].node_map.tolist() == [0]
 
         dual = DualStageSamplingConfig(subgraph_size=1, sampling_rate=1.0)
         reference = serial_dual_stage(graph, dual, rng=0)
         for result in (
-            extract_subgraphs_dual_stage(graph, dual, rng=0),
+            sample_dual_stage(graph, dual, rng=0),
             sample_dual_stage_sharded(shard_set, dual, rng=0),
         ):
             assert result.container.max_occurrence(1) <= dual.threshold

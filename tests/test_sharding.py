@@ -14,6 +14,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.errors import SamplingError
+from repro.graphs.degree import project_in_degree
 from repro.graphs.generators import erdos_renyi_graph, powerlaw_cluster_graph
 from repro.sampling.dual_stage import DualStageSamplingConfig
 from repro.sampling.naive import NaiveSamplingConfig
@@ -26,7 +28,7 @@ from repro.sharding import (
     sample_naive_sharded,
     whole_graph_shard_set,
 )
-from tests.oracles import serial_dual_stage, serial_naive
+from tests.oracles import coordinator_projection, serial_dual_stage, serial_naive
 
 SHARD_COUNTS = [1, 2, 4]
 
@@ -164,10 +166,8 @@ class TestNaiveSharded:
         projection: reassembling the projected shards reproduces the
         serial projected graph."""
         shard_set = build_shard_set(graph, 3, rng=1)
-        run = sample_naive_sharded(
-            shard_set, NAIVE_CONFIG, rng=13, return_projection=True
-        )
-        assert run.reassemble_projected() == reference.projected
+        projected = coordinator_projection(shard_set, NAIVE_CONFIG.theta, 13)
+        assert projected == reference.projected
 
 
 GRID = [
@@ -180,13 +180,13 @@ GRID = [
     )
     for directed in (False, True)
     for boundary in (True, False)
-    for direction in ("out", "both")
+    for direction in ("out", "in", "both")
 ]
 
 
 class TestOracleGrid:
     """Flat, 2-shard and 4-shard runs match the serial oracle on directed
-    and undirected graphs, with and without BES, walking out or both
+    and undirected graphs, with and without BES, walking out, in or both
     ways."""
 
     @staticmethod
@@ -220,7 +220,7 @@ class TestOracleGrid:
             assert run.stats.walks_rejected == reference.stats.walks_rejected
 
     @pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
-    @pytest.mark.parametrize("direction", ["out", "both"])
+    @pytest.mark.parametrize("direction", ["out", "in", "both"])
     def test_naive_matches_oracle(self, directed, direction):
         graph = self.grid_graph(directed)
         config = NaiveSamplingConfig(
@@ -233,7 +233,9 @@ class TestOracleGrid:
         reference = serial_naive(graph, config, rng=9)
         assert len(reference.container) > 0
         flat = sample_naive(graph, config, rng=9)
-        assert flat.projected == reference.projected
+        assert coordinator_projection(
+            whole_graph_shard_set(graph), config.theta, 9
+        ) == project_in_degree(graph, config.theta, 9)
         sharded = [
             sample_naive_sharded(
                 build_shard_set(graph, num_shards, rng=1), config, rng=9
@@ -243,6 +245,20 @@ class TestOracleGrid:
         for run in [flat] + sharded:
             assert_containers_identical(run.container, reference.container)
             assert run.stats.starts_skipped == reference.stats.starts_skipped
+
+    @pytest.mark.parametrize(
+        "sampler, config",
+        [
+            (sample_naive, NaiveSamplingConfig(direction="backwards")),
+            (sample_dual_stage, DualStageSamplingConfig(direction="backwards")),
+        ],
+        ids=["naive", "dual_stage"],
+    )
+    def test_unknown_direction_rejected(self, graph, sampler, config):
+        """A direction outside out/in/both raises instead of silently
+        walking the in-rows."""
+        with pytest.raises(SamplingError, match="direction"):
+            sampler(graph, config, rng=0)
 
 
 class TestWholeGraphShard:
