@@ -31,7 +31,7 @@ from repro.obs import Observability, ensure_obs
 from repro.dp.accountant import PrivacyAccountant
 from repro.dp.mechanisms import gaussian_noise
 from repro.dp.sensitivity import node_level_sensitivity
-from repro.errors import TrainingError
+from repro.errors import PrivacyError, TrainingError
 from repro.gnn.models import GNN
 from repro.nn.optim import SGD
 from repro.sampling.container import Subgraph, SubgraphContainer, SubgraphSource
@@ -213,6 +213,9 @@ class DPGNNTrainer:
         # Diagnostics of the most recent train_step (observability only).
         self._last_clip_fraction = 0.0
         self._last_noise_norm = 0.0
+        # Every distinct noise scale σ·Δ_g handed to noise_fn; train()
+        # checks it against σ·C·N_g.
+        self._noise_scales: set[float] = set()
         # Resumable progress: completed iterations and their records.  A
         # restored checkpoint overwrites both, so train() continues exactly
         # where the interrupted run stopped.
@@ -304,6 +307,7 @@ class DPGNNTrainer:
             sensitivity = node_level_sensitivity(
                 self.config.clip_bound, self.config.max_occurrences
             )
+            self._noise_scales.add(self.config.sigma * sensitivity)
             noise = self.noise_fn(
                 sensitivity, self.config.sigma, gradient_sum.shape, self._noise_rng
             )
@@ -329,7 +333,9 @@ class DPGNNTrainer:
         per-iteration losses, accountant ε) to one that was never
         interrupted.  When ``config.checkpoint_every`` is set, a
         crash-safe checkpoint is written every that many iterations and
-        after the final one.
+        after the final one.  A private run ends with
+        :meth:`check_privacy`, which raises :class:`PrivacyError` if the
+        accounted ε no longer describes what was released.
 
         Args:
             scheduler: optional :class:`repro.nn.schedulers.LRScheduler`
@@ -364,11 +370,70 @@ class DPGNNTrainer:
                     or self._iteration == config.iterations
                 ):
                     self.save_checkpoint(scheduler=scheduler)
+            self.check_privacy()
         finally:
             # Release the gradient pool between runs; a later train() or
             # train_step() call simply recreates it.
             self.close()
         return self.history
+
+    def check_privacy(self) -> None:
+        """Check the invariants the accounted ε rests on (private runs only).
+
+        * the accountant recorded one step per completed iteration;
+        * its (σ, B, m, N_g) are the configured σ, batch size, pool size
+          and occurrence bound;
+        * every noise scale handed to ``noise_fn`` was σ·C·N_g;
+        * an attached ledger's final ε equals ``accountant.epsilon(δ)``
+          bit for bit (one ε evaluation, only when a ledger is attached).
+
+        On a mismatch, emits one ``privacy_error`` event and raises
+        :class:`PrivacyError`.
+        """
+        accountant = self.accountant
+        if accountant is None:
+            return
+        config = self.config
+        problems = []
+        if accountant.steps != self._iteration:
+            problems.append(
+                f"accountant recorded {accountant.steps} steps for "
+                f"{self._iteration} completed iterations"
+            )
+        accounted = (
+            accountant.sigma,
+            accountant.batch_size,
+            accountant.num_subgraphs,
+            accountant.max_occurrences,
+        )
+        configured = (
+            config.sigma, config.batch_size, self._pool_size, config.max_occurrences
+        )
+        if accounted != configured:
+            problems.append(
+                f"accountant (sigma, B, m, N_g) = {accounted}, "
+                f"training ran with {configured}"
+            )
+        scale = config.sigma * (float(config.clip_bound) * float(config.max_occurrences))
+        wrong_scales = sorted(value for value in self._noise_scales if value != scale)
+        if wrong_scales:
+            problems.append(
+                f"noise scales {wrong_scales} were handed to the mechanism, "
+                f"not sigma*C*N_g = {scale}"
+            )
+        ledger = accountant.ledger
+        if ledger is not None and ledger.events:
+            spent = accountant.epsilon(ledger.delta)
+            if ledger.final_epsilon != spent:
+                problems.append(
+                    f"ledger epsilon {ledger.final_epsilon} differs from the "
+                    f"accountant's {spent} at delta={ledger.delta}"
+                )
+        if problems:
+            self.obs.event(
+                "privacy_error", iteration=self._iteration, problems=problems
+            )
+            raise PrivacyError("run-time privacy check failed: " + "; ".join(problems))
 
     # ------------------------------------------------------------------ #
     # Checkpoint / resume

@@ -12,11 +12,12 @@ from repro.dp.sensitivity import (
     max_occurrences_naive,
     node_level_sensitivity,
 )
-from repro.dp.rdp import gaussian_rdp, rdp_to_dp, DEFAULT_ALPHAS
+from repro.dp.rdp import best_epsilon, gaussian_rdp, rdp_to_dp, rdp_to_dp_curve, DEFAULT_ALPHAS
 from repro.dp.accountant import (
     PrivacyAccountant,
     calibrate_sigma,
     poisson_subsampled_gaussian_rdp,
+    privim_rdp_curve,
     privim_step_rdp,
 )
 from repro.dp.input_perturbation import (
@@ -43,7 +44,10 @@ __all__ = [
     "edge_level_sensitivity",
     "gaussian_rdp",
     "rdp_to_dp",
+    "rdp_to_dp_curve",
+    "best_epsilon",
     "DEFAULT_ALPHAS",
+    "privim_rdp_curve",
     "privim_step_rdp",
     "poisson_subsampled_gaussian_rdp",
     "PrivacyAccountant",

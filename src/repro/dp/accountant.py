@@ -9,7 +9,10 @@ Gaussian divergence is mixed over that distribution (Theorem 3):
 ``γ(α) = 1/(α−1) · log Σ_{i=0..N_g} ρ_i · exp(α(α−1) i² / (2 N_g² σ²))``
 
 with ``ρ_i = C(B, i) (N_g/m)^i (1 − N_g/m)^{B−i}``.  All sums are computed
-in log space so large batches and orders stay stable.
+in log space so large batches and orders stay stable.  ρ depends on
+neither α nor σ, so :func:`privim_rdp_curve` builds it once and evaluates
+the whole order grid as one array; ``tests/oracles.py`` keeps the
+per-order form as the differential oracle.
 """
 
 from __future__ import annotations
@@ -52,27 +55,33 @@ def _log_binomial_pmf(count: int, trials: int, probability: float) -> np.ndarray
     return log_coeff + log_p + log_q
 
 
-def privim_step_rdp(
-    alpha: float,
+def privim_rdp_curve(
+    alphas,
     sigma: float,
     batch_size: int,
     num_subgraphs: int,
     max_occurrences: int,
-) -> float:
-    """One-iteration RDP of Algorithm 2 at order ``alpha`` (Theorem 3, Eq. 8).
+) -> np.ndarray:
+    """One-iteration RDP of Algorithm 2 at every order (Theorem 3, Eq. 8).
+
+    Builds log ρ once, then one ``(|α|, top + 1)`` exponent matrix, and
+    takes ``logsumexp`` along each row.
 
     Args:
-        alpha: Rényi order (> 1).
+        alphas: Rényi orders (each > 1).
         sigma: noise multiplier (noise std is ``sigma · C · N_g``).
         batch_size: subgraphs per batch ``B``.
         num_subgraphs: container size ``m = |G_sub|``.
         max_occurrences: occurrence bound ``N_g`` (Lemma 1) or ``N_g* = M``.
 
     Returns:
-        γ such that one iteration is ``(α, γ)``-RDP.
+        γ per order, such that one iteration is ``(α, γ)``-RDP.
     """
-    if alpha <= 1:
-        raise PrivacyError(f"alpha must be > 1, got {alpha}")
+    orders = np.asarray(alphas, dtype=np.float64)
+    if orders.ndim != 1 or orders.size == 0:
+        raise PrivacyError("alphas must be a non-empty 1-D grid")
+    if np.any(orders <= 1):
+        raise PrivacyError(f"alpha must be > 1, got {orders.min()}")
     if sigma <= 0:
         raise PrivacyError(f"sigma must be positive, got {sigma}")
     if batch_size < 1 or num_subgraphs < 1:
@@ -85,11 +94,12 @@ def privim_step_rdp(
     touch_probability = min(max_occurrences / num_subgraphs, 1.0)
     # A node cannot touch more batch slots than min(N_g, B).
     top = min(max_occurrences, batch_size)
+    scale = 2.0 * max_occurrences**2 * sigma**2
 
     if touch_probability >= 1.0:
         # Degenerate: every batch is fully touched; reduces to a pure
         # Gaussian shifted by the worst case i = top.
-        return alpha * top**2 / (2.0 * max_occurrences**2 * sigma**2)
+        return orders * top**2 / scale
 
     log_rho = _log_binomial_pmf(top, batch_size, touch_probability)
     # Probability mass of i in (top, B] collapses onto i = top (the shift
@@ -105,10 +115,24 @@ def privim_step_rdp(
         )
         log_rho[top] = np.logaddexp(log_rho[top], logsumexp(log_tail))
 
+    # ρ depends on neither α nor σ: one exponent row per order.
     i = np.arange(top + 1)
-    exponents = alpha * (alpha - 1.0) * i**2 / (2.0 * max_occurrences**2 * sigma**2)
-    log_terms = log_rho + exponents
-    return float(logsumexp(log_terms) / (alpha - 1.0))
+    exponents = (orders * (orders - 1.0))[:, None] * i**2 / scale
+    return logsumexp(log_rho + exponents, axis=1) / (orders - 1.0)
+
+
+def privim_step_rdp(
+    alpha: float,
+    sigma: float,
+    batch_size: int,
+    num_subgraphs: int,
+    max_occurrences: int,
+) -> float:
+    """One-iteration RDP of Algorithm 2 at the single order ``alpha``: the
+    one-order view of :func:`privim_rdp_curve`."""
+    return float(
+        privim_rdp_curve((alpha,), sigma, batch_size, num_subgraphs, max_occurrences)[0]
+    )
 
 
 def poisson_subsampled_gaussian_rdp(
@@ -165,31 +189,35 @@ class PrivacyAccountant:
 
     def __post_init__(self) -> None:
         self.steps = 0
-        # Per-order single-step γ, computed lazily and cached.
-        self._step_gammas: dict[float, float] | None = None
+        self._orders = np.asarray(self.alphas, dtype=np.float64)
+        # Single-step γ over ``alphas``, computed once on first use.
+        self._step_curve: np.ndarray | None = None
         # Optional budget ledger; see attach_ledger().
         self.ledger = None
 
-    def _gammas(self) -> dict[float, float]:
-        if self._step_gammas is None:
-            self._step_gammas = {
-                alpha: privim_step_rdp(
-                    alpha,
-                    self.sigma,
-                    self.batch_size,
-                    self.num_subgraphs,
-                    self.max_occurrences,
-                )
-                for alpha in self.alphas
-            }
-        return self._step_gammas
+    @property
+    def step_curve(self) -> np.ndarray:
+        """Single-step γ at every order of ``alphas`` (cached)."""
+        if self._step_curve is None:
+            self._step_curve = privim_rdp_curve(
+                self._orders,
+                self.sigma,
+                self.batch_size,
+                self.num_subgraphs,
+                self.max_occurrences,
+            )
+        return self._step_curve
+
+    def rdp_curve(self) -> np.ndarray:
+        """Cumulative γ at every order of ``alphas`` after the recorded steps."""
+        return self.step_curve * self.steps
 
     def attach_ledger(self, ledger) -> "PrivacyAccountant":
         """Emit one event per composition step to ``ledger``.
 
-        ``ledger`` is a :class:`repro.obs.ledger.PrivacyLedger` (any object
-        with a ``record_step(accountant)`` method works).  Returns ``self``
-        for chaining.
+        ``ledger`` is a :class:`repro.obs.ledger.PrivacyLedger`; a training
+        run checks its final ε against :meth:`epsilon` when it ends.
+        Returns ``self`` for chaining.
         """
         self.ledger = ledger
         return self
@@ -210,19 +238,22 @@ class PrivacyAccountant:
             self.ledger.record_step(self)
 
     def rdp(self, alpha: float) -> float:
-        """Cumulative γ at order ``alpha`` after the recorded steps."""
-        gammas = self._gammas()
-        if alpha not in gammas:
-            gammas[alpha] = privim_step_rdp(
-                alpha, self.sigma, self.batch_size, self.num_subgraphs, self.max_occurrences
+        """Cumulative γ at order ``alpha`` (on the grid or off it)."""
+        grid = np.flatnonzero(self._orders == alpha)
+        if grid.size:
+            gamma = self.step_curve[grid[0]]
+        else:
+            gamma = privim_step_rdp(
+                alpha, self.sigma, self.batch_size, self.num_subgraphs,
+                self.max_occurrences,
             )
-        return gammas[alpha] * self.steps
+        return float(gamma * self.steps)
 
     def epsilon(self, delta: float) -> float:
         """Tightest ε over the order grid for the recorded steps."""
         if self.steps == 0:
             return 0.0
-        epsilon, _ = best_epsilon(lambda a: self.rdp(a), delta, self.alphas)
+        epsilon, _ = best_epsilon(self.rdp_curve(), delta, self._orders)
         return max(epsilon, 0.0)
 
 
@@ -240,14 +271,23 @@ def calibrate_sigma(
 ) -> float:
     """Smallest noise multiplier meeting ``(target_epsilon, delta)``.
 
-    Bisection over σ on the monotone map σ → ε(T steps).  Raises
+    Bisection over σ on the monotone map σ → ε(T steps), halving
+    ``log(high / low)`` until ``high / low <= 1 + tolerance``.  Raises
     :class:`CalibrationError` if even ``sigma_high`` cannot reach the
-    target.
+    target, and :class:`PrivacyError` on a bracket or tolerance that
+    could not end the search.
     """
     if target_epsilon <= 0:
         raise PrivacyError(f"target_epsilon must be positive, got {target_epsilon}")
     if steps < 1:
         raise PrivacyError(f"steps must be >= 1, got {steps}")
+    if not tolerance > 0:
+        raise PrivacyError(f"tolerance must be positive, got {tolerance}")
+    if not 0 < sigma_low < sigma_high:
+        raise PrivacyError(
+            f"need 0 < sigma_low < sigma_high, got sigma_low={sigma_low}, "
+            f"sigma_high={sigma_high}"
+        )
 
     def epsilon_for(sigma: float) -> float:
         accountant = PrivacyAccountant(sigma, batch_size, num_subgraphs, max_occurrences)
@@ -264,6 +304,10 @@ def calibrate_sigma(
         return low
     while high / low > 1.0 + tolerance:
         middle = np.sqrt(low * high)
+        if not low < middle < high:
+            # The bracket is down to adjacent floats: a tolerance below
+            # float spacing cannot be met, and the search would not move.
+            break
         if epsilon_for(middle) > target_epsilon:
             low = middle
         else:

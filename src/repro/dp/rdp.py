@@ -51,34 +51,53 @@ def rdp_to_dp(alpha: float, gamma: float, delta: float) -> float:
         raise PrivacyError(f"delta must be in (0, 1), got {delta}")
     if gamma < 0:
         raise PrivacyError(f"gamma must be non-negative, got {gamma}")
+    return rdp_to_dp_curve(alpha, gamma, delta)
+
+
+def rdp_to_dp_curve(alphas, gammas, delta: float):
+    """Theorem 1 without validation, elementwise over arrays of orders and
+    γ (or on scalars, for :func:`rdp_to_dp`).  Elementwise IEEE operations,
+    so an array entry is byte-equal to the scalar conversion of that order.
+    Non-finite γ pass through as non-finite ε.
+    """
     return (
-        gamma
-        + np.log((alpha - 1.0) / alpha)
-        - (np.log(delta) + np.log(alpha)) / (alpha - 1.0)
+        gammas
+        + np.log((alphas - 1.0) / alphas)
+        - (np.log(delta) + np.log(alphas)) / (alphas - 1.0)
     )
 
 
 def best_epsilon(
-    rdp_curve, delta: float, alphas: tuple[float, ...] = DEFAULT_ALPHAS
+    rdp_curve, delta: float, alphas=DEFAULT_ALPHAS
 ) -> tuple[float, float]:
-    """Minimise the converted ε over an order grid.
+    """Minimise the converted ε over an order grid in one array pass.
+
+    Orders whose γ is not finite are skipped; ties go to the first order.
 
     Args:
-        rdp_curve: callable ``alpha -> gamma`` giving the mechanism's RDP.
+        rdp_curve: γ at every order of ``alphas`` (an array), or a callable
+            ``alpha -> gamma`` evaluated at each order.
         delta: target δ.
         alphas: candidate orders.
 
     Returns:
         ``(epsilon, best_alpha)``.
     """
-    best = (np.inf, alphas[0])
-    for alpha in alphas:
-        gamma = rdp_curve(alpha)
-        if not np.isfinite(gamma):
-            continue
-        epsilon = rdp_to_dp(alpha, gamma, delta)
-        if epsilon < best[0]:
-            best = (float(epsilon), float(alpha))
-    if not np.isfinite(best[0]):
+    if not 0 < delta < 1:
+        raise PrivacyError(f"delta must be in (0, 1), got {delta}")
+    orders = np.asarray(alphas, dtype=np.float64)
+    if callable(rdp_curve):
+        rdp_curve = [rdp_curve(alpha) for alpha in alphas]
+    gammas = np.asarray(rdp_curve, dtype=np.float64)
+    if orders.ndim != 1 or gammas.shape != orders.shape or orders.size == 0:
+        raise PrivacyError("need one gamma per order on a non-empty alpha grid")
+    if np.any(orders <= 1):
+        raise PrivacyError(f"alphas must be > 1, got {orders.min()}")
+    finite = np.isfinite(gammas)
+    if np.any(gammas[finite] < 0):
+        raise PrivacyError("gamma must be non-negative")
+    epsilons = np.where(finite, rdp_to_dp_curve(orders, gammas, delta), np.inf)
+    index = int(np.argmin(epsilons))
+    if not np.isfinite(epsilons[index]):
         raise PrivacyError("could not find a finite epsilon on the alpha grid")
-    return best
+    return float(epsilons[index]), float(orders[index])

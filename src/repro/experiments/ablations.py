@@ -16,8 +16,8 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.pipeline import PrivIMConfig, PrivIMStar
-from repro.dp.accountant import poisson_subsampled_gaussian_rdp, privim_step_rdp
-from repro.dp.rdp import rdp_to_dp
+from repro.dp.accountant import poisson_subsampled_gaussian_rdp, privim_rdp_curve
+from repro.dp.rdp import best_epsilon, rdp_to_dp
 from repro.experiments.harness import prepare_dataset
 from repro.experiments.profiles import ExperimentProfile, get_profile
 from repro.experiments.reporting import ExperimentReport
@@ -224,16 +224,12 @@ def run_accountant_ablation(
         headers=["sigma", "eps (Theorem 3)", "eps (Poisson-subsampled)"],
     )
     sampling_rate = min(batch_size * max_occurrences / num_subgraphs, 1.0)
+    theorem3_orders = np.linspace(1.5, 64.0, 200)
     for sigma in sigma_values:
-        eps_theorem3 = min(
-            rdp_to_dp(
-                alpha,
-                steps
-                * privim_step_rdp(alpha, sigma, batch_size, num_subgraphs, max_occurrences),
-                delta,
-            )
-            for alpha in np.linspace(1.5, 64.0, 200)
+        theorem3_gammas = steps * privim_rdp_curve(
+            theorem3_orders, sigma, batch_size, num_subgraphs, max_occurrences
         )
+        eps_theorem3, _ = best_epsilon(theorem3_gammas, delta, theorem3_orders)
         eps_poisson = min(
             rdp_to_dp(
                 alpha,

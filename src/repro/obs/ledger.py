@@ -5,9 +5,11 @@ the Theorem 3 accountant into a replayable trace: every time the
 accountant records a composition step it appends an event carrying the
 step index, the running ε at the ledger's δ, and a summary of the α-curve
 (the optimising Rényi order and the cumulative γ there).  The ε in each
-event is computed through the exact same grid search as
-:meth:`repro.dp.accountant.PrivacyAccountant.epsilon`, so the final ledger
-entry equals ``accountant.epsilon(delta)`` bit-for-bit.
+event is computed from the accountant's cached γ curve through the same
+array conversion as :meth:`repro.dp.accountant.PrivacyAccountant.epsilon`,
+so the final ledger entry equals ``accountant.epsilon(delta)``
+bit-for-bit; :meth:`repro.core.trainer.DPGNNTrainer.train` checks this at
+the end of every run.
 
 Attach a ledger with ``accountant.attach_ledger(PrivacyLedger(delta))``;
 the pipelines do this automatically when observability is enabled.
@@ -50,14 +52,16 @@ class PrivacyLedger:
 
     def record_step(self, accountant) -> dict[str, Any]:
         """Append the event for the accountant's current step count."""
-        epsilon, alpha = best_epsilon(accountant.rdp, self.delta, accountant.alphas)
+        epsilon, alpha = best_epsilon(
+            accountant.rdp_curve(), self.delta, accountant.alphas
+        )
         event = {
             "type": "ledger",
             "step": int(accountant.steps),
             "epsilon": float(max(epsilon, 0.0)),
             "delta": self.delta,
             "best_alpha": float(alpha),
-            "gamma": float(accountant.rdp(alpha)),
+            "gamma": accountant.rdp(alpha),
         }
         self.events.append(event)
         if self._sink is not None:

@@ -26,6 +26,15 @@ byte.  The ``add_at_kernels`` fixture (``tests/conftest.py``) swaps them
 in for :mod:`repro.nn.kernels` so a whole training run can be replayed on
 the reference scatters.
 
+The Theorem 3 accountant has a per-order oracle:
+:func:`reference_privim_step_rdp` rebuilds ρ and one logsumexp for each
+Rényi order, and :func:`reference_best_epsilon` converts and compares one
+order at a time.  On top of them, :func:`reference_epsilon`,
+:func:`reference_ledger_events` and :func:`reference_calibrate_sigma`
+replay an accountant's ε, its ledger's event stream and the σ bisection.
+The vectorized γ curve and ε conversion in :mod:`repro.dp` must match
+them byte for byte.
+
 The samplers have their own serial oracle, :func:`serial_naive` and
 :func:`serial_dual_stage`: Algorithms 1 and 3 written directly over a
 :class:`Graph` — ``project_in_degree``, ``k_hop_nodes``, the scalar RWR
@@ -45,9 +54,12 @@ from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
+from scipy.special import gammaln, logsumexp
 
 from repro.core.trainer import DPGNNTrainer, DPTrainingConfig
-from repro.errors import SamplingError
+from repro.dp.accountant import _log_binomial_pmf
+from repro.dp.rdp import DEFAULT_ALPHAS, rdp_to_dp
+from repro.errors import CalibrationError, PrivacyError, SamplingError
 from repro.gnn.models import build_gnn
 from repro.graphs.degree import project_in_degree
 from repro.graphs.graph import Graph
@@ -69,6 +81,11 @@ __all__ = [
     "assert_outcomes_identical",
     "reference_segment_sum",
     "reference_segment_max",
+    "reference_privim_step_rdp",
+    "reference_best_epsilon",
+    "reference_epsilon",
+    "reference_ledger_events",
+    "reference_calibrate_sigma",
     "walk_neighbors",
     "uniform_chooser",
     "random_walk_nodes",
@@ -219,6 +236,133 @@ def reference_segment_max(values, segments, num_segments, *, fill=-np.inf,
     out = np.full((int(num_segments),) + values.shape[1:], fill, dtype=np.float64)
     np.maximum.at(out, np.asarray(segments, dtype=np.int64), values)
     return out
+
+
+# --------------------------------------------------------------------------- #
+# per-order Theorem 3 accountant
+# --------------------------------------------------------------------------- #
+def reference_privim_step_rdp(alpha, sigma, batch_size, num_subgraphs,
+                              max_occurrences) -> float:
+    """One-iteration γ at one order, rebuilding ρ for that order alone."""
+    if alpha <= 1:
+        raise PrivacyError(f"alpha must be > 1, got {alpha}")
+    if sigma <= 0:
+        raise PrivacyError(f"sigma must be positive, got {sigma}")
+    if batch_size < 1 or num_subgraphs < 1:
+        raise PrivacyError("batch_size and num_subgraphs must be >= 1")
+    if max_occurrences < 1:
+        raise PrivacyError(f"max_occurrences must be >= 1, got {max_occurrences}")
+    if batch_size > num_subgraphs:
+        raise PrivacyError("batch_size cannot exceed the container size")
+
+    touch_probability = min(max_occurrences / num_subgraphs, 1.0)
+    top = min(max_occurrences, batch_size)
+
+    if touch_probability >= 1.0:
+        return alpha * top**2 / (2.0 * max_occurrences**2 * sigma**2)
+
+    log_rho = _log_binomial_pmf(top, batch_size, touch_probability)
+    if top < batch_size:
+        i_tail = np.arange(top + 1, batch_size + 1)
+        log_tail = (
+            gammaln(batch_size + 1)
+            - gammaln(i_tail + 1)
+            - gammaln(batch_size - i_tail + 1)
+            + i_tail * np.log(touch_probability)
+            + (batch_size - i_tail) * np.log1p(-touch_probability)
+        )
+        log_rho[top] = np.logaddexp(log_rho[top], logsumexp(log_tail))
+
+    i = np.arange(top + 1)
+    exponents = alpha * (alpha - 1.0) * i**2 / (2.0 * max_occurrences**2 * sigma**2)
+    log_terms = log_rho + exponents
+    return float(logsumexp(log_terms) / (alpha - 1.0))
+
+
+def reference_best_epsilon(rdp_curve, delta, alphas=DEFAULT_ALPHAS):
+    """Scalar grid search: skip non-finite γ, keep the first minimum."""
+    best = (np.inf, alphas[0])
+    for alpha in alphas:
+        gamma = rdp_curve(alpha)
+        if not np.isfinite(gamma):
+            continue
+        epsilon = rdp_to_dp(alpha, gamma, delta)
+        if epsilon < best[0]:
+            best = (float(epsilon), float(alpha))
+    if not np.isfinite(best[0]):
+        raise PrivacyError("could not find a finite epsilon on the alpha grid")
+    return best
+
+
+def _reference_step_gammas(sigma, batch_size, num_subgraphs, max_occurrences,
+                           alphas) -> dict:
+    return {
+        alpha: reference_privim_step_rdp(
+            alpha, sigma, batch_size, num_subgraphs, max_occurrences
+        )
+        for alpha in alphas
+    }
+
+
+def reference_epsilon(sigma, batch_size, num_subgraphs, max_occurrences, steps,
+                      delta, alphas=DEFAULT_ALPHAS) -> float:
+    """``PrivacyAccountant(...).epsilon(delta)`` after ``steps`` steps."""
+    if steps == 0:
+        return 0.0
+    gammas = _reference_step_gammas(
+        sigma, batch_size, num_subgraphs, max_occurrences, alphas
+    )
+    epsilon, _ = reference_best_epsilon(
+        lambda alpha: gammas[alpha] * steps, delta, alphas
+    )
+    return max(epsilon, 0.0)
+
+
+def reference_ledger_events(sigma, batch_size, num_subgraphs, max_occurrences,
+                            steps, delta, alphas=DEFAULT_ALPHAS) -> list[dict]:
+    """The :class:`PrivacyLedger` events of ``steps`` composition steps."""
+    gammas = _reference_step_gammas(
+        sigma, batch_size, num_subgraphs, max_occurrences, alphas
+    )
+    events = []
+    for step in range(1, steps + 1):
+        epsilon, alpha = reference_best_epsilon(
+            lambda order: gammas[order] * step, delta, alphas
+        )
+        events.append({
+            "type": "ledger",
+            "step": step,
+            "epsilon": float(max(epsilon, 0.0)),
+            "delta": float(delta),
+            "best_alpha": float(alpha),
+            "gamma": float(gammas[alpha] * step),
+        })
+    return events
+
+
+def reference_calibrate_sigma(target_epsilon, delta, steps, batch_size,
+                              num_subgraphs, max_occurrences, *,
+                              sigma_low=1e-2, sigma_high=1e4,
+                              tolerance=1e-3) -> float:
+    """The σ bisection of :func:`repro.dp.accountant.calibrate_sigma`."""
+
+    def epsilon_for(sigma):
+        return reference_epsilon(
+            sigma, batch_size, num_subgraphs, max_occurrences, steps, delta
+        )
+
+    low, high = sigma_low, sigma_high
+    if epsilon_for(high) > target_epsilon:
+        raise CalibrationError(f"even sigma={high} gives epsilon > {target_epsilon}")
+    if epsilon_for(low) <= target_epsilon:
+        return low
+    while high / low > 1.0 + tolerance:
+        middle = np.sqrt(low * high)
+        if epsilon_for(middle) > target_epsilon:
+            low = middle
+        else:
+            high = middle
+    return float(high)
 
 
 # --------------------------------------------------------------------------- #

@@ -170,3 +170,87 @@ class TestSuggestClipBound:
             suggest_clip_bound(model, container, quantile=0.0)
         with pytest.raises(TrainingError):
             suggest_clip_bound(model, SubgraphContainer())
+
+
+class TestRunTimePrivacyCheck:
+    """train() ends by checking the invariants the accounted ε rests on;
+    each tamper below breaks one and must raise PrivacyError with exactly
+    one ``privacy_error`` event."""
+
+    @staticmethod
+    def observed_trainer(container, **overrides):
+        from repro.obs import Observability, PrivacyLedger, RunRecorder
+
+        recorder = RunRecorder()
+        settings = dict(iterations=4, batch_size=4, sigma=0.8, max_occurrences=4)
+        settings.update(overrides)
+        trainer = DPGNNTrainer(
+            make_model(), container, DPTrainingConfig(**settings), rng=0,
+            obs=Observability(recorder=recorder),
+        )
+        trainer.accountant.attach_ledger(PrivacyLedger(1e-5))
+        return trainer, recorder
+
+    @staticmethod
+    def privacy_errors(recorder):
+        return [event for event in recorder.events if event["type"] == "privacy_error"]
+
+    def assert_refused(self, trainer, recorder, match):
+        from repro.errors import PrivacyError
+
+        with pytest.raises(PrivacyError, match=match):
+            trainer.train()
+        [event] = self.privacy_errors(recorder)
+        assert event["iteration"] == trainer.config.iterations
+        assert len(event["problems"]) == 1
+
+    def test_untampered_run_passes(self, container):
+        trainer, recorder = self.observed_trainer(container)
+        trainer.train()
+        assert not self.privacy_errors(recorder)
+        ledger = trainer.accountant.ledger
+        assert ledger.final_epsilon == trainer.accountant.epsilon(ledger.delta)
+
+    def test_step_count_mismatch_refused(self, container):
+        trainer, recorder = self.observed_trainer(container)
+        trainer.accountant.steps = 1  # a step no iteration accounts for
+        self.assert_refused(trainer, recorder, "5 steps for 4 completed iterations")
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("sigma", 0.9), ("batch_size", 5), ("num_subgraphs", 7), ("max_occurrences", 3)],
+    )
+    def test_accountant_parameter_mismatch_refused(self, container, field, value):
+        trainer, recorder = self.observed_trainer(container)
+        setattr(trainer.accountant, field, value)
+        self.assert_refused(trainer, recorder, "sigma, B, m, N_g")
+
+    def test_noise_scale_mismatch_refused(self, container, monkeypatch):
+        import repro.core.trainer as trainer_module
+
+        trainer, recorder = self.observed_trainer(container)
+        monkeypatch.setattr(
+            trainer_module, "node_level_sensitivity",
+            lambda clip_bound, occurrences: clip_bound * (occurrences - 1),
+        )
+        self.assert_refused(trainer, recorder, "noise scales")
+
+    def test_ledger_epsilon_off_by_one_ulp_refused(self, container, monkeypatch):
+        from repro.obs import PrivacyLedger
+
+        original = PrivacyLedger.record_step
+
+        def nudged(self, accountant):
+            event = original(self, accountant)
+            event["epsilon"] = float(np.nextafter(event["epsilon"], np.inf))
+            return event
+
+        monkeypatch.setattr(PrivacyLedger, "record_step", nudged)
+        trainer, recorder = self.observed_trainer(container)
+        self.assert_refused(trainer, recorder, "ledger epsilon")
+
+    def test_check_is_skipped_for_non_private_training(self, container):
+        config = DPTrainingConfig(iterations=2, batch_size=4, sigma=0.0, clip_bound=None)
+        trainer = DPGNNTrainer(make_model(), container, config, rng=0)
+        trainer.train()
+        trainer.check_privacy()  # no accountant: nothing to check
