@@ -2,8 +2,10 @@
 
 After training, the GNN scores every node of the evaluation graph with its
 seed probability ``φ(h_u)``; the top-``k`` nodes form the seed set
-(Section III-C).  Inference runs under ``no_grad`` so scoring large graphs
-does not build autograd tapes.
+(Section III-C).  Scoring runs the model's autograd-free ``infer`` path,
+byte-equal to its ``forward``: it builds no tape, and a caller that scores
+repeatedly can hand it an :class:`~repro.gnn.inference.InferenceWorkspace`
+to reuse the large per-edge buffers.
 
 Score ties are broken by a seeded random permutation, not by node id: a
 stable argsort on ``-scores`` silently preferred low-id nodes whenever the
@@ -20,9 +22,9 @@ import numpy as np
 
 from repro.errors import TrainingError
 from repro.gnn.features import degree_features
+from repro.gnn.inference import InferenceWorkspace
 from repro.gnn.models import GNN
 from repro.graphs.graph import Graph
-from repro.nn.tensor import Tensor, no_grad
 from repro.utils.rng import ensure_rng
 
 #: Seed of the tie-breaking permutation when no ``rng`` is supplied, so the
@@ -35,6 +37,7 @@ def score_nodes(
     graph: Graph,
     *,
     features: np.ndarray | None = None,
+    workspace: InferenceWorkspace | None = None,
 ) -> np.ndarray:
     """Per-node seed probabilities on ``graph`` (shape ``(|V|,)``).
 
@@ -48,6 +51,9 @@ def score_nodes(
             serving engine, the experiment harness's repeated evaluation —
             compute it once and pass it through instead of paying it per
             call.
+        workspace: optional scratch buffers reused across calls (see
+            :meth:`repro.gnn.models.GNN.infer`); ``None`` allocates fresh
+            ones.  Never share one between concurrent calls.
     """
     if features is None:
         feature_array = degree_features(graph, dim=model.config.in_features)
@@ -59,11 +65,9 @@ def score_nodes(
                 f"precomputed features must have shape {expected}, "
                 f"got {feature_array.shape}"
             )
-    edge_index = graph.edge_index()
-    edge_weight = graph.edge_arrays()[2]
-    with no_grad():
-        scores = model(Tensor(feature_array), edge_index, edge_weight)
-    return scores.numpy()
+    return model.infer(
+        feature_array, graph.edge_index(), graph.edge_arrays()[2], workspace=workspace
+    )
 
 
 def top_k_by_score(

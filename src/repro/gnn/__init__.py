@@ -1,5 +1,6 @@
 """GNN layers and models (GCN, GraphSAGE, GAT, GRAT, GIN) on the autograd engine."""
 
+from repro.gnn.inference import InferenceWorkspace
 from repro.gnn.message_passing import add_self_loops, aggregate_neighbors
 from repro.gnn.layers import GATConv, GCNConv, GINConv, GRATConv, SAGEConv
 from repro.gnn.models import GNN, GNNConfig, available_models, build_gnn
@@ -15,6 +16,7 @@ __all__ = [
     "GINConv",
     "GNN",
     "GNNConfig",
+    "InferenceWorkspace",
     "build_gnn",
     "available_models",
     "degree_features",

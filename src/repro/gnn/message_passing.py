@@ -67,6 +67,13 @@ def add_self_loops(
     return new_index, new_weight
 
 
+def inverse_in_degree(targets: np.ndarray, num_nodes: int) -> np.ndarray:
+    """``(N, 1)`` column of ``1 / in-degree`` (1 for nodes with no in-edges)."""
+    degree = np.bincount(targets, minlength=num_nodes).astype(np.float64)
+    degree[degree == 0] = 1.0
+    return 1.0 / degree.reshape(-1, 1)
+
+
 def aggregate_neighbors(
     x: Tensor,
     edge_index: np.ndarray,
@@ -141,14 +148,12 @@ def aggregate_neighbors(
     if reduce == "sum":
         return aggregated
     if reduce == "mean":
-        def build_inverse_degree() -> np.ndarray:
-            degree = np.bincount(targets, minlength=num_nodes).astype(np.float64)
-            degree[degree == 0] = 1.0
-            return 1.0 / degree.reshape(-1, 1)
-
         if plan is not None:
-            inverse = plan.memo(("agg.inv_degree", plan_key), build_inverse_degree)
+            inverse = plan.memo(
+                ("agg.inv_degree", plan_key),
+                lambda: inverse_in_degree(targets, num_nodes),
+            )
         else:
-            inverse = build_inverse_degree()
+            inverse = inverse_in_degree(targets, num_nodes)
         return aggregated * Tensor(inverse)
     raise ShapeError(f"reduce must be 'sum' or 'mean', got {reduce!r}")

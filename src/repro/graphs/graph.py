@@ -25,6 +25,14 @@ import numpy as np
 from repro.errors import GraphError
 
 
+def _check_probabilities(weights: np.ndarray) -> None:
+    """Reject weights outside ``[0, 1]``, NaN included (NaN fails both bounds)."""
+    if not np.all((weights >= 0) & (weights <= 1)):
+        raise GraphError(
+            "edge weights must be finite influence probabilities in [0, 1]"
+        )
+
+
 def _build_csr(
     num_nodes: int, sources: np.ndarray, targets: np.ndarray, weights: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -81,8 +89,7 @@ class Graph:
                 raise GraphError(
                     f"weights must have shape ({len(edge_array)},), got {weight_array.shape}"
                 )
-            if weight_array.size and (weight_array.min() < 0 or weight_array.max() > 1):
-                raise GraphError("edge weights must be influence probabilities in [0, 1]")
+            _check_probabilities(weight_array)
 
         self.num_nodes = int(num_nodes)
         self.is_directed = bool(directed)
@@ -392,10 +399,7 @@ class Graph:
                     f"weights must have shape ({len(edge_array)},), "
                     f"got {weight_array.shape}"
                 )
-            if weight_array.min() < 0 or weight_array.max() > 1:
-                raise GraphError(
-                    "edge weights must be influence probabilities in [0, 1]"
-                )
+            _check_probabilities(weight_array)
         if not self.is_directed:
             edge_array = np.concatenate([edge_array, edge_array[:, ::-1]], axis=0)
             weight_array = np.concatenate([weight_array, weight_array])

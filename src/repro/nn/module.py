@@ -217,6 +217,13 @@ class Linear(Module):
             output = output + self.bias
         return output
 
+    def infer(self, inputs: np.ndarray) -> np.ndarray:
+        """Autograd-free :meth:`forward` on an array: the same product and sum."""
+        output = inputs @ self.weight.data
+        if self.bias is not None:
+            output += self.bias.data
+        return output
+
     def __repr__(self) -> str:
         return f"Linear({self.in_features} -> {self.out_features})"
 

@@ -26,6 +26,11 @@ byte.  The ``add_at_kernels`` fixture (``tests/conftest.py``) swaps them
 in for :mod:`repro.nn.kernels` so a whole training run can be replayed on
 the reference scatters.
 
+GNN scoring has an autograd oracle, :func:`reference_score_nodes`: the
+model's ``forward`` under ``no_grad``.  The inference path
+(:meth:`repro.gnn.models.GNN.infer`, which ``score_nodes`` runs) must
+match it byte for byte.
+
 The Theorem 3 accountant has a per-order oracle:
 :func:`reference_privim_step_rdp` rebuilds ρ and one logsumexp for each
 Rényi order, and :func:`reference_best_epsilon` converts and compares one
@@ -60,10 +65,12 @@ from repro.core.trainer import DPGNNTrainer, DPTrainingConfig
 from repro.dp.accountant import _log_binomial_pmf
 from repro.dp.rdp import DEFAULT_ALPHAS, rdp_to_dp
 from repro.errors import CalibrationError, PrivacyError, SamplingError
+from repro.gnn.features import degree_features
 from repro.gnn.models import build_gnn
 from repro.graphs.degree import project_in_degree
 from repro.graphs.graph import Graph
 from repro.graphs.neighborhoods import k_hop_nodes
+from repro.nn.tensor import Tensor, no_grad
 from repro.sampling import FrequencyVector, Subgraph, SubgraphContainer
 from repro.sampling.frequency import adaptive_neighbor_weights
 from repro.sampling.parallel import SamplingStats
@@ -81,6 +88,7 @@ __all__ = [
     "assert_outcomes_identical",
     "reference_segment_sum",
     "reference_segment_max",
+    "reference_score_nodes",
     "reference_privim_step_rdp",
     "reference_best_epsilon",
     "reference_epsilon",
@@ -236,6 +244,25 @@ def reference_segment_max(values, segments, num_segments, *, fill=-np.inf,
     out = np.full((int(num_segments),) + values.shape[1:], fill, dtype=np.float64)
     np.maximum.at(out, np.asarray(segments, dtype=np.int64), values)
     return out
+
+
+# --------------------------------------------------------------------------- #
+# autograd oracle for the inference forward
+# --------------------------------------------------------------------------- #
+def reference_score_nodes(model, graph, *, features=None) -> np.ndarray:
+    """Per-node scores from the model's autograd ``forward`` under ``no_grad``.
+
+    The scoring path ``score_nodes`` replaced with ``GNN.infer``; its
+    output must stay byte-equal to this.
+    """
+    if features is None:
+        features = degree_features(graph, dim=model.config.in_features)
+    edge_index = graph.edge_index()
+    edge_weight = graph.edge_arrays()[2]
+    with no_grad():
+        x = Tensor(np.asarray(features, dtype=np.float64))
+        scores = model(x, edge_index, edge_weight)
+    return scores.numpy()
 
 
 # --------------------------------------------------------------------------- #

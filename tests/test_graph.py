@@ -48,6 +48,11 @@ class TestConstruction:
         with pytest.raises(GraphError):
             Graph(3, [(0, 1)], weights=[-0.1])
 
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_weights_rejected(self, weight):
+        with pytest.raises(GraphError, match="finite"):
+            Graph(3, [(0, 1), (1, 2)], weights=[0.5, weight])
+
     def test_default_weights_are_one(self, tiny_graph):
         assert np.all(tiny_graph.edge_arrays()[2] == 1.0)
 
@@ -381,6 +386,11 @@ class TestIncrementalEdgeMutation:
             tiny_graph.add_edges([(4, 0)], weights=[1.5])
         with pytest.raises(GraphError, match="shape"):
             tiny_graph.add_edges([(4, 0)], weights=[0.5, 0.5])
+
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf")])
+    def test_non_finite_weight_rejected(self, tiny_graph, weight):
+        with pytest.raises(GraphError, match="finite"):
+            tiny_graph.add_edges([(4, 0), (1, 3)], weights=[0.5, weight])
 
     def test_mutation_leaves_original_untouched(self, tiny_graph):
         before = tiny_graph.num_edges

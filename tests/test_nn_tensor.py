@@ -1,5 +1,7 @@
 """Gradient checks for the autograd engine (finite differences)."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -205,6 +207,44 @@ class TestGraphMachinery:
             with no_grad():
                 raise ValueError("boom")
         assert (tensor * 2).requires_grad
+
+    def test_no_grad_is_per_thread(self):
+        """Interleaved enter/exit in two threads (A in, B in, A out, B out)."""
+
+        def builds_graph() -> bool:
+            return (Tensor(np.ones(2), requires_grad=True) * 2).requires_grad
+
+        a_entered, b_entered, a_exited = (threading.Event() for _ in range(3))
+        seen = {}
+
+        def thread_a():
+            with no_grad():
+                a_entered.set()
+                assert b_entered.wait(timeout=30)
+                seen["a_inside"] = builds_graph()
+            a_exited.set()
+            seen["a_after"] = builds_graph()
+
+        def thread_b():
+            assert a_entered.wait(timeout=30)
+            with no_grad():
+                b_entered.set()
+                assert a_exited.wait(timeout=30)
+                seen["b_inside"] = builds_graph()
+            seen["b_after"] = builds_graph()
+
+        threads = [threading.Thread(target=thread_a), threading.Thread(target=thread_b)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert seen == {
+            "a_inside": False,
+            "a_after": True,
+            "b_inside": False,
+            "b_after": True,
+        }
+        assert builds_graph()
 
     def test_detach(self):
         tensor = Tensor(np.ones(2), requires_grad=True)

@@ -15,6 +15,7 @@ from repro.graphs.generators import barabasi_albert_graph
 from repro.serving.engine import ScoringEngine, graph_fingerprint
 from repro.serving.registry import ModelRegistry, load_artifact
 
+from tests.oracles import reference_score_nodes
 from tests.test_serving_registry import make_artifact
 
 
@@ -209,6 +210,95 @@ class TestConcurrency:
         assert not errors
 
 
+    def test_concurrent_leaders_on_different_graphs_use_their_own_workspace(
+        self, eval_graph, monkeypatch
+    ):
+        import repro.serving.engine as engine_module
+
+        engine = ScoringEngine(make_artifact())
+        other_graph = barabasi_albert_graph(70, 3, rng=4)
+        both_inside = threading.Barrier(2)
+        lent = []
+        real_score_nodes = engine_module._score_nodes
+
+        def overlapping(model, graph, features=None, workspace=None):
+            lent.append(workspace)
+            # Both leaders are mid-forward before either computes.
+            if len(lent) <= 2:
+                both_inside.wait(timeout=30)
+            return real_score_nodes(model, graph, features=features, workspace=workspace)
+
+        monkeypatch.setattr(engine_module, "_score_nodes", overlapping)
+        results = {}
+
+        def lead(name, graph):
+            results[name] = engine.scores(graph)
+
+        threads = [
+            threading.Thread(target=lead, args=(name, graph))
+            for name, graph in (("eval", eval_graph), ("other", other_graph))
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert len(lent) == 2 and lent[0] is not lent[1]
+        for name, graph in (("eval", eval_graph), ("other", other_graph)):
+            expected = reference_score_nodes(engine.model, graph)
+            assert results[name].tobytes() == expected.tobytes(), name
+        assert engine.stats()["forward_passes"] == 2
+        # A later leader borrows an idle workspace instead of a new one.
+        engine.scores(barabasi_albert_graph(30, 2, rng=8))
+        assert lent[2] is lent[0] or lent[2] is lent[1]
+
+
+    def test_stress_no_workspace_is_lent_to_two_forwards_at_once(self, monkeypatch):
+        import sys
+
+        import repro.serving.engine as engine_module
+
+        engine = ScoringEngine(make_artifact(), score_cache_size=64)
+        graphs = [barabasi_albert_graph(20 + index, 2, rng=index) for index in range(24)]
+        in_use, overlaps = set(), []
+        guard = threading.Lock()
+        real_score_nodes = engine_module._score_nodes
+
+        def checked(model, graph, features=None, workspace=None):
+            with guard:
+                if id(workspace) in in_use:
+                    overlaps.append(id(workspace))
+                in_use.add(id(workspace))
+            try:
+                return real_score_nodes(model, graph, features=features, workspace=workspace)
+            finally:
+                with guard:
+                    in_use.discard(id(workspace))
+
+        monkeypatch.setattr(engine_module, "_score_nodes", checked)
+        results = {}
+
+        def worker(offset):
+            for index in range(offset, len(graphs), 8):
+                results[index] = engine.scores(graphs[index])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert overlaps == []
+        assert len(engine._workspaces) <= 8
+        for index, graph in enumerate(graphs):
+            expected = reference_score_nodes(engine.model, graph)
+            assert results[index].tobytes() == expected.tobytes(), index
+
+
 class TestPrecomputedFeaturePassThrough:
     def test_score_nodes_accepts_precomputed_features(self, eval_graph):
         model = make_artifact().model
@@ -259,9 +349,11 @@ class TestCoalescedAccounting:
 
             real_score_nodes = engine_module._score_nodes
 
-            def stalled(model, graph, features=None):
+            def stalled(model, graph, features=None, workspace=None):
                 release.wait(timeout=30)
-                return real_score_nodes(model, graph, features=features)
+                return real_score_nodes(
+                    model, graph, features=features, workspace=workspace
+                )
 
             engine_module._score_nodes = stalled
             try:

@@ -508,3 +508,15 @@ class TestGraphMutationEndpoint:
             status, body, _ = client.post("/v1/graph/edges", payload)
             assert status == 400, (payload, body)
             assert "error" in body
+
+    @pytest.mark.parametrize("weight", [float("nan"), "nan", "NaN"])
+    def test_nan_weight_is_refused_and_graph_unchanged(self, stack, weight):
+        client, service, graph = stack
+        before = client.get("/healthz")[1]["graph_fingerprint"]
+        status, body, _ = client.post(
+            "/v1/graph/edges", {"op": "add", "edges": [[0, 39]], "weights": [weight]}
+        )
+        assert status == 400, body
+        assert "finite" in body["error"]
+        assert client.get("/healthz")[1]["graph_fingerprint"] == before
+        assert service.graph is graph
