@@ -165,6 +165,17 @@ class TestToggleAndStats:
         lengths = np.diff(np.r_[sort.starts, len(segments)])
         np.testing.assert_array_equal(lengths, [1, 2, 3])
 
+    def test_edge_set_memo_builds_once(self):
+        memo = kernels.EdgeSetMemo(np.array([[0, 2, 1], [1, 1, 0]], dtype=np.int64))
+        calls = []
+        assert memo.memo("key", lambda: calls.append(1) or 7) == 7
+        assert memo.memo("key", lambda: calls.append(1) or 8) == 7
+        assert calls == [1]
+        sort = memo.segment_sort("source")
+        assert memo.segment_sort("source") is sort
+        np.testing.assert_array_equal(sort.unique, [0, 1, 2])
+        np.testing.assert_array_equal(memo.segment_sort("target").unique, [0, 1])
+
     def test_flat_scatter_index_layout(self):
         segments = np.array([2, 0], dtype=np.int64)
         flat = flat_scatter_index(segments, 3)
