@@ -14,7 +14,9 @@ from there, and its loss history joins the identity assertion.
 
 Three regression gates guard the recorded numbers:
 
-* ``vectorized`` mode must be >= 1.5x the serial ``loop`` path (full mode);
+* ``vectorized`` mode must be >= 1.5x the serial ``loop`` path (full mode),
+  in the median of ``GATE_PAIRS`` alternating in-process CPU-time pairs
+  (the JSON records every pair's ratio and their spread);
 * ``--grad-workers 4`` must be >= 1.3x single-worker throughput — enforced
   only when the machine actually has >= 4 CPU cores, because persistent
   workers cannot beat serial execution on a single core no matter how the
@@ -58,6 +60,13 @@ from repro.gnn.models import build_gnn
 from repro.graphs.generators import powerlaw_cluster_graph
 from repro.sampling import DualStageSamplingConfig, sample_dual_stage
 from repro.utils.rng import bench_seed
+
+
+#: Alternating loop/vectorized pairs behind the vectorized/loop gate.  One
+#: wall-clock run per mode read 1.26x and 1.30x on a shared 2-vCPU host
+#: where the committed single-run figure was 1.502x; a median over pairs
+#: timed with CPU time is a reading the host's noise cannot flip alone.
+GATE_PAIRS = 7
 
 
 def build_container(tiny: bool):
@@ -126,6 +135,29 @@ def run_configuration(
     finally:
         trainer.close()
     return iterations / elapsed, tuple(history.losses)
+
+
+def paired_mode_ratios(container, *, iterations, model_kind, pairs=GATE_PAIRS):
+    """Vectorized/loop throughput ratios of ``pairs`` alternating runs.
+
+    Both arms run serially in this process, timed with CPU time; the
+    order alternates so drift over the pairs favours neither mode.
+    """
+    ratios = []
+    for pair in range(pairs):
+        order = ("loop", "vectorized") if pair % 2 == 0 else ("vectorized", "loop")
+        rates = {}
+        for grad_mode in order:
+            rates[grad_mode], _ = run_configuration(
+                container,
+                iterations=iterations,
+                workers=1,
+                model_kind=model_kind,
+                grad_mode=grad_mode,
+                clock=time.process_time,
+            )
+        ratios.append(rates["vectorized"] / rates["loop"])
+    return ratios
 
 
 def _clone_subgraph(subgraph):
@@ -619,19 +651,32 @@ def main(argv=None) -> int:
     gates = {"cpu_count": cpu_count}
     failures = []
 
-    loop_rate = rate_of("loop", 1)
-    vec_rate = rate_of("vectorized", 1)
-    if loop_rate and vec_rate:
-        ratio = vec_rate / loop_rate
+    if rate_of("loop", 1) and rate_of("vectorized", 1):
+        ratios = paired_mode_ratios(
+            container, iterations=iterations, model_kind=args.model
+        )
+        ratio = statistics.median(ratios)
+        quartiles = statistics.quantiles(ratios, n=4)
         enforced = not args.tiny
         gate = {
             "threshold": 1.5,
             "ratio": round(ratio, 3),
+            "timing": f"median of {len(ratios)} alternating CPU-time pairs",
+            "pair_ratios": [round(value, 3) for value in ratios],
+            "spread": {
+                "min": round(min(ratios), 3),
+                "q1": round(quartiles[0], 3),
+                "q3": round(quartiles[2], 3),
+                "max": round(max(ratios), 3),
+            },
             "enforced": enforced,
             "passed": ratio >= 1.5,
         }
         gates["vectorized_vs_loop"] = gate
-        print(f"gate vectorized/loop: {ratio:.2f}x (threshold 1.5x)")
+        print(
+            f"gate vectorized/loop: {ratio:.2f}x over {len(ratios)} pairs "
+            f"({min(ratios):.2f}-{max(ratios):.2f}x; threshold 1.5x)"
+        )
         if enforced and not gate["passed"]:
             failures.append(f"vectorized mode is only {ratio:.2f}x the loop path (< 1.5x)")
 

@@ -92,20 +92,18 @@ def _union_gradients(
             features, union.edge_index, union.edge_weight, plan=union
         )
         losses = per_example_losses(seed_probabilities, union, loss_config)
-        total = losses[0]
-        for loss in losses[1:]:
-            total = total + loss
-        total.backward()
+        # Each member's loss is its own root: d(Σ losses)/d loss_k = 1.
+        losses.backward(np.ones(losses.shape))
     matrix = capture.gradient_matrix(model.parameters())
     results: list[GradientTriple] = []
-    for example, loss in enumerate(losses):
+    for example, loss in enumerate(losses.data):
         gradient = matrix[example]
         raw_norm = float(np.linalg.norm(gradient))
         if clip_bound is not None:
             gradient = clip_to_norm(gradient, clip_bound)
         else:
             gradient = gradient.copy()
-        results.append((gradient, float(loss.data), raw_norm))
+        results.append((gradient, float(loss), raw_norm))
     return results
 
 

@@ -65,6 +65,36 @@ def _apply_phi(tensor: Tensor, phi: str) -> Tensor:
     return F.one_minus_exp(tensor)
 
 
+def _check_probabilities(seed_probabilities: Tensor, num_nodes: int) -> None:
+    if seed_probabilities.ndim != 1 or seed_probabilities.shape[0] != num_nodes:
+        raise TrainingError(
+            f"seed_probabilities must have shape ({num_nodes},), "
+            f"got {seed_probabilities.shape}"
+        )
+
+
+def _survival(
+    seed_probabilities: Tensor,
+    edge_index: np.ndarray,
+    edge_weight: np.ndarray | None,
+    num_nodes: int,
+    config: PenaltyLossConfig,
+    plan,
+) -> Tensor:
+    """The ``(N, 1)`` column of ``Π_{i=1..j} (1 − p̂_i(u))`` (Theorem 2)."""
+    survival: Tensor | None = None
+    current = seed_probabilities.reshape(-1, 1)  # p̂_0, the seed distribution
+    for _ in range(config.diffusion_steps):
+        aggregated = aggregate_neighbors(
+            current, edge_index, num_nodes, edge_weight=edge_weight, plan=plan
+        )
+        step_probability = _apply_phi(aggregated, config.phi)
+        factor = 1.0 - step_probability
+        survival = factor if survival is None else survival * factor
+        current = step_probability
+    return survival
+
+
 def probabilistic_penalty_loss(
     seed_probabilities: Tensor,
     edge_index: np.ndarray,
@@ -90,25 +120,10 @@ def probabilistic_penalty_loss(
     """
     config = config or PenaltyLossConfig()
     config.validate()
-    if seed_probabilities.ndim != 1 or seed_probabilities.shape[0] != num_nodes:
-        raise TrainingError(
-            f"seed_probabilities must have shape ({num_nodes},), "
-            f"got {seed_probabilities.shape}"
-        )
-
-    column = seed_probabilities.reshape(-1, 1)
-    # survival[u] accumulates Π_i (1 − p̂_i(u)).
-    survival: Tensor | None = None
-    current = column  # p̂_{i-1}, starting from the seed distribution
-    for _ in range(config.diffusion_steps):
-        aggregated = aggregate_neighbors(
-            current, edge_index, num_nodes, edge_weight=edge_weight, plan=plan
-        )
-        step_probability = _apply_phi(aggregated, config.phi)
-        factor = 1.0 - step_probability
-        survival = factor if survival is None else survival * factor
-        current = step_probability
-
+    _check_probabilities(seed_probabilities, num_nodes)
+    survival = _survival(
+        seed_probabilities, edge_index, edge_weight, num_nodes, config, plan
+    )
     uncovered = survival.sum()
     seed_mass = seed_probabilities.sum()
     loss = uncovered + config.penalty * seed_mass
@@ -121,16 +136,14 @@ def per_example_losses(
     seed_probabilities: Tensor,
     plan,
     config: PenaltyLossConfig | None = None,
-) -> list[Tensor]:
+) -> Tensor:
     """Eq. 5 per member subgraph of a batched (disjoint-union) plan.
 
     Runs the diffusion chain once over the union — every aggregate and φ
     is row-local on a block-diagonal graph, so each row carries exactly
     the bits the serial loop would compute for its subgraph — then reduces
-    each member's loss from its contiguous row segment.  The segment sums
-    use ``row_slice(...).sum()`` (numpy's pairwise summation over a
-    contiguous view, bit-identical to summing the standalone array), NOT
-    ``segment_sum``, whose bincount accumulation order differs.
+    every member's loss from its contiguous row segment in one node
+    (:func:`member_losses`).
 
     Args:
         seed_probabilities: ``(N_total,)`` seed probabilities on the union.
@@ -139,44 +152,59 @@ def per_example_losses(
         config: loss hyperparameters (shared by every member).
 
     Returns:
-        One scalar loss tensor per member, in plan order.
+        A ``(B,)`` tensor of the members' losses, in plan order.
     """
     config = config or PenaltyLossConfig()
     config.validate()
-    num_nodes = plan.num_nodes
-    if seed_probabilities.ndim != 1 or seed_probabilities.shape[0] != num_nodes:
-        raise TrainingError(
-            f"seed_probabilities must have shape ({num_nodes},), "
-            f"got {seed_probabilities.shape}"
-        )
+    _check_probabilities(seed_probabilities, plan.num_nodes)
+    survival = _survival(
+        seed_probabilities, plan.edge_index, plan.edge_weight, plan.num_nodes, config, plan
+    )
+    return member_losses(survival, seed_probabilities, plan.node_bounds, config)
 
-    column = seed_probabilities.reshape(-1, 1)
-    survival: Tensor | None = None
-    current = column
-    for _ in range(config.diffusion_steps):
-        aggregated = aggregate_neighbors(
-            current,
-            plan.edge_index,
-            num_nodes,
-            edge_weight=plan.edge_weight,
-            plan=plan,
-        )
-        step_probability = _apply_phi(aggregated, config.phi)
-        factor = 1.0 - step_probability
-        survival = factor if survival is None else survival * factor
-        current = step_probability
 
-    bounds = plan.node_bounds
-    losses: list[Tensor] = []
-    for example in range(len(bounds) - 1):
-        start, stop = int(bounds[example]), int(bounds[example + 1])
-        uncovered = survival.row_slice(start, stop).sum()
-        seed_mass = seed_probabilities.row_slice(start, stop).sum()
-        loss = uncovered + config.penalty * seed_mass
+def member_losses(
+    survival: Tensor,
+    seed_probabilities: Tensor,
+    bounds: np.ndarray,
+    config: PenaltyLossConfig,
+) -> Tensor:
+    """Each member's ``uncovered + λ·seed_mass`` (over its size), as one node.
+
+    Member ``k`` owns rows ``bounds[k]:bounds[k+1]``.  Its sums run over a
+    contiguous row view, whose ``np.sum`` (pairwise) is bit-identical to
+    summing the standalone subgraph's array — unlike ``segment_sum``, whose
+    bincount order differs.  The backward writes both row gradients at
+    once, byte-equal to one slice-and-sum chain per member
+    (``tests/oracles.py``): with more than one member, each row gradient
+    also gets the ``+ 0.0`` the other members' zero-filled slice
+    gradients would add, which turns a ``-0.0`` into ``+0.0``.
+    """
+    bounds = np.asarray(bounds, dtype=np.int64)
+    sizes = np.diff(bounds)
+    losses = np.empty(len(sizes))
+    for example, (start, stop) in enumerate(zip(bounds[:-1], bounds[1:])):
+        uncovered = survival.data[start:stop].sum()
+        seed_mass = seed_probabilities.data[start:stop].sum()
+        loss = uncovered + seed_mass * config.penalty
         if config.normalize:
             loss = loss * (1.0 / (stop - start))
-        losses.append(loss)
-    return losses
+        losses[example] = loss
+
+    def backward_fn(grad: np.ndarray) -> None:
+        if config.normalize:
+            grad = grad * (1.0 / sizes)
+        for tensor, member_grad in (
+            (survival, grad),
+            (seed_probabilities, grad * config.penalty),
+        ):
+            if tensor.requires_grad:
+                rows = np.repeat(member_grad, sizes).reshape(tensor.shape)
+                if len(sizes) > 1:
+                    rows += 0.0
+                tensor._accumulate_owned(rows)
+
+    return survival._make(losses, (survival, seed_probabilities), backward_fn)
 
 
 class MaxCoverLoss:

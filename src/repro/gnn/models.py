@@ -155,6 +155,8 @@ class GNN(Module):
         buffers.  The scores never alias the workspace.
         """
         hidden = np.asarray(x, dtype=np.float64)
+        if workspace is None:
+            workspace = InferenceWorkspace()
         edges = EdgePass(edge_index, edge_weight, hidden.shape[0], workspace)
         for conv in self.convs:
             hidden = relu_(conv._infer(hidden, edges))

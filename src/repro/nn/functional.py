@@ -19,12 +19,9 @@ _INT64 = np.dtype(np.int64)
 
 __all__ = [
     "concat",
-    "concat_gather_rows",
-    "edge_attention_logits",
     "gather_rows",
     "scale_rows_one_plus",
     "scatter_add_rows",
-    "scatter_weighted_rows",
     "segment_softmax",
     "segment_sum",
     "sigmoid",
@@ -87,87 +84,6 @@ def segment_sum(values: Tensor, segments: np.ndarray, num_segments: int) -> Tens
     return scatter_add_rows(values, segments, num_segments)
 
 
-def _as_int64(indices: np.ndarray) -> np.ndarray:
-    if type(indices) is np.ndarray and indices.dtype == _INT64:
-        return indices
-    return np.asarray(indices, dtype=np.int64)
-
-
-def concat_gather_rows(
-    left: Tensor,
-    tensor: Tensor,
-    indices: np.ndarray,
-    *,
-    flat_index: np.ndarray | None = None,
-) -> Tensor:
-    """Fused ``concat([left, tensor[indices]], axis=1)``.
-
-    Attention layers pair every edge's source features with its target
-    features; fusing the second gather into the concatenation keeps the
-    graph one node smaller per layer.  Forward bytes and gradient bytes are
-    identical to the composed ``concat``/``gather_rows`` chain — the
-    backward performs the same scatter, in the same order (target half
-    first, matching the composed firing order), on the same values.
-    """
-    left_t = Tensor._lift(left)
-    source = Tensor._lift(tensor)
-    idx = _as_int64(indices)
-    width = left_t.data.shape[1]
-    out_data = np.concatenate([left_t.data, source.data[idx]], axis=1)
-
-    def backward_fn(grad: np.ndarray) -> None:
-        if source.requires_grad:
-            full = kernels.segment_sum(
-                grad[:, width:], idx, source.data.shape[0], flat_index=flat_index
-            )
-            source._accumulate_owned(full)
-        if left_t.requires_grad:
-            left_t._accumulate(grad[:, :width])
-
-    return left_t._make(out_data, (left_t, source), backward_fn)
-
-
-def edge_attention_logits(
-    pair: Tensor, attention: Tensor, negative_slope: float
-) -> Tensor:
-    """Fused ``leaky_relu(pair @ attention).reshape(-1)``.
-
-    One node in place of the matmul/leaky-relu/reshape triple; forward and
-    backward replay the composed chain's floating-point operations in the
-    same order, so the result is bit-identical.
-    """
-    p = Tensor._lift(pair)
-    a = Tensor._lift(attention)
-    # The scores product is a GEMV (single-column ``a``), which BLAS does
-    # not compute row-stably on tall matrices; under per-example capture
-    # the union replays the loop's per-subgraph products segment by
-    # segment (see kernels.segment_matmul).
-    capture = per_example.active_capture()
-    if capture is not None and p.data.shape[0] == int(capture.edge_bounds[-1]):
-        scores = kernels.segment_matmul(p.data, a.data, capture.edge_bounds)
-    else:
-        scores = p.data @ a.data
-    out_data, scale = kernels.leaky_relu(scores, negative_slope)
-    out_data = out_data.reshape(-1)
-
-    def backward_fn(grad: np.ndarray) -> None:
-        g_scores = grad.reshape(-1, 1) * scale
-        if p.requires_grad:
-            p._accumulate_owned(g_scores @ a.data.T)
-        if a.requires_grad:
-            # The attention vector is the one edge-rowed parameter
-            # reduction in the model zoo; under per-example capture it is
-            # computed per edge segment of the batched (disjoint-union)
-            # plan instead of over the whole pair matrix.
-            capture = per_example.active_capture()
-            if capture is not None and a._is_parameter:
-                capture.matmul_edges(a, p.data, g_scores)
-            else:
-                a._accumulate_owned(p.data.T @ g_scores)
-
-    return p._make(out_data, (p, a), backward_fn)
-
-
 def scale_rows_one_plus(x: Tensor, epsilon: Tensor) -> Tensor:
     """Fused ``x * (1.0 + epsilon)`` — GIN's ``(1 + ω)·h_v`` self term.
 
@@ -195,38 +111,6 @@ def scale_rows_one_plus(x: Tensor, epsilon: Tensor) -> Tensor:
                 eps._accumulate(_unbroadcast(g_eps, eps.shape))
 
     return source._make(out_data, (source, eps), backward_fn)
-
-
-def scatter_weighted_rows(
-    values: Tensor,
-    weights: Tensor,
-    indices: np.ndarray,
-    num_rows: int,
-    *,
-    flat_index: np.ndarray | None = None,
-) -> Tensor:
-    """Fused ``scatter_add_rows(values * weights.reshape(-1, 1), ...)``.
-
-    The attention message aggregation: per-edge feature rows scaled by the
-    per-edge attention coefficient, scatter-added onto targets.  One node in
-    place of reshape/multiply/scatter, bit-identical to the composition.
-    """
-    v = Tensor._lift(values)
-    w = Tensor._lift(weights)
-    idx = _as_int64(indices)
-    w_column = w.data.reshape(-1, 1)
-    messages = v.data * w_column
-    out_data = kernels.segment_sum(messages, idx, num_rows, flat_index=flat_index)
-
-    def backward_fn(grad: np.ndarray) -> None:
-        g_messages = grad[idx]
-        if v.requires_grad:
-            v._accumulate_owned(g_messages * w_column)
-        if w.requires_grad:
-            g_weights = (g_messages * v.data).sum(axis=1, keepdims=True)
-            w._accumulate_owned(g_weights.reshape(-1))
-
-    return v._make(out_data, (v, w), backward_fn)
 
 
 def segment_softmax(
@@ -266,30 +150,23 @@ def segment_softmax(
     if len(idx) and (idx.min() < 0 or idx.max() >= num_segments):
         raise AutogradError("scatter indices out of range")
 
-    # Fused single-node softmax.  The forward (kernels.segment_softmax) and
-    # the backward below perform the exact floating-point operations, in
-    # the exact order, of the five-node composition they replace
-    # (subtract-shift → exp → scatter-add denominator → gather → divide),
-    # so results and gradients are bit-identical while the graph carries
-    # one node instead of five.
+    # Fused single-node softmax.  Its forward and backward
+    # (kernels.segment_softmax and segment_softmax_backward) perform the
+    # exact floating-point operations, in the exact order, of the five-node
+    # composition they replace (subtract-shift → exp → scatter-add
+    # denominator → gather → divide), so results and gradients are
+    # bit-identical while the graph carries one node instead of five.
     alpha, exp, denom_gathered = kernels.segment_softmax(
         source.data, idx, num_segments, sort=sort
     )
 
     def backward_fn(grad: np.ndarray) -> None:
-        if not source.requires_grad:
-            return
-        # Division node: gradients to the numerator and the gathered
-        # denominator.
-        grad_exp = grad / denom_gathered
-        grad_denom_gathered = -grad * exp / (denom_gathered**2)
-        # Gather node: scatter the denominator gradient back per segment.
-        grad_denominator = kernels.segment_sum(grad_denom_gathered, idx, num_segments)
-        # Scatter-add node: the denominator gradient flows back to every
-        # exponential, accumulated onto the division branch.
-        grad_exp += grad_denominator[idx]
-        # Exp node (the shift is a constant, its node passes through).
-        source._accumulate_owned(grad_exp * exp)
+        if source.requires_grad:
+            source._accumulate_owned(
+                kernels.segment_softmax_backward(
+                    grad, exp, denom_gathered, idx, num_segments
+                )
+            )
 
     return source._make(alpha, (source,), backward_fn)
 

@@ -16,14 +16,14 @@ byte-for-byte.
 
 Interception contract: while a capture is active, every
 :class:`~repro.nn.module.Parameter` gradient must arrive through a
-capture-aware site (``Tensor.__matmul__``/``__add__``/``__sub__``,
-:func:`repro.nn.functional.edge_attention_logits`,
-:func:`repro.nn.functional.scale_rows_one_plus`).  A Parameter receiving a
-gradient anywhere else raises :class:`~repro.errors.AutogradError` —
-failing loudly instead of silently mixing examples.  Generic matmul/add
-interception always uses the *node* segment bounds; every edge-rowed
-parameter reduction in the model zoo goes through the explicitly
-edge-aware ``edge_attention_logits``.
+capture-aware site (``Tensor.__matmul__``/``__add__``/``__sub__``, the
+GAT/GRAT layers' fused node, :func:`repro.nn.functional.scale_rows_one_plus`).
+A Parameter receiving a gradient anywhere else raises
+:class:`~repro.errors.AutogradError` — failing loudly instead of silently
+mixing examples.  Generic matmul/add interception always uses the *node*
+segment bounds; the one edge-rowed parameter reduction in the model zoo,
+the attention vector's, is captured per edge segment by the attention
+layers themselves.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import numpy as np
 from repro.errors import AutogradError
 from repro.nn import kernels
 
-__all__ = ["PerExampleCapture", "active_capture", "capturing"]
+__all__ = ["PerExampleCapture", "active_capture", "capture_matmul", "capturing"]
 
 #: The process-global active capture (``None`` outside the vectorized
 #: path).  A module global rather than thread-local on purpose: captures
@@ -66,9 +66,28 @@ def reject_uncaptured(parameter) -> None:
     raise AutogradError(
         "per-example capture is active but a Parameter gradient arrived "
         "through an op without segment interception; route the op through "
-        "a capture-aware site (matmul, add/sub, edge_attention_logits, "
+        "a capture-aware site (matmul, add/sub, the GAT/GRAT layer node, "
         "scale_rows_one_plus) or train with grad_mode='loop'"
     )
+
+
+def capture_matmul(left: np.ndarray, right: np.ndarray, *, edges: bool = False) -> np.ndarray:
+    """``left @ right``, one segment at a time when a capture covers its rows.
+
+    BLAS products are not row-stable in general: GEMV tail rows, any
+    single-row slice, and every product with a transposed right operand
+    accumulate over k in an order that depends on the total row count.
+    Under per-example capture the disjoint union must replay the serial
+    loop's per-subgraph products to stay bit-identical, so a product whose
+    row count matches the active capture's node (or, with ``edges``, edge)
+    bounds is computed per segment (see :func:`kernels.segment_matmul`).
+    """
+    capture = _ACTIVE
+    if capture is not None:
+        bounds = capture.edge_bounds if edges else capture.node_bounds
+        if left.shape[0] == int(bounds[-1]):
+            return kernels.segment_matmul(left, right, bounds)
+    return left @ right
 
 
 class PerExampleCapture:

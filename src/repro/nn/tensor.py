@@ -363,43 +363,20 @@ class Tensor:
             raise ShapeError(
                 f"matmul requires 2-D operands, got {self.shape} @ {other.shape}"
             )
-        # BLAS products are not row-stable in general: GEMV tail rows, any
-        # single-row slice, and every product with a transposed right
-        # operand accumulate over k in an order that depends on the total
-        # row count.  Under per-example capture the disjoint union must
-        # replay the serial loop's per-subgraph products to stay
-        # bit-identical, so every node-rowed matmul — forward and the
-        # left-operand backward — is computed one segment at a time (see
-        # kernels.segment_matmul).
-        capture = per_example._ACTIVE
-        if capture is not None and self.data.shape[0] == int(
-            capture.node_bounds[-1]
-        ):
-            out_data = kernels.segment_matmul(
-                self.data, other.data, capture.node_bounds
-            )
-        else:
-            out_data = self.data @ other.data
+        # Under per-example capture every node-rowed product — forward and
+        # the left-operand backward — replays the serial loop's per-subgraph
+        # BLAS calls (see per_example.capture_matmul).
+        out_data = per_example.capture_matmul(self.data, other.data)
 
         def backward_fn(grad: np.ndarray) -> None:
             if self.requires_grad:
-                capture = per_example._ACTIVE
-                if capture is not None and grad.shape[0] == int(
-                    capture.node_bounds[-1]
-                ):
-                    self._accumulate_owned(
-                        kernels.segment_matmul(
-                            grad, other.data.T, capture.node_bounds
-                        )
-                    )
-                else:
-                    self._accumulate_owned(grad @ other.data.T)
+                self._accumulate_owned(per_example.capture_matmul(grad, other.data.T))
             if other.requires_grad:
                 # Right-operand parameters (``x @ W``, every Linear) are
-                # node-rowed throughout the model zoo; edge-rowed parameter
-                # matmuls go through the explicitly edge-aware
-                # ``edge_attention_logits``.  A left-operand Parameter under
-                # capture falls through to the accumulate guard.
+                # node-rowed throughout the model zoo; the attention layers
+                # capture their edge-rowed attention vectors themselves.  A
+                # left-operand Parameter under capture falls through to the
+                # accumulate guard.
                 capture = per_example._ACTIVE
                 if capture is not None and other._is_parameter:
                     capture.matmul_nodes(other, self.data, grad)
@@ -566,28 +543,6 @@ class Tensor:
     # ------------------------------------------------------------------ #
     # Indexing
     # ------------------------------------------------------------------ #
-    def row_slice(self, start: int, stop: int) -> "Tensor":
-        """Contiguous row view ``self[start:stop]`` with scatter-back gradient.
-
-        The per-example loss recovery of the vectorized batch path: a slice
-        of a C-contiguous array has the same shape and strides as the
-        standalone array of the same rows, so downstream reductions (``sum``
-        with numpy's pairwise blocking, BLAS products) are bit-identical to
-        running them on the unbatched array.  The backward embeds the slice
-        gradient into zeros; row regions of other examples receive exact
-        ``+0.0``, which accumulation then preserves bit-exactly.
-        """
-        start, stop = int(start), int(stop)
-        out_data = self.data[start:stop]
-
-        def backward_fn(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                full = np.zeros_like(self.data)
-                full[start:stop] = grad
-                self._accumulate_owned(full)
-
-        return self._make(out_data, (self,), backward_fn)
-
     def gather_rows(
         self, indices: np.ndarray, *, flat_index: np.ndarray | None = None
     ) -> "Tensor":

@@ -31,6 +31,16 @@ model's ``forward`` under ``no_grad``.  The inference path
 (:meth:`repro.gnn.models.GNN.infer`, which ``score_nodes`` runs) must
 match it byte for byte.
 
+The two fused training nodes have composed autograd oracles.
+:func:`reference_attention_forward` builds a GAT/GRAT layer from
+single-purpose autograd nodes (gather, concat, logits, softmax, scatter,
+and per head a column-selector matmul); the layer's one-node ``forward``
+must match its output and every gradient — input, weight, attention
+vectors, and each per-example capture row — byte for byte.
+:func:`reference_member_losses` reduces each member's Eq. 5 loss from
+contiguous row slices, one scatter-back node per slice;
+:func:`repro.core.loss.member_losses` must match it the same way.
+
 The Theorem 3 accountant has a per-order oracle:
 :func:`reference_privim_step_rdp` rebuilds ρ and one logsumexp for each
 Rényi order, and :func:`reference_best_epsilon` converts and compares one
@@ -70,7 +80,11 @@ from repro.gnn.models import build_gnn
 from repro.graphs.degree import project_in_degree
 from repro.graphs.graph import Graph
 from repro.graphs.neighborhoods import k_hop_nodes
-from repro.nn.tensor import Tensor, no_grad
+from repro.gnn.message_passing import check_edge_index, unit_edge_weights
+from repro.nn import functional as F
+from repro.nn import kernels
+from repro.nn.per_example import active_capture, capture_matmul
+from repro.nn.tensor import Tensor, concat, no_grad
 from repro.sampling import FrequencyVector, Subgraph, SubgraphContainer
 from repro.sampling.frequency import adaptive_neighbor_weights
 from repro.sampling.parallel import SamplingStats
@@ -89,6 +103,8 @@ __all__ = [
     "reference_segment_sum",
     "reference_segment_max",
     "reference_score_nodes",
+    "reference_attention_forward",
+    "reference_member_losses",
     "reference_privim_step_rdp",
     "reference_best_epsilon",
     "reference_epsilon",
@@ -263,6 +279,138 @@ def reference_score_nodes(model, graph, *, features=None) -> np.ndarray:
         x = Tensor(np.asarray(features, dtype=np.float64))
         scores = model(x, edge_index, edge_weight)
     return scores.numpy()
+
+
+# --------------------------------------------------------------------------- #
+# composed autograd oracles for the fused attention and loss nodes
+# --------------------------------------------------------------------------- #
+def _concat_gather_rows(left: Tensor, tensor: Tensor, indices: np.ndarray) -> Tensor:
+    """``concat([left, tensor[indices]], axis=1)`` as one node."""
+    width = left.data.shape[1]
+    out = np.concatenate([left.data, tensor.data[indices]], axis=1)
+
+    def backward(grad: np.ndarray) -> None:
+        if tensor.requires_grad:
+            tensor._accumulate_owned(
+                kernels.segment_sum(grad[:, width:], indices, tensor.data.shape[0])
+            )
+        if left.requires_grad:
+            left._accumulate(grad[:, :width])
+
+    return left._make(out, (left, tensor), backward)
+
+
+def _edge_attention_logits(pair: Tensor, attention: Tensor, slope: float) -> Tensor:
+    """``leaky_relu(pair @ attention).reshape(-1)``, with per-example capture
+    of the edge-rowed product and of the attention gradient."""
+    scores = capture_matmul(pair.data, attention.data, edges=True)
+    out, scale = kernels.leaky_relu(scores, slope)
+
+    def backward(grad: np.ndarray) -> None:
+        g_scores = grad.reshape(-1, 1) * scale
+        if pair.requires_grad:
+            pair._accumulate_owned(g_scores @ attention.data.T)
+        if attention.requires_grad:
+            capture = active_capture()
+            if capture is not None:
+                capture.matmul_edges(attention, pair.data, g_scores)
+            else:
+                attention._accumulate_owned(pair.data.T @ g_scores)
+
+    return pair._make(out.reshape(-1), (pair, attention), backward)
+
+
+def _scatter_weighted_rows(
+    values: Tensor, weights: Tensor, indices: np.ndarray, num_rows: int
+) -> Tensor:
+    """``scatter_add_rows(values * weights.reshape(-1, 1), indices)``."""
+    column = weights.data.reshape(-1, 1)
+    out = kernels.segment_sum(values.data * column, indices, num_rows)
+
+    def backward(grad: np.ndarray) -> None:
+        g_messages = grad[indices]
+        if values.requires_grad:
+            values._accumulate_owned(g_messages * column)
+        if weights.requires_grad:
+            g_weights = (g_messages * values.data).sum(axis=1, keepdims=True)
+            weights._accumulate_owned(g_weights.reshape(-1))
+
+    return values._make(out, (values, weights), backward)
+
+
+def reference_attention_forward(layer, x: Tensor, edge_index, edge_weight=None) -> Tensor:
+    """A GAT/GRAT layer's forward composed from single-purpose autograd nodes.
+
+    Single head: gather, fused concat-gather, fused logits, softmax, and a
+    fused weighted scatter (or reshape/multiply/multiply/scatter with edge
+    weights).  Several heads: both gathers, then per head two
+    column-selector matmuls, concat, logits, softmax, reshape, multiply(s)
+    and scatter, and a final concat.  Zero edges: ``linear(x) * 0.0``.
+    """
+    num_nodes = x.shape[0]
+    edges = check_edge_index(edge_index, num_nodes)
+    if edges.shape[1] == 0:
+        return layer.linear(x) * 0.0
+    sources, targets = edges[0], edges[1]
+    segments = targets if layer.normalize_over == "target" else sources
+    weight_column = None
+    if edge_weight is not None:
+        weights = np.asarray(edge_weight, dtype=np.float64)
+        if not unit_edge_weights(weights):
+            weight_column = Tensor(weights.reshape(-1, 1))
+    transformed = layer.linear(x)
+    source_feats = transformed.gather_rows(sources)
+    slope = layer.negative_slope
+    if layer.heads == 1:
+        pair = _concat_gather_rows(source_feats, transformed, targets)
+        logits = _edge_attention_logits(pair, layer.attentions[0], slope)
+        alpha = F.segment_softmax(logits, segments, num_nodes)
+        if weight_column is None:
+            return _scatter_weighted_rows(source_feats, alpha, targets, num_nodes)
+        messages = source_feats * alpha.reshape(-1, 1) * weight_column
+        return F.scatter_add_rows(messages, targets, num_nodes)
+    target_feats = transformed.gather_rows(targets)
+    width, head_dim = transformed.shape[1], layer.head_dim
+    head_outputs = []
+    for head, attention in enumerate(layer.attentions):
+        selector = np.zeros((width, head_dim))
+        selector[np.arange(head * head_dim, (head + 1) * head_dim), np.arange(head_dim)] = 1.0
+        head_sources = source_feats @ Tensor(selector)
+        pair = concat([head_sources, target_feats @ Tensor(selector)], axis=1)
+        logits = _edge_attention_logits(pair, attention, slope)
+        alpha = F.segment_softmax(logits, segments, num_nodes)
+        messages = head_sources * alpha.reshape(-1, 1)
+        if weight_column is not None:
+            messages = messages * weight_column
+        head_outputs.append(F.scatter_add_rows(messages, targets, num_nodes))
+    return concat(head_outputs, axis=1)
+
+
+def _row_slice(tensor: Tensor, start: int, stop: int) -> Tensor:
+    """``tensor[start:stop]``; the backward embeds the slice gradient in zeros."""
+
+    def backward(grad: np.ndarray) -> None:
+        if tensor.requires_grad:
+            full = np.zeros_like(tensor.data)
+            full[start:stop] = grad
+            tensor._accumulate_owned(full)
+
+    return tensor._make(tensor.data[start:stop], (tensor,), backward)
+
+
+def reference_member_losses(survival: Tensor, seed_probabilities: Tensor, bounds,
+                            config) -> list[Tensor]:
+    """Each member's Eq. 5 loss from row slices, one scalar node chain apiece."""
+    losses = []
+    for example in range(len(bounds) - 1):
+        start, stop = int(bounds[example]), int(bounds[example + 1])
+        uncovered = _row_slice(survival, start, stop).sum()
+        seed_mass = _row_slice(seed_probabilities, start, stop).sum()
+        loss = uncovered + config.penalty * seed_mass
+        if config.normalize:
+            loss = loss * (1.0 / (stop - start))
+        losses.append(loss)
+    return losses
 
 
 # --------------------------------------------------------------------------- #
