@@ -62,10 +62,9 @@ class ComputePlan(kernels.EdgeSetMemo):
         self.edge_weight = graph.edge_arrays()[2]
 
     def features(self, dim: int) -> np.ndarray:
-        """Deterministic degree features of this subgraph (cached per dim)."""
-        return self.memo(
-            ("features", int(dim)), lambda: degree_features(self.graph, dim=dim)
-        )
+        """Deterministic degree features of this subgraph: the read-only
+        array the graph stores, shared by every plan of the same graph."""
+        return degree_features(self.graph, dim=dim)
 
 
 class _UnionGraph:

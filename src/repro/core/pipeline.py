@@ -532,8 +532,7 @@ class _BasePipeline:
 
         ``rng`` seeds the score tie-break only (see
         :func:`repro.core.seed_selection.select_top_k_seeds`);
-        ``features`` passes precomputed node features through so repeated
-        evaluation on the same graph pays featurisation once.
+        ``features`` replaces the degree features ``graph`` stores.
         """
         if self.model is None:
             raise TrainingError("call fit() before select_seeds()")

@@ -44,13 +44,10 @@ def score_nodes(
     Args:
         model: the trained GNN.
         graph: the graph to score.
-        features: optional precomputed node features (what
-            :func:`repro.gnn.features.degree_features` would return for
-            ``graph`` at the model's input dimension).  Featurisation is
-            O(|V|·d); callers that score the same graph repeatedly — the
-            serving engine, the experiment harness's repeated evaluation —
-            compute it once and pass it through instead of paying it per
-            call.
+        features: optional node features of shape ``(|V|, in_features)``.
+            ``None`` uses :func:`repro.gnn.features.degree_features`, which
+            ``graph`` builds once and stores, so scoring the same graph
+            again pays no featurisation.
         workspace: optional scratch buffers reused across calls (see
             :meth:`repro.gnn.models.GNN.infer`); ``None`` allocates fresh
             ones.  Never share one between concurrent calls.

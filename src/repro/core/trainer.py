@@ -200,10 +200,11 @@ class DPGNNTrainer:
                 max_occurrences=config.max_occurrences,
             )
         # Static per-subgraph compute plans (edge arrays, normalisations,
-        # sort permutations, degree features), built once per container —
-        # generalises the old per-subgraph feature cache.  For an on-disk
-        # source an unbounded cache would re-materialise the whole pool in
-        # RAM, so it is LRU-bounded to a few batches' worth of plans.
+        # sort permutations), built once per container; degree features
+        # are stored on each subgraph's graph and outlive the trainer.
+        # For an on-disk source an unbounded cache would re-materialise
+        # the whole pool in RAM, so it is LRU-bounded to a few batches'
+        # worth of plans.
         if getattr(container, "in_memory", True):
             self._plans = ComputePlanCache(container)
         else:

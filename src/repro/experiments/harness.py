@@ -20,7 +20,6 @@ from repro.datasets.registry import load_dataset
 from repro.errors import ExperimentError
 from repro.experiments.methods import build_method, display_name
 from repro.experiments.profiles import ExperimentProfile, get_profile
-from repro.gnn.features import degree_features
 from repro.graphs.graph import Graph
 from repro.im.celf import celf_coverage
 from repro.im.metrics import coverage_ratio
@@ -61,16 +60,6 @@ class EvaluationSetting:
     test_graph: Graph
     seed_count: int
     celf_spread: float
-    # Per-dimension degree features of the test graph, computed lazily and
-    # shared across every repeat of every method: repeated evaluation used
-    # to pay the O(|V|·d) featurisation once per seed-selection call.
-    _feature_cache: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def test_features(self, dim: int) -> np.ndarray:
-        """Cached :func:`~repro.gnn.features.degree_features` at ``dim``."""
-        if dim not in self._feature_cache:
-            self._feature_cache[dim] = degree_features(self.test_graph, dim=dim)
-        return self._feature_cache[dim]
 
 
 @lru_cache(maxsize=64)
@@ -142,10 +131,7 @@ def evaluate_method(
     resolved = get_profile(profile)
     pipeline = build_method(method, epsilon, resolved, seed, **overrides)
     result = pipeline.fit(setting.train_graph)
-    features = setting.test_features(pipeline.model.config.in_features)
-    seeds = pipeline.select_seeds(
-        setting.test_graph, setting.seed_count, features=features
-    )
+    seeds = pipeline.select_seeds(setting.test_graph, setting.seed_count)
     spread = float(coverage_spread(setting.test_graph, seeds))
     return MethodRun(
         method=method,

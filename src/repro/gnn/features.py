@@ -34,9 +34,20 @@ def degree_features(graph: Graph, *, dim: int = 5) -> np.ndarray:
     scores and its seed ranking degrades accordingly — without them, degree
     features are so mutually parallel that even a destroyed model ranks
     nodes by degree and no utility is ever lost to noise.
+
+    The features depend on ``graph``'s structure alone, so they are built
+    once per graph and dimension and stored on the graph
+    (:meth:`~repro.graphs.graph.Graph.derived`): every call for the same
+    graph returns the same **read-only** array.  Callers needing a
+    mutable matrix must copy.
     """
     if dim < 1:
         raise GraphError(f"feature dim must be >= 1, got {dim}")
+    dim = int(dim)
+    return graph.derived(("degree_features", dim), lambda: _build_features(graph, dim))
+
+
+def _build_features(graph: Graph, dim: int) -> np.ndarray:
     out_deg = graph.out_degrees().astype(np.float64)
     in_deg = graph.in_degrees().astype(np.float64)
 
@@ -58,4 +69,5 @@ def degree_features(graph: Graph, *, dim: int = 5) -> np.ndarray:
         for _ in range(dim - len(channels)):
             channels.append(noise_rng.uniform(0.0, 1.0, size=graph.num_nodes))
     features = np.stack(channels[:dim], axis=1)
+    features.setflags(write=False)
     return features

@@ -18,11 +18,13 @@ kept as metadata so dataset statistics report the undirected edge count).
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Callable, Hashable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
 from repro.errors import GraphError
+
+T = TypeVar("T")
 
 
 def _check_probabilities(weights: np.ndarray) -> None:
@@ -116,11 +118,48 @@ class Graph:
         )
         self._init_caches()
 
+    #: Attributes :meth:`_init_caches` sets: values derived from the
+    #: structure, rebuilt on demand and never pickled.
+    _DERIVED = (
+        "_edge_arrays_cache",
+        "_edge_index_cache",
+        "_has_unit_weights",
+        "_derived",
+    )
+
     def _init_caches(self) -> None:
         """Reset the lazily-built derived-array caches."""
         self._edge_arrays_cache: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._edge_index_cache: np.ndarray | None = None
         self._has_unit_weights: bool | None = None
+        self._derived: dict[Hashable, object] = {}
+
+    def __getstate__(self) -> dict:
+        """Pickle the structure only; the unpickled graph rebuilds its
+        derived values on demand."""
+        state = self.__dict__.copy()
+        for name in self._DERIVED:
+            state.pop(name, None)
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._init_caches()
+
+    def derived(self, key: Hashable, build: Callable[[], T]) -> T:
+        """The value stored under ``key``, built by ``build()`` on first use.
+
+        A build-once store for values that depend only on this graph's
+        structure (degree features, the walk's candidate rows).  Graphs
+        are immutable, so a stored value stays valid for the graph's
+        lifetime; :meth:`add_edges` and :meth:`remove_edges` return new
+        graphs with empty stores.  Two threads missing the same key at
+        once both build it, and both get the value stored first.
+        """
+        try:
+            return self._derived[key]  # type: ignore[return-value]
+        except KeyError:
+            return self._derived.setdefault(key, build())  # type: ignore[return-value]
 
     # ------------------------------------------------------------------ #
     # Basic properties

@@ -76,6 +76,22 @@ def _row_gather(indptr: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, np.n
     return new_indptr, flat
 
 
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """``np.unique`` of a 1-D int64 array: its sorted distinct values.
+
+    A sort and a neighbour mask, cheaper than ``np.unique``'s hash path
+    on the walk's rows: 5.1 vs 6.0 µs at 20 ids and 7.7 vs 33 µs at 300
+    on a 2-vCPU Xeon.
+    """
+    values = np.sort(values)
+    if len(values) > 1:
+        keep = np.empty(len(values), dtype=bool)
+        keep[0] = True
+        np.not_equal(values[1:], values[:-1], out=keep[1:])
+        values = values[keep]
+    return values
+
+
 def _to_local(owned: np.ndarray, halo: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     """Map global ids to shard-local ids (owned first, then halo)."""
     nodes = np.asarray(nodes, dtype=np.int64)
@@ -105,6 +121,7 @@ class GraphShard:
         "in_indptr",
         "in_local",
         "in_weights",
+        "rows",
         "_mmap",
     )
 
@@ -125,6 +142,7 @@ class GraphShard:
         in_weights: np.ndarray,
         *,
         mapped=None,
+        rows: dict[str, dict[int, np.ndarray]] | None = None,
     ) -> None:
         self.shard_id = int(shard_id)
         self.num_shards = int(num_shards)
@@ -142,6 +160,10 @@ class GraphShard:
         self.in_indptr = in_indptr
         self.in_local = in_local
         self.in_weights = in_weights
+        # Walk candidate rows of visited owned nodes, keyed by direction
+        # then node: built on a walk's first visit, kept for the shard's
+        # lifetime (see ``walk_row``).
+        self.rows: dict[str, dict[int, np.ndarray]] = {} if rows is None else rows
         self._mmap = mapped
 
     @property
@@ -169,31 +191,45 @@ class GraphShard:
             )
         )
 
-    def is_owned(self, node: int) -> bool:
-        pos = int(np.searchsorted(self.owned, node))
-        return pos < len(self.owned) and int(self.owned[pos]) == node
+    def walk_row(self, node: int, direction: str) -> np.ndarray | None:
+        """Global ids a walk at owned ``node`` may step to walking
+        ``direction``, in the serial walker's order: CSR row order for
+        "out"/"in", sorted-unique for "both".  ``None`` when another
+        shard owns ``node``.  Built on first use and stored in ``rows``;
+        callers must not mutate it."""
+        rows = self.rows.setdefault(direction, {})
+        row = rows.get(node)
+        if row is None:
+            pos = int(self.owned.searchsorted(node))
+            if pos == len(self.owned) or int(self.owned[pos]) != node:
+                return None
 
-    def owned_position(self, node: int) -> int:
-        pos = int(np.searchsorted(self.owned, node))
-        if pos >= len(self.owned) or int(self.owned[pos]) != node:
-            raise GraphError(
-                f"node {node} is not owned by shard {self.shard_id}"
-            )
-        return pos
+            def ids(indptr: np.ndarray, local: np.ndarray) -> np.ndarray:
+                return self.global_ids[local[indptr[pos] : indptr[pos + 1]]]
+
+            if direction == "out":
+                row = ids(self.out_indptr, self.out_local)
+            elif direction == "in":
+                row = ids(self.in_indptr, self.in_local)
+            else:
+                row = sorted_unique(
+                    np.concatenate(
+                        [
+                            ids(self.out_indptr, self.out_local),
+                            ids(self.in_indptr, self.in_local),
+                        ]
+                    )
+                )
+            rows[node] = row
+        return row
 
     def halo_owner_of(self, node: int) -> int:
-        pos = int(np.searchsorted(self.halo, node))
+        pos = int(self.halo.searchsorted(node))
         if pos >= len(self.halo) or int(self.halo[pos]) != node:
             raise GraphError(
                 f"node {node} is neither owned by nor a halo of shard {self.shard_id}"
             )
         return int(self.halo_owner[pos])
-
-    def owner_of(self, node: int) -> int:
-        """Owning shard of any node visible to this shard."""
-        if self.is_owned(node):
-            return self.shard_id
-        return self.halo_owner_of(node)
 
     def to_local(self, nodes: np.ndarray) -> np.ndarray:
         return _to_local(self.owned, self.halo, nodes)
@@ -512,7 +548,11 @@ def whole_graph_shard_set(graph: Graph) -> ShardSet:
     """``graph`` as one shard that owns every node: no halo, local ids equal
     global ids, and the shard's CSR arrays *are* the graph's — no copy and
     no partition pass.  This is how the flat samplers run on the shard
-    coordinator."""
+    coordinator.
+
+    The shard's walk-row store is owned by ``graph``
+    (:meth:`Graph.derived`), so every flat sampling run on the same graph
+    object reuses the candidate rows earlier runs built."""
     num_nodes = graph.num_nodes
     empty = np.empty(0, dtype=np.int64)
     shard = GraphShard(
@@ -525,6 +565,7 @@ def whole_graph_shard_set(graph: Graph) -> ShardSet:
         empty,
         *graph.out_csr(),
         *graph.in_csr(),
+        rows=graph.derived("walk_rows", dict),
     )
     return ShardSet(
         shards=[shard],

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.sampling.frequency import adaptive_neighbor_weights
-from repro.sharding.partition import _row_gather
+from repro.sharding.partition import GraphShard, _row_gather
 
 __all__ = ["WalkParams", "WalkTask", "ShardView", "advance_walk"]
 
@@ -83,11 +83,15 @@ def _timed(method):
 class ShardView:
     """The in-process host of one shard: rows, residency, snapshots.
 
-    Walk candidates are cached per owned node for the current pass, with
-    the pass's stage-2 availability mask already applied: a walk step
-    costs one dict lookup however many shards there are, and residency
-    is tested only on a cache miss.  ``seconds`` and ``walks_advanced``
-    account the work done through the coordinator-facing methods.
+    A walk step looks its candidates up in one dict, however many shards
+    there are; residency is tested only on a miss.  Rows live on the
+    shard walked (:meth:`GraphShard.walk_row`), so they survive every
+    pass, chunk and stage of a run — and, for the whole-graph shard,
+    every run on the same graph.  The run's θ-projection is a shard of
+    its own, built by this view and dropped with it.  Rows filtered by
+    stage 2's availability mask stay on the view, for one pass.
+    ``seconds`` and ``walks_advanced`` account the work done through the
+    coordinator-facing methods.
     """
 
     def __init__(self, shard) -> None:
@@ -102,9 +106,12 @@ class ShardView:
         # frequency snapshot the Eq. 9 chooser reads, one array shared by
         # every view and refreshed by the coordinator at each chunk's start.
         self.snapshot: np.ndarray | None = None
-        # Projected CSR installed by the distributed θ-projection:
-        # (out_indptr, out_local, out_weights, in_indptr, in_local, in_weights)
-        self.projection: tuple | None = None
+        # The shard's rows after the distributed θ-projection (same owned
+        # and halo ids, projected CSR), built by ``project_out``.
+        self.projected: GraphShard | None = None
+        # The shard the current pass walks, and node -> its candidate row:
+        # that shard's row store unless the pass filters by availability.
+        self._walked = shard
         self._candidates: dict[int, np.ndarray] = {}
         # Eq. 9 weight per occurrence count 0..M (counts never pass M).
         self.weight_of_count: np.ndarray | None = None
@@ -114,15 +121,15 @@ class ShardView:
         """Install one pass's walk parameters and availability mask."""
         self.params = params
         self.availability = availability
-        self._candidates = {}
+        self._walked = self._shard_for(params.use_projected)
+        if availability is None:
+            self._candidates = self._walked.rows.setdefault(params.direction, {})
+        else:
+            self._candidates = {}
         if params.kind == "frequency":
             self.weight_of_count = adaptive_neighbor_weights(
                 np.arange(params.threshold + 1), params.threshold, params.decay
             )
-
-    def install_projection(self, projection: tuple | None) -> None:
-        self.projection = projection
-        self._candidates = {}
 
     @_timed
     def advance(
@@ -229,28 +236,37 @@ class ShardView:
         out_local = shard.to_local(targets)
         in_indptr, in_local, in_weights = self._projected_in
         del self._projected_in
-        self.install_projection(
-            (out_indptr, out_local, weights, in_indptr, in_local, in_weights)
+        self.projected = GraphShard(
+            shard.shard_id,
+            shard.num_shards,
+            shard.num_global_nodes,
+            shard.directed,
+            shard.owned,
+            shard.halo,
+            shard.halo_owner,
+            out_indptr,
+            out_local,
+            weights,
+            in_indptr,
+            in_local,
+            in_weights,
         )
 
     # ------------------------------------------------------------------ #
     # rows
     # ------------------------------------------------------------------ #
+    def _shard_for(self, use_projected: bool) -> GraphShard:
+        """The θ-projected shard when asked for and built, else the shard."""
+        if use_projected and self.projected is not None:
+            return self.projected
+        return self.shard
+
     def _csr(self, kind: str, use_projected: bool):
-        """``(indptr, local ids, weights)`` of the out or in rows walked:
-        the installed θ-projection, or the shard's own rows."""
-        if use_projected and self.projection is not None:
-            offset = 0 if kind == "out" else 3
-            return self.projection[offset : offset + 3]
-        shard = self.shard
+        """``(indptr, local ids, weights)`` of the out or in rows walked."""
+        shard = self._shard_for(use_projected)
         if kind == "out":
             return shard.out_indptr, shard.out_local, shard.out_weights
         return shard.in_indptr, shard.in_local, shard.in_weights
-
-    def _row(self, node: int, kind: str, use_projected: bool) -> np.ndarray:
-        indptr, local, _ = self._csr(kind, use_projected)
-        pos = self.shard.owned_position(node)
-        return self.shard.global_ids[local[indptr[pos] : indptr[pos + 1]]]
 
     def candidates(self, node: int) -> np.ndarray | None:
         """Global candidate ids of an owned node for the current pass,
@@ -259,21 +275,9 @@ class ShardView:
         ``None`` when another shard owns ``node``."""
         row = self._candidates.get(node)
         if row is None:
-            if not self.shard.is_owned(node):
+            row = self._walked.walk_row(node, self.params.direction)
+            if row is None:
                 return None
-            direction = self.params.direction
-            use_projected = self.params.use_projected
-            if direction == "both":
-                row = np.unique(
-                    np.concatenate(
-                        [
-                            self._row(node, "out", use_projected),
-                            self._row(node, "in", use_projected),
-                        ]
-                    )
-                )
-            else:
-                row = self._row(node, direction, use_projected)
             if self.availability is not None and len(row):
                 row = row[self.availability[row]]
             self._candidates[node] = row
@@ -373,7 +377,7 @@ def advance_walk(walk: WalkTask, view: ShardView):
             # seen (not even as a halo); its owner travels with the task.
             if current == walk.start:
                 return ("forward", walk.start_owner)
-            return ("forward", view.shard.owner_of(current))
+            return ("forward", view.shard.halo_owner_of(current))
         if walk.allowed is not None and len(candidates):
             keep = np.fromiter(
                 (candidate in walk.allowed for candidate in candidates.tolist()),

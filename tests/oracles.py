@@ -88,7 +88,7 @@ from repro.nn.tensor import Tensor, concat, no_grad
 from repro.sampling import FrequencyVector, Subgraph, SubgraphContainer
 from repro.sampling.frequency import adaptive_neighbor_weights
 from repro.sampling.parallel import SamplingStats
-from repro.sharding import GraphShard, ShardSet
+from repro.sharding import ShardSet
 from repro.sharding.coordinator import _distributed_projection
 from repro.sharding.walker import ShardView
 from repro.utils.rng import child_generator, derive_root_entropy, ensure_rng
@@ -809,19 +809,7 @@ def coordinator_projection(shard_set: ShardSet, theta: int, rng) -> Graph:
     """
     views = [ShardView(shard) for shard in shard_set.shards]
     _distributed_projection(views, shard_set, theta, ensure_rng(rng))
-    shards = [
-        GraphShard(
-            base.shard_id,
-            base.num_shards,
-            base.num_global_nodes,
-            base.directed,
-            base.owned,
-            base.halo,
-            base.halo_owner,
-            *view.projection,
-        )
-        for base, view in zip(shard_set.shards, views)
-    ]
+    shards = [view.projected for view in views]
     return ShardSet(
         shards=shards,
         assignment=shard_set.assignment,
