@@ -5,9 +5,9 @@ multi-round statistics — they measure the throughput of the pieces the
 experiments are built from (sampling, one DP-SGD step, CELF, accounting).
 
 All randomness is seeded through :func:`repro.utils.rng.bench_seed`.
-Sharded sampling (``--shards``) is a memory layout, not a parallel arm:
-its bounded RSS is measured by ``bench_training_throughput.py``'s
-sharded probes.
+Sharded dual-stage sampling (``sample_dual_stage_sharded``) is a memory
+layout, not a parallel arm: its RSS is measured by
+``bench_training_throughput.py``'s sharded probes.
 """
 
 import numpy as np

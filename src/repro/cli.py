@@ -70,14 +70,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             "(default 1 when --checkpoint is set)")
     train.add_argument("--resume", action="store_true",
                        help="restore --checkpoint before training if it exists")
-    train.add_argument("--shards", type=int, default=1,
-                       help="edge-cut shards the sampling engine walks "
-                            "(default 1 = the whole graph in process; results "
-                            "are bit-identical either way)")
-    train.add_argument("--shard-dir", metavar="DIR",
-                       help="persisted shard-set directory: loaded when it "
-                            "already holds a shard set, otherwise built from "
-                            "the graph and saved here (see 'repro partition')")
     train.add_argument("--subgraph-store", metavar="DIR",
                        help="spill the sampled subgraph pool to this directory "
                             "as an mmap-backed on-disk store; training memory "
@@ -101,21 +93,6 @@ def _build_parser() -> argparse.ArgumentParser:
     seeds.add_argument("--k", type=int, default=20)
 
     commands.add_parser("datasets", help="list the dataset registry")
-
-    partition = commands.add_parser(
-        "partition",
-        help="partition a dataset into an on-disk shard set for sharded sampling",
-    )
-    partition.add_argument("--dataset", default="lastfm", choices=sorted(DATASETS))
-    partition.add_argument("--scale", type=float, default=0.1)
-    partition.add_argument("--seed", type=int, default=0,
-                           help="seed matching the intended training run")
-    partition.add_argument("--shards", type=int, default=2,
-                           help="number of edge-cut shards")
-    partition.add_argument("--method", default="bfs", choices=["bfs", "hash"],
-                           help="partition assignment method")
-    partition.add_argument("--out", required=True, metavar="DIR",
-                           help="directory for the persisted shard set")
 
     experiment = commands.add_parser("experiment", help="regenerate a table/figure")
     experiment.add_argument(
@@ -224,8 +201,6 @@ def _command_train(args: argparse.Namespace) -> int:
         iterations=args.iterations,
         grad_workers=args.grad_workers,
         grad_mode=args.grad_mode,
-        num_shards=args.shards,
-        shard_dir=args.shard_dir,
         checkpoint_every=checkpoint_every if args.checkpoint else None,
         checkpoint_path=args.checkpoint,
         resume=args.resume,
@@ -263,8 +238,8 @@ def _command_train(args: argparse.Namespace) -> int:
     print(f"subgraphs      : {result.num_subgraphs} (N_g={result.max_occurrences})")
     if result.sampling_stats is not None:
         stats = result.sampling_stats
-        print(f"sampling       : {stats.num_shards} shard(s), "
-              f"{stats.walks_attempted} walks, {stats.walks_rejected} cap-rejected "
+        print(f"sampling       : {stats.walks_attempted} walks, "
+              f"{stats.walks_rejected} cap-rejected "
               f"({100 * stats.cap_hit_rate:.1f}% cap-hit), "
               f"{stats.total_seconds:.2f}s")
     print(f"noise sigma    : {result.sigma:.4f}")
@@ -280,29 +255,6 @@ def _command_train(args: argparse.Namespace) -> int:
     if args.save:
         save_model(pipeline.model, args.save)
         print(f"checkpoint     : {args.save}")
-    return 0
-
-
-def _command_partition(args: argparse.Namespace) -> int:
-    from repro.sharding import build_shard_set
-    from repro.utils.rng import ensure_rng, spawn_rngs
-
-    graph = load_dataset(args.dataset, scale=args.scale)
-    train_graph, _ = split_graph(graph, 0.5, rng=args.seed)
-    # Same rng derivation as the pipeline's shard stream, so a shard set
-    # built offline is identical to one the pipeline would build inline.
-    shard_rng = spawn_rngs(ensure_rng(args.seed), 4)[3]
-    shard_set = build_shard_set(
-        train_graph, args.shards, method=args.method, rng=shard_rng
-    )
-    shard_set.save(args.out)
-    stats = shard_set.stats()
-    print(f"dataset        : {args.dataset} (train |V|={train_graph.num_nodes})")
-    print(f"shards         : {stats.num_parts} ({stats.method})")
-    print(f"sizes          : {list(stats.sizes)} (balance {stats.balance:.2f})")
-    print(f"cut arcs       : {stats.cut_arcs}/{stats.total_arcs} "
-          f"({100 * stats.cut_fraction:.1f}%)")
-    print(f"shard set      : {args.out}")
     return 0
 
 
@@ -539,8 +491,6 @@ def main(argv: list[str] | None = None) -> int:
         return _command_seeds(args)
     if args.command == "datasets":
         return _command_datasets()
-    if args.command == "partition":
-        return _command_partition(args)
     if args.command == "experiment":
         return _command_experiment(args)
     if args.command == "audit":

@@ -33,15 +33,8 @@ from repro.obs import Observability, PrivacyLedger, ensure_obs
 from repro.sampling.container import SubgraphContainer
 from repro.sampling.dual_stage import DualStageSamplingConfig
 from repro.sampling.naive import NaiveSamplingConfig
-from repro.sampling.parallel import SamplingStats
+from repro.sampling.parallel import SamplingStats, sample_dual_stage, sample_naive
 from repro.sampling.store import SubgraphStoreWriter
-from repro.sharding import (
-    ShardSet,
-    build_shard_set,
-    sample_dual_stage_sharded,
-    sample_naive_sharded,
-    whole_graph_shard_set,
-)
 from repro.utils.rng import ensure_rng, spawn_rngs
 
 
@@ -79,19 +72,6 @@ class PrivIMConfig:
         grad_mode: gradient execution strategy — ``"vectorized"`` (one
             disjoint-union pass per batch, the default) or ``"loop"`` (one
             pass per subgraph); byte-identical results either way.
-        num_shards: edge-cut shards the sampling engine
-            (:mod:`repro.sharding`) walks; 1 (default) samples the graph
-            as one in-process shard.  Sharded sampling is bit-identical to
-            the flat path under a fixed seed — shards are a memory
-            layout, never a sampling parameter.
-        shard_dir: directory holding (or to hold) the persisted shard set.
-            An existing shard set is loaded (its shard files mmap'd) and
-            reused; otherwise the set is built from the graph and saved
-            here.  Setting ``shard_dir`` alone (with
-            ``num_shards > 1``) is how giant graphs avoid being re-
-            partitioned every run.
-        shard_method: partition assignment method (``"bfs"`` or
-            ``"hash"``) when the shard set has to be built.
         checkpoint_every: write a crash-safe training checkpoint every this
             many iterations (``None`` disables checkpointing).
         checkpoint_path: training-checkpoint file (``.npz`` appended when
@@ -106,8 +86,7 @@ class PrivIMConfig:
             subgraphs through mmap instead of keeping the pool in RAM, so
             memory stays flat however large ``num_subgraphs`` grows —
             with bit-identical weights, losses, and ε versus the in-memory
-            pool.  Every shard count writes this one store.  ``None``
-            (default) keeps the pool in memory.
+            pool.  ``None`` (default) keeps the pool in memory.
         rng: master seed for the whole pipeline.
     """
 
@@ -133,9 +112,6 @@ class PrivIMConfig:
     phi: str = "clamp"
     grad_workers: int = 1
     grad_mode: str = "vectorized"
-    num_shards: int = 1
-    shard_dir: str | None = None
-    shard_method: str = "bfs"
     checkpoint_every: int | None = None
     checkpoint_path: str | None = None
     resume: bool = False
@@ -174,9 +150,8 @@ class PipelineResult:
         preprocessing_seconds: sampling (+ projection) wall time.
         training_seconds: total Algorithm 2 wall time.
         stage1_count / stage2_count: dual-stage split (0/0 for naive).
-        sampling_stats: the sampling engine's counters (shard count,
-            walks attempted / failed / cap-rejected, per-stage wall
-            time).
+        sampling_stats: the sampling engine's counters (walks
+            attempted / failed / cap-rejected, per-stage wall time).
         clip_bound: the per-subgraph clip norm the trainer actually used
             (``None`` in the non-private mode, which neither clips nor
             noises).
@@ -285,16 +260,12 @@ class _BasePipeline:
         #: The privacy-budget ledger of the last ``fit`` (``None`` until a
         #: private run with observability enabled completes).
         self.ledger: PrivacyLedger | None = None
-        # The shard rng comes LAST so the first three streams are the same
-        # values spawn_rngs(..., 3) produced before sharding existed —
-        # sharded and flat runs therefore sample bit-identically.
-        (
-            self._sampling_rng,
-            self._model_rng,
-            self._training_rng,
-            self._shard_rng,
-        ) = spawn_rngs(ensure_rng(self.config.rng), 4)
-        self._shard_set_cache = None
+        # Four streams are spawned though three are used: ``rng`` may be a
+        # caller's shared Generator, which each spawned stream advances,
+        # so spawning fewer would change every later draw the caller makes.
+        self._sampling_rng, self._model_rng, self._training_rng, _ = spawn_rngs(
+            ensure_rng(self.config.rng), 4
+        )
 
     # subclasses implement ------------------------------------------------
     def _sample(
@@ -307,46 +278,6 @@ class _BasePipeline:
         :class:`~repro.sampling.store.SubgraphStoreWriter`.
         """
         raise NotImplementedError
-
-    # sharding ------------------------------------------------------------
-    @property
-    def _sharded(self) -> bool:
-        config = self.config
-        return config.num_shards > 1 or bool(config.shard_dir)
-
-    def _shard_set(self, graph: Graph):
-        """Shard set for ``graph``: the graph itself as one shard when not
-        sharded; else loaded from ``shard_dir`` when one is already
-        persisted there, otherwise built (and saved when a ``shard_dir`` is
-        configured) and cached for the pipeline's lifetime."""
-        if not self._sharded:
-            return whole_graph_shard_set(graph)
-        if self._shard_set_cache is not None:
-            return self._shard_set_cache
-        config = self.config
-        shard_set = None
-        if config.shard_dir and os.path.exists(
-            os.path.join(config.shard_dir, "shardset.bin")
-        ):
-            shard_set = ShardSet.load(config.shard_dir)
-            if shard_set.num_nodes != graph.num_nodes:
-                raise TrainingError(
-                    f"shard set at {config.shard_dir!r} covers "
-                    f"{shard_set.num_nodes} nodes but the graph has "
-                    f"{graph.num_nodes}; rebuild the shard set"
-                )
-        if shard_set is None:
-            shard_set = build_shard_set(
-                graph,
-                max(1, config.num_shards),
-                method=config.shard_method,
-                rng=self._shard_rng,
-                obs=self.obs,
-            )
-            if config.shard_dir:
-                shard_set.save(config.shard_dir)
-        self._shard_set_cache = shard_set
-        return shard_set
 
     # ---------------------------------------------------------------------
     def fit(self, graph: Graph) -> PipelineResult:
@@ -362,9 +293,8 @@ class _BasePipeline:
             batch_size=config.batch_size,
             model=config.model,
         )
-        # Every shard count spills through one writer: the coordinator
-        # emits in global start order, so the store receives exactly the
-        # sequence an in-memory pool would.
+        # The sampler emits in start order, so the store receives exactly
+        # the sequence an in-memory pool would.
         sink = store = None
         if config.subgraph_store:
             sink = SubgraphStoreWriter(
@@ -564,13 +494,7 @@ class PrivIM(_BasePipeline):
             walk_length=config.walk_length,
             restart_probability=config.restart_probability,
         )
-        run = sample_naive_sharded(
-            self._shard_set(graph),
-            sampling,
-            self._sampling_rng,
-            obs=self.obs,
-            sink=sink,
-        )
+        run = sample_naive(graph, sampling, self._sampling_rng, obs=self.obs, sink=sink)
         bound = max_occurrences_naive(config.theta, config.num_layers)
         return run.container, bound, len(run.container), 0, run.stats
 
@@ -612,12 +536,8 @@ class PrivIMStar(_BasePipeline):
             boundary_divisor=config.boundary_divisor,
             include_boundary=self.include_boundary,
         )
-        run = sample_dual_stage_sharded(
-            self._shard_set(graph),
-            sampling,
-            self._sampling_rng,
-            obs=self.obs,
-            sink=sink,
+        run = sample_dual_stage(
+            graph, sampling, self._sampling_rng, obs=self.obs, sink=sink
         )
         bound = max_occurrences_dual_stage(config.threshold)
         return run.container, bound, run.stage1_count, run.stage2_count, run.stats

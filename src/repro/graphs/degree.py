@@ -22,7 +22,12 @@ def project_in_degree(
     """Project ``graph`` to the θ-bounded graph ``G^θ`` (in-degree ≤ θ).
 
     For every node with in-degree above ``theta`` a uniformly random subset
-    of exactly ``theta`` in-edges is kept (Algorithm 1's preprocessing).
+    of exactly ``theta`` in-edges is kept (Algorithm 1's preprocessing):
+    one ``generator.choice(degree, theta, replace=False)`` per such node,
+    in node order.  The result is built from the edge list ordered by
+    target, each row's kept arcs in draw order, so it is byte-identical
+    to the per-node loop ``reference_project_in_degree`` in
+    ``tests/oracles.py``.
 
     Args:
         graph: the original graph.
@@ -36,31 +41,31 @@ def project_in_degree(
         raise GraphError(f"theta must be >= 1, got {theta}")
     generator = ensure_rng(rng)
 
-    kept_sources: list[np.ndarray] = []
-    kept_targets: list[np.ndarray] = []
-    kept_weights: list[np.ndarray] = []
-    for node in range(graph.num_nodes):
-        sources = graph.in_neighbors(node)
-        weights = graph.in_weights(node)
-        if len(sources) > theta:
-            keep = generator.choice(len(sources), size=theta, replace=False)
-            sources = sources[keep]
-            weights = weights[keep]
-        kept_sources.append(np.asarray(sources, dtype=np.int64))
-        kept_targets.append(np.full(len(sources), node, dtype=np.int64))
-        kept_weights.append(np.asarray(weights, dtype=np.float64))
+    in_indptr, in_sources, in_weights = graph.in_csr()
+    degrees = np.diff(in_indptr)
+    over = np.flatnonzero(degrees > theta)
+    lengths = degrees.copy()
+    lengths[over] = theta
+    kept_indptr = np.zeros(graph.num_nodes + 1, dtype=np.int64)
+    np.cumsum(lengths, out=kept_indptr[1:])
+    # In-arc position per kept slot: whole rows first, then each over-θ
+    # row overwritten with its kept positions in draw order (one choice
+    # per over-θ node, in node order).
+    take = np.repeat(in_indptr[:-1] - kept_indptr[:-1], lengths) + np.arange(
+        int(kept_indptr[-1]), dtype=np.int64
+    )
+    if len(over):
+        choice = generator.choice
+        keep = np.empty((len(over), theta), dtype=np.int64)
+        for row, degree in enumerate(degrees[over].tolist()):
+            keep[row] = choice(degree, size=theta, replace=False)
+        slots = kept_indptr[over][:, None] + np.arange(theta)
+        take[slots.ravel()] = (in_indptr[over][:, None] + keep).ravel()
 
-    if kept_sources:
-        all_sources = np.concatenate(kept_sources)
-        all_targets = np.concatenate(kept_targets)
-        all_weights = np.concatenate(kept_weights)
-    else:  # empty graph
-        all_sources = np.empty(0, dtype=np.int64)
-        all_targets = np.empty(0, dtype=np.int64)
-        all_weights = np.empty(0, dtype=np.float64)
-
-    edges = np.stack([all_sources, all_targets], axis=1)
-    projected = Graph(graph.num_nodes, edges, all_weights, directed=True)
+    # The edge list runs target ascending, kept arcs in draw order.
+    targets = np.repeat(np.arange(graph.num_nodes, dtype=np.int64), lengths)
+    edges = np.stack([in_sources[take], targets], axis=1)
+    projected = Graph(graph.num_nodes, edges, in_weights[take], directed=True)
     projected.is_directed = graph.is_directed
     return projected
 

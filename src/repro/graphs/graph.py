@@ -106,15 +106,12 @@ class Graph:
             edge_array, unique_idx = np.unique(edge_array, axis=0, return_index=True)
             weight_array = weight_array[unique_idx]
 
-        self._sources = edge_array[:, 0].copy()
-        self._targets = edge_array[:, 1].copy()
-        self._weights_raw = weight_array.copy()
-
+        sources, targets = edge_array[:, 0], edge_array[:, 1]
         self._out_indptr, self._out_indices, self._out_weights = _build_csr(
-            num_nodes, self._sources, self._targets, weight_array
+            num_nodes, sources, targets, weight_array
         )
         self._in_indptr, self._in_indices, self._in_weights = _build_csr(
-            num_nodes, self._targets, self._sources, weight_array
+            num_nodes, targets, sources, weight_array
         )
         self._init_caches()
 
@@ -329,11 +326,6 @@ class Graph:
         graph._in_indptr = in_indptr.astype(np.int64, copy=False)
         graph._in_indices = in_indices.astype(np.int64, copy=False)
         graph._in_weights = in_weights.astype(np.float64, copy=False)
-        graph._sources = np.repeat(
-            np.arange(num_nodes, dtype=np.int64), np.diff(graph._out_indptr)
-        )
-        graph._targets = graph._out_indices.copy()
-        graph._weights_raw = graph._out_weights.copy()
         graph._init_caches()
         return graph
 

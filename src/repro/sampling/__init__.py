@@ -2,8 +2,8 @@
 
 Each sampler has one entry on a flat graph, :func:`sample_naive` /
 :func:`sample_dual_stage`, over the one engine in
-:mod:`repro.sharding.coordinator` (whose ``sample_*_sharded`` entries
-take a shard set).
+:mod:`repro.sharding.coordinator` (whose ``sample_dual_stage_sharded``
+also takes a shard set).
 """
 
 from repro.sampling.container import Subgraph, SubgraphContainer

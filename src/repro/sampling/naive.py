@@ -7,8 +7,7 @@ within ``L`` steps.  Lemma 1 bounds any node's occurrences across the
 output by ``N_g = Σ_{i=0..r} θ^i``.
 
 This module holds the configuration; :func:`repro.sampling.sample_naive`
-(flat graph) and :func:`repro.sharding.sample_naive_sharded` (shard set)
-run it on the one sampling engine.
+runs it on the one sampling engine.
 """
 
 from __future__ import annotations

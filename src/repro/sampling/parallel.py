@@ -2,11 +2,12 @@
 
 Algorithm 1 (naive RWR) and Algorithm 3 (dual-stage SCS+BES) have one
 engine, the chunk-synchronous coordinator of
-:mod:`repro.sharding.coordinator`.  :func:`sample_naive` and
-:func:`sample_dual_stage` hand it the graph as a single shard that owns
-every node — the graph's own CSR arrays, no halo, no partition pass
-(:func:`~repro.sharding.partition.whole_graph_shard_set`) — hosted in
-process.  Two rules keep the privacy analysis intact for every layout:
+:mod:`repro.sharding.coordinator`.  :func:`sample_dual_stage` hands it the
+graph, and :func:`sample_naive` the run's θ-projection of it, as a single
+shard that owns every node — the graph's own CSR arrays, no halo, no
+partition pass (:func:`~repro.sharding.partition.whole_graph_shard_set`)
+— hosted in process.  Two rules keep the privacy analysis intact for
+every layout:
 
 1. **One child generator per start node.**  All walk randomness comes from
    :func:`repro.utils.rng.child_generator` keyed by ``(root_entropy,
@@ -108,8 +109,7 @@ class SamplingStats:
 
 @dataclass
 class NaiveSamplingRun:
-    """Output of :func:`sample_naive` and
-    :func:`~repro.sharding.sample_naive_sharded`.
+    """Output of :func:`sample_naive`.
 
     ``container`` is whatever sink the caller supplied (the default
     in-memory :class:`SubgraphContainer`, or e.g. a
@@ -164,12 +164,9 @@ def sample_naive(
     emitted *sequence* is identical for every sink, so a store-backed run
     trains bit-identically to an in-memory one.
     """
-    from repro.sharding.coordinator import sample_naive_sharded
-    from repro.sharding.partition import whole_graph_shard_set
+    from repro.sharding.coordinator import sample_naive as run_naive
 
-    return sample_naive_sharded(
-        whole_graph_shard_set(graph), config, rng, obs=obs, sink=sink
-    )
+    return run_naive(graph, config, rng, obs=obs, sink=sink)
 
 
 def sample_dual_stage(

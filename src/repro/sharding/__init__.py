@@ -15,10 +15,10 @@ Modules:
 * :mod:`~repro.sharding.walker` — resumable walk tasks that carry their
   RNG child stream across shard boundaries, and :class:`ShardView`, the
   in-process host of one shard.
-* :mod:`~repro.sharding.coordinator` — :func:`sample_naive_sharded` /
-  :func:`sample_dual_stage_sharded`: the sampling engine — chunk-
-  synchronous propose/validate with BSP cross-shard frontier exchange.
-  The flat samplers run here too, on :func:`whole_graph_shard_set`.
+* :mod:`~repro.sharding.coordinator` — the sampling engine, and
+  :func:`sample_dual_stage_sharded`: chunk-synchronous propose/validate
+  with BSP cross-shard frontier exchange.  The flat samplers run here
+  too, on :func:`whole_graph_shard_set`.
 
 The coordinator emits accepted subgraphs in global start order, so its
 ``sink`` — an in-memory container or one
@@ -34,7 +34,7 @@ from repro.sharding.partition import (
     whole_graph_shard_set,
 )
 from repro.sharding.walker import WalkParams, WalkTask
-from repro.sharding.coordinator import sample_dual_stage_sharded, sample_naive_sharded
+from repro.sharding.coordinator import sample_dual_stage_sharded
 
 __all__ = [
     "GraphShard",
@@ -44,6 +44,5 @@ __all__ = [
     "whole_graph_shard_set",
     "WalkParams",
     "WalkTask",
-    "sample_naive_sharded",
     "sample_dual_stage_sharded",
 ]

@@ -1,12 +1,13 @@
 """The sampling engine: Algorithms 1 and 3 with globally exact caps.
 
 Every sampler runs here.  A flat graph is one shard that owns every node
-(:func:`~repro.sharding.partition.whole_graph_shard_set`); a sharded
-graph is an edge-cut :class:`ShardSet`.  Either way each shard is hosted
-in process by a :class:`~repro.sharding.walker.ShardView`, which the
-coordinator calls directly in sorted shard order.  One chunk-synchronous
-propose/validate protocol serves both, with cross-shard frontier
-exchange:
+(:func:`~repro.sharding.partition.whole_graph_shard_set`); the naive
+sampler walks its run's θ-projection that way.  The dual-stage sampler
+also runs on an edge-cut :class:`ShardSet`.  Either way each shard is
+hosted in process by a :class:`~repro.sharding.walker.ShardView`, which
+the coordinator calls directly in sorted shard order.  One
+chunk-synchronous propose/validate protocol serves both, with
+cross-shard frontier exchange:
 
 1. **Select** starts with the master generator (same draws, same order
    for every layout).
@@ -16,8 +17,8 @@ exchange:
    (BSP rounds, ``stats.exchange_rounds`` / ``stats.frontier_forwards``).
 3. **Validate**: the coordinator checks every finished walk *in start
    order* against the live global occurrence counts and rejects any walk
-   touching a node at the cap, so ``N_g`` / ``N_g* = M`` hold exactly no
-   matter how many shards ran the walks.
+   touching a node at the cap, so ``N_g* = M`` holds exactly no matter
+   how many shards ran the walks.
 4. **Induce + emit**: accepted node sets are induced distributedly (each
    shard contributes the arcs of its owned rows) and emitted in start
    order, so the output container is identical for every shard count.
@@ -36,17 +37,18 @@ import time
 import numpy as np
 
 from repro.errors import SamplingError
+from repro.graphs.degree import project_in_degree
 from repro.graphs.graph import Graph
 from repro.obs import Observability, ensure_obs
 from repro.sampling.container import Subgraph, SubgraphContainer
 from repro.sampling.frequency import FrequencyVector
 from repro.sampling.parallel import DualStageRun, NaiveSamplingRun, SamplingStats
-from repro.sharding.partition import ShardSet, _row_gather
+from repro.sharding.partition import ShardSet, _row_gather, whole_graph_shard_set
 from repro.sharding.walker import ShardView, WalkParams, WalkTask
 from repro.utils.rng import child_generator, derive_root_entropy, ensure_rng
 
 __all__ = [
-    "sample_naive_sharded",
+    "sample_naive",
     "sample_dual_stage_sharded",
 ]
 
@@ -102,44 +104,24 @@ def _run_walks(
 
 
 def _expand_balls(
-    views: list[ShardView],
-    assignment: np.ndarray,
-    starts: np.ndarray,
-    hops: int,
-    direction: str,
-    use_projected: bool,
+    graph: Graph, starts: np.ndarray, hops: int, direction: str
 ) -> list[np.ndarray]:
-    """Distributed r-hop balls of ``starts`` as sorted arrays — the node
-    sets ``k_hop_nodes`` returns.  Lock-step BFS: each depth fetches the
-    rows of every frontier node of the chunk once, from their owner
-    shards, then grows each ball with vectorized set operations."""
+    """r-hop balls of ``starts`` in ``graph`` as sorted arrays — the node
+    sets ``k_hop_nodes`` returns.  Lock-step BFS: at each depth every ball
+    grows by the CSR rows of its frontier, with vectorized set
+    operations."""
+    kinds = ("out", "in") if direction == "both" else (direction,)
+    csrs = [graph.out_csr() if kind == "out" else graph.in_csr() for kind in kinds]
     balls = [np.array([start], dtype=np.int64) for start in starts]
     frontiers = list(balls)
     for _depth in range(hops):
-        needed = np.unique(np.concatenate(frontiers))
-        if not len(needed):
-            break
-        owners = assignment[needed]
-        members = {int(shard_id): owners == shard_id for shard_id in np.unique(owners)}
-        responses = {
-            shard_id: views[shard_id].ball_rows(needed[mask], direction, use_projected)
-            for shard_id, mask in members.items()
-        }
-        # One CSR over ``needed`` from the shards' row blocks.
-        lengths = np.zeros(len(needed), dtype=np.int64)
-        for shard_id, mask in members.items():
-            lengths[mask] = np.diff(responses[shard_id][0])
-        indptr = np.zeros(len(needed) + 1, dtype=np.int64)
-        np.cumsum(lengths, out=indptr[1:])
-        rows = np.empty(int(indptr[-1]), dtype=np.int64)
-        for shard_id, mask in members.items():
-            _, slots = _row_gather(indptr, np.flatnonzero(mask))
-            rows[slots] = responses[shard_id][1]
         for index, frontier in enumerate(frontiers):
             if not len(frontier):
                 continue
-            _, gathered = _row_gather(indptr, np.searchsorted(needed, frontier))
-            fresh = np.setdiff1d(rows[gathered], balls[index])
+            rows = [
+                indices[_row_gather(indptr, frontier)[1]] for indptr, indices, _ in csrs
+            ]
+            fresh = np.setdiff1d(np.concatenate(rows), balls[index])
             balls[index] = np.union1d(balls[index], fresh)
             frontiers[index] = fresh
     return balls
@@ -171,7 +153,6 @@ def _induce_subgraphs(
     assignment: np.ndarray,
     node_lists: list[np.ndarray],
     directed: bool,
-    use_projected: bool,
 ) -> list[Graph]:
     """Distributed induction of many node sets, preserving list order."""
     subgraphs: list[Graph] = []
@@ -179,7 +160,7 @@ def _induce_subgraphs(
         node_array = np.asarray(nodes, dtype=np.int64)
         sorted_nodes = np.sort(node_array)
         fragments = [
-            views[owner].induced_arcs(sorted_nodes, use_projected)
+            views[owner].induced_arcs(sorted_nodes)
             for owner in np.unique(assignment[node_array]).tolist()
         ]
         sources = np.concatenate([fragment[0] for fragment in fragments])
@@ -197,40 +178,6 @@ def _induce_subgraphs(
     return subgraphs
 
 
-def _distributed_projection(
-    views: list[ShardView],
-    shard_set: ShardSet,
-    theta: int,
-    generator: np.random.Generator,
-) -> None:
-    """Distributed θ-projection, draw-for-draw with ``project_in_degree``.
-
-    Phase A gathers in-degrees; phase B replays the serial keep draws on
-    the coordinator (node order 0..N-1, one ``choice`` per over-θ node);
-    phase C has owner shards build their projected in rows and emit out-arc
-    fragments to each source's owner; phase D assembles the projected out
-    rows.  The projection stays sharded — it is never materialised whole.
-    """
-    in_degrees = np.zeros(shard_set.num_nodes, dtype=np.int64)
-    for view in views:
-        owned, degrees = view.in_degrees()
-        in_degrees[owned] = degrees
-
-    over = np.flatnonzero(in_degrees > theta)
-    keep = np.empty((len(over), theta), dtype=np.int64)
-    for row, degree in enumerate(in_degrees[over].tolist()):
-        keep[row] = generator.choice(degree, size=theta, replace=False)
-    owners = shard_set.assignment[over]
-    fragments_by_dest: list[list] = [[] for _ in views]
-    for shard_id, view in enumerate(views):
-        mask = owners == shard_id
-        fragments = view.project_keep(over[mask], keep[mask])
-        for dest in sorted(fragments):
-            fragments_by_dest[dest].append(fragments[dest])
-    for view, fragments in zip(views, fragments_by_dest):
-        view.project_out(fragments)
-
-
 def _collect_shard_stats(
     views: list[ShardView], stats: SamplingStats, obs: Observability
 ) -> None:
@@ -244,8 +191,8 @@ def _collect_shard_stats(
 def _publish_stats(obs: Observability, algorithm: str, stats: SamplingStats) -> None:
     """Mirror the engine counters into the metrics registry and run record.
 
-    ``algorithm`` is ``naive`` / ``dual_stage``; runs over more than one
-    shard report it with a ``_sharded`` suffix."""
+    ``algorithm`` is ``naive`` / ``dual_stage``; dual-stage runs over more
+    than one shard report it as ``dual_stage_sharded``."""
     if not obs.enabled:
         return
     if stats.num_shards > 1:
@@ -285,42 +232,33 @@ def _publish_stats(obs: Observability, algorithm: str, stats: SamplingStats) -> 
 # --------------------------------------------------------------------------- #
 # Algorithm 1 — naive RWR sampling
 # --------------------------------------------------------------------------- #
-def sample_naive_sharded(
-    shard_set: ShardSet,
+def sample_naive(
+    graph: Graph,
     config,
     rng: int | np.random.Generator | None = None,
     *,
-    workers: int = 1,
     obs: Observability | None = None,
     sink=None,
 ) -> NaiveSamplingRun:
-    """Run Algorithm 1 across edge-cut shards, bit-identical to
-    :func:`repro.sampling.sample_naive` on the reassembled graph.
+    """Run Algorithm 1 on ``graph`` (see :func:`repro.sampling.sample_naive`).
 
-    ``config`` is the usual
-    :class:`~repro.sampling.naive.NaiveSamplingConfig`; every shard is
-    hosted in process, and ``workers`` accepts only 1.
+    The run's θ-projection is walked as one whole-graph shard, so its
+    walk rows live on the projected graph and go with it.
     """
-    _check_workers(workers)
     config.validate()
     obs = ensure_obs(obs)
     generator = ensure_rng(rng)
-    assignment = shard_set.assignment
-    stats = SamplingStats(
-        chunk_size=config.chunk_size, num_shards=shard_set.num_shards
-    )
-    stats.stage_seconds["projection"] = 0.0
-    stats.stage_seconds["walks"] = 0.0
+    stats = SamplingStats(chunk_size=config.chunk_size)
     container = SubgraphContainer() if sink is None else sink
-    views = [ShardView(shard) for shard in shard_set.shards]
 
     with obs.span("sampling.projection") as span:
-        _distributed_projection(views, shard_set, config.theta, generator)
+        projected = project_in_degree(graph, config.theta, generator)
     stats.stage_seconds["projection"] = span.seconds
+    shard_set = whole_graph_shard_set(projected)
+    assignment = shard_set.assignment
+    views = [ShardView(shard_set.shards[0])]
 
-    selected = np.flatnonzero(
-        generator.random(shard_set.num_nodes) < config.sampling_rate
-    )
+    selected = np.flatnonzero(generator.random(graph.num_nodes) < config.sampling_rate)
     root = derive_root_entropy(generator)
     stats.starts_selected = int(len(selected))
 
@@ -330,16 +268,12 @@ def sample_naive_sharded(
         walk_length=config.walk_length,
         restart_probability=config.restart_probability,
         direction=config.direction,
-        use_projected=True,
     )
-    for view in views:
-        view.begin_pass(params, None)
+    views[0].begin_pass(params, None)
 
     with obs.span("sampling.walks") as span:
         for chunk in _chunks(selected, config.chunk_size):
-            balls = _expand_balls(
-                views, assignment, chunk, config.hops, config.direction, True
-            )
+            balls = _expand_balls(projected, chunk, config.hops, config.direction)
             statuses: list[tuple[int, bool]] = []
             tasks: list[WalkTask] = []
             for node, ball in zip(chunk.tolist(), balls):
@@ -351,7 +285,7 @@ def sample_naive_sharded(
                     WalkTask(
                         key=node,
                         start=node,
-                        start_owner=int(assignment[node]),
+                        start_owner=0,
                         current=node,
                         steps=0,
                         restart_drawn=False,
@@ -373,7 +307,7 @@ def sample_naive_sharded(
                     continue
                 accepted.append(np.asarray(nodes, dtype=np.int64))
             subgraphs = _induce_subgraphs(
-                views, assignment, accepted, shard_set.directed, True
+                views, assignment, accepted, graph.is_directed
             )
             for node_map, subgraph in zip(accepted, subgraphs):
                 container.add(Subgraph(subgraph, node_map))
@@ -478,7 +412,7 @@ def _frequency_pass(
             live[node_map] += 1
             frequency.record_subgraph(node_map)
             accepted.append(node_map)
-        subgraphs = _induce_subgraphs(views, assignment, accepted, directed, False)
+        subgraphs = _induce_subgraphs(views, assignment, accepted, directed)
         for node_map, subgraph in zip(accepted, subgraphs):
             container.add(Subgraph(subgraph, node_map))
             emitted += 1

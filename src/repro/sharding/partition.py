@@ -231,9 +231,6 @@ class GraphShard:
             )
         return int(self.halo_owner[pos])
 
-    def to_local(self, nodes: np.ndarray) -> np.ndarray:
-        return _to_local(self.owned, self.halo, nodes)
-
     def save(self, path: str | os.PathLike) -> str:
         """Persist this shard in ``write_checksummed`` framing."""
         header = {

@@ -18,9 +18,8 @@ happened, so a walk handed over after its restart draw does not draw again
 on arrival.  Everything else is pure replay of the serial loop against the
 local shard's rows.
 
-:class:`ShardView` hosts one shard for the coordinator: walk batches, the
-distributed θ-projection's shard-side phases, r-hop ball rows, and induced
-arcs, each a named method the coordinator calls directly.
+:class:`ShardView` hosts one shard for the coordinator: walk batches and
+induced arcs, each a named method the coordinator calls directly.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.sampling.frequency import adaptive_neighbor_weights
-from repro.sharding.partition import GraphShard, _row_gather
+from repro.sharding.partition import _row_gather
 
 __all__ = ["WalkParams", "WalkTask", "ShardView", "advance_walk"]
 
@@ -48,7 +47,6 @@ class WalkParams:
     direction: str
     threshold: int = 0
     decay: float = 1.0
-    use_projected: bool = False
 
 
 @dataclass(slots=True)
@@ -87,10 +85,8 @@ class ShardView:
     there are; residency is tested only on a miss.  Rows live on the
     shard walked (:meth:`GraphShard.walk_row`), so they survive every
     pass, chunk and stage of a run — and, for the whole-graph shard,
-    every run on the same graph.  The run's θ-projection is a shard of
-    its own, built by this view and dropped with it.  Rows filtered by
-    stage 2's availability mask stay on the view, for one pass.
-    ``seconds`` and ``walks_advanced`` account the work done through the
+    every run on the same graph.  Rows filtered by stage 2's availability
+    mask stay on the view, for one pass.  ``seconds`` and ``walks_advanced`` account the work done through the
     coordinator-facing methods.
     """
 
@@ -106,12 +102,8 @@ class ShardView:
         # frequency snapshot the Eq. 9 chooser reads, one array shared by
         # every view and refreshed by the coordinator at each chunk's start.
         self.snapshot: np.ndarray | None = None
-        # The shard's rows after the distributed θ-projection (same owned
-        # and halo ids, projected CSR), built by ``project_out``.
-        self.projected: GraphShard | None = None
-        # The shard the current pass walks, and node -> its candidate row:
-        # that shard's row store unless the pass filters by availability.
-        self._walked = shard
+        # node -> its candidate row for the current pass: the shard's row
+        # store unless the pass filters by availability.
         self._candidates: dict[int, np.ndarray] = {}
         # Eq. 9 weight per occurrence count 0..M (counts never pass M).
         self.weight_of_count: np.ndarray | None = None
@@ -121,10 +113,17 @@ class ShardView:
         """Install one pass's walk parameters and availability mask."""
         self.params = params
         self.availability = availability
-        self._walked = self._shard_for(params.use_projected)
         if availability is None:
-            self._candidates = self._walked.rows.setdefault(params.direction, {})
+            self._candidates = self.shard.rows.setdefault(params.direction, {})
         else:
+            # A masked pass filters its own copies of the rows.  The Eq. 9
+            # chooser gives a node at the cap M weight 0, so it is never
+            # drawn either way, but a zero left in a row changes the
+            # sequence ``weights.sum()`` adds under numpy's pairwise
+            # summation: over 20,000 random μ=1 rows with 1–5 zeros
+            # inserted, the sum changed in 7,085 rows and the normalised
+            # cdf in 6,450.  An unmasked row would then at times draw
+            # differently from the residual-graph walk it must equal.
             self._candidates = {}
         if params.kind == "frequency":
             self.weight_of_count = adaptive_neighbor_weights(
@@ -152,122 +151,8 @@ class ShardView:
         return finished, forward
 
     # ------------------------------------------------------------------ #
-    # distributed θ-projection (phases A, C, D)
-    # ------------------------------------------------------------------ #
-    @_timed
-    def in_degrees(self) -> tuple[np.ndarray, np.ndarray]:
-        """Phase A: ``(owned global ids, their in-degrees)``."""
-        shard = self.shard
-        return shard.owned, np.diff(shard.in_indptr)
-
-    @_timed
-    def project_keep(
-        self, nodes: np.ndarray, keep: np.ndarray
-    ) -> dict[int, tuple[np.ndarray, ...]]:
-        """Phase C: build the projected *in* rows of owned nodes and emit
-        out-arc fragments grouped by the owner shard of each kept source.
-
-        ``nodes`` are the owned nodes over θ and row ``i`` of ``keep`` the
-        in-row positions node ``i`` keeps, in draw order; every other row
-        is kept whole."""
-        shard = self.shard
-        over = shard.to_local(nodes)
-        in_indptr = shard.in_indptr
-        lengths = np.diff(in_indptr)
-        lengths[over] = keep.shape[1]
-        kept_indptr = np.zeros(shard.num_owned + 1, dtype=np.int64)
-        np.cumsum(lengths, out=kept_indptr[1:])
-        total = int(kept_indptr[-1])
-        # Arc index per kept slot: whole rows first, then the over-θ rows
-        # overwritten with their kept positions in draw order.
-        take = np.repeat(in_indptr[:-1] - kept_indptr[:-1], lengths) + np.arange(
-            total, dtype=np.int64
-        )
-        take[(kept_indptr[over][:, None] + np.arange(keep.shape[1])).ravel()] = (
-            in_indptr[over][:, None] + keep
-        ).ravel()
-        in_local = shard.in_local[take]
-        in_weights = shard.in_weights[take]
-        self._projected_in = (kept_indptr, in_local, in_weights)
-
-        sources = shard.global_ids[in_local]
-        targets = np.repeat(shard.owned, lengths)
-        positions = np.arange(total, dtype=np.int64) - np.repeat(
-            kept_indptr[:-1], lengths
-        )
-        owners = np.full(total, shard.shard_id, dtype=np.int64)
-        halo = in_local >= shard.num_owned
-        owners[halo] = shard.halo_owner[in_local[halo] - shard.num_owned]
-        fragments: dict[int, tuple[np.ndarray, ...]] = {}
-        for owner in np.unique(owners):
-            mask = owners == owner
-            fragments[int(owner)] = (
-                sources[mask],
-                targets[mask],
-                positions[mask],
-                in_weights[mask],
-            )
-        return fragments
-
-    @_timed
-    def project_out(self, parts: list[tuple[np.ndarray, ...]]) -> None:
-        """Phase D: assemble the projected *out* rows from the fragments
-        every shard emitted for this one, and install the projection."""
-        shard = self.shard
-        if parts:
-            sources = np.concatenate([part[0] for part in parts])
-            targets = np.concatenate([part[1] for part in parts])
-            positions = np.concatenate([part[2] for part in parts])
-            weights = np.concatenate([part[3] for part in parts])
-        else:
-            sources = targets = positions = np.empty(0, dtype=np.int64)
-            weights = np.empty(0, dtype=np.float64)
-        # Serial project_in_degree rebuilds the graph from the edge list
-        # ordered by (target ascending, kept-position ascending); the
-        # stable CSR sort then leaves each out row ordered the same way.
-        order = np.lexsort((positions, targets, sources))
-        sources = sources[order]
-        targets = targets[order]
-        weights = weights[order]
-        source_positions = shard.to_local(sources)
-        counts = np.bincount(source_positions, minlength=shard.num_owned)
-        out_indptr = np.zeros(shard.num_owned + 1, dtype=np.int64)
-        np.cumsum(counts, out=out_indptr[1:])
-        out_local = shard.to_local(targets)
-        in_indptr, in_local, in_weights = self._projected_in
-        del self._projected_in
-        self.projected = GraphShard(
-            shard.shard_id,
-            shard.num_shards,
-            shard.num_global_nodes,
-            shard.directed,
-            shard.owned,
-            shard.halo,
-            shard.halo_owner,
-            out_indptr,
-            out_local,
-            weights,
-            in_indptr,
-            in_local,
-            in_weights,
-        )
-
-    # ------------------------------------------------------------------ #
     # rows
     # ------------------------------------------------------------------ #
-    def _shard_for(self, use_projected: bool) -> GraphShard:
-        """The θ-projected shard when asked for and built, else the shard."""
-        if use_projected and self.projected is not None:
-            return self.projected
-        return self.shard
-
-    def _csr(self, kind: str, use_projected: bool):
-        """``(indptr, local ids, weights)`` of the out or in rows walked."""
-        shard = self._shard_for(use_projected)
-        if kind == "out":
-            return shard.out_indptr, shard.out_local, shard.out_weights
-        return shard.in_indptr, shard.in_local, shard.in_weights
-
     def candidates(self, node: int) -> np.ndarray | None:
         """Global candidate ids of an owned node for the current pass,
         ordered exactly as the serial walker sees them (row order for
@@ -275,7 +160,7 @@ class ShardView:
         ``None`` when another shard owns ``node``."""
         row = self._candidates.get(node)
         if row is None:
-            row = self._walked.walk_row(node, self.params.direction)
+            row = self.shard.walk_row(node, self.params.direction)
             if row is None:
                 return None
             if self.availability is not None and len(row):
@@ -284,30 +169,8 @@ class ShardView:
         return row
 
     @_timed
-    def ball_rows(
-        self, nodes: np.ndarray, direction: str, use_projected: bool
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Neighbour rows of owned ``nodes`` for r-hop ball growth, as a
-        CSR ``(indptr, global ids)`` in ``nodes`` order.  Set semantics,
-        as in ``k_hop_nodes``: order and duplicates within a row do not
-        matter."""
-        positions = self.shard.to_local(nodes)
-        kinds = ("out", "in") if direction == "both" else (direction,)
-        owners, values = [], []
-        for kind in kinds:
-            indptr, local, _ = self._csr(kind, use_projected)
-            row_indptr, flat = _row_gather(indptr, positions)
-            owners.append(np.repeat(np.arange(len(nodes)), np.diff(row_indptr)))
-            values.append(self.shard.global_ids[local[flat]])
-        owner = np.concatenate(owners)
-        order = np.argsort(owner, kind="stable")
-        indptr = np.zeros(len(nodes) + 1, dtype=np.int64)
-        np.cumsum(np.bincount(owner, minlength=len(nodes)), out=indptr[1:])
-        return indptr, np.concatenate(values)[order]
-
-    @_timed
     def induced_arcs(
-        self, nodes_sorted: np.ndarray, use_projected: bool
+        self, nodes_sorted: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Arcs of the induced subgraph on ``nodes_sorted`` whose source
         this shard owns, as ``(sources, targets, weights)`` in ascending
@@ -317,13 +180,12 @@ class ShardView:
         owned = np.zeros(len(nodes_sorted), dtype=bool)
         inside = owned_at < shard.num_owned
         owned[inside] = shard.owned[owned_at[inside]] == nodes_sorted[inside]
-        indptr, local, weights = self._csr("out", use_projected)
-        row_indptr, flat = _row_gather(indptr, owned_at[owned])
+        row_indptr, flat = _row_gather(shard.out_indptr, owned_at[owned])
         sources = np.repeat(nodes_sorted[owned], np.diff(row_indptr))
-        targets = shard.global_ids[local[flat]]
+        targets = shard.global_ids[shard.out_local[flat]]
         at = np.minimum(np.searchsorted(nodes_sorted, targets), len(nodes_sorted) - 1)
         keep = nodes_sorted[at] == targets
-        return sources[keep], targets[keep], weights[flat[keep]]
+        return sources[keep], targets[keep], shard.out_weights[flat[keep]]
 
 
 def _choose(

@@ -52,13 +52,13 @@ them byte for byte.
 
 The samplers have their own serial oracle, :func:`serial_naive` and
 :func:`serial_dual_stage`: Algorithms 1 and 3 written directly over a
-:class:`Graph` — ``project_in_degree``, ``k_hop_nodes``, the scalar RWR
+:class:`Graph` — the per-node θ-projection loop
+:func:`reference_project_in_degree`, ``k_hop_nodes``, the scalar RWR
 :func:`random_walk_nodes` with the uniform or Eq. 9 chooser, chunked cap
 validation against a :class:`FrequencyVector`, and ``Graph.subgraph``
 induction.  The sampling engine (the shard coordinator, flat or sharded)
-must reproduce it bit for bit; :func:`coordinator_projection` exposes the
-engine's distributed θ-projection for comparison with
-``project_in_degree``.
+must reproduce it bit for bit, and the vectorized ``project_in_degree``
+must match the projection loop byte for byte.
 """
 
 from __future__ import annotations
@@ -77,7 +77,6 @@ from repro.dp.rdp import DEFAULT_ALPHAS, rdp_to_dp
 from repro.errors import CalibrationError, PrivacyError, SamplingError
 from repro.gnn.features import degree_features
 from repro.gnn.models import build_gnn
-from repro.graphs.degree import project_in_degree
 from repro.graphs.graph import Graph
 from repro.graphs.neighborhoods import k_hop_nodes
 from repro.gnn.message_passing import check_edge_index, unit_edge_weights
@@ -88,9 +87,6 @@ from repro.nn.tensor import Tensor, concat, no_grad
 from repro.sampling import FrequencyVector, Subgraph, SubgraphContainer
 from repro.sampling.frequency import adaptive_neighbor_weights
 from repro.sampling.parallel import SamplingStats
-from repro.sharding import ShardSet
-from repro.sharding.coordinator import _distributed_projection
-from repro.sharding.walker import ShardView
 from repro.utils.rng import child_generator, derive_root_entropy, ensure_rng
 
 __all__ = [
@@ -110,6 +106,7 @@ __all__ = [
     "reference_epsilon",
     "reference_ledger_events",
     "reference_calibrate_sigma",
+    "reference_project_in_degree",
     "walk_neighbors",
     "uniform_chooser",
     "random_walk_nodes",
@@ -119,7 +116,6 @@ __all__ = [
     "SerialSample",
     "serial_naive",
     "serial_dual_stage",
-    "coordinator_projection",
 ]
 
 
@@ -541,6 +537,42 @@ def reference_calibrate_sigma(target_epsilon, delta, steps, batch_size,
 
 
 # --------------------------------------------------------------------------- #
+# θ-projection
+# --------------------------------------------------------------------------- #
+def reference_project_in_degree(graph: Graph, theta: int, rng) -> Graph:
+    """Algorithm 1's θ-projection as a per-node loop: each node over θ
+    keeps ``generator.choice(in_degree, theta, replace=False)`` of its in
+    row, in node order, and the graph is rebuilt from the kept edge list
+    (target ascending, kept arcs in draw order)."""
+    generator = ensure_rng(rng)
+    kept_sources: list[np.ndarray] = []
+    kept_targets: list[np.ndarray] = []
+    kept_weights: list[np.ndarray] = []
+    for node in range(graph.num_nodes):
+        sources = graph.in_neighbors(node)
+        weights = graph.in_weights(node)
+        if len(sources) > theta:
+            keep = generator.choice(len(sources), size=theta, replace=False)
+            sources = sources[keep]
+            weights = weights[keep]
+        kept_sources.append(np.asarray(sources, dtype=np.int64))
+        kept_targets.append(np.full(len(sources), node, dtype=np.int64))
+        kept_weights.append(np.asarray(weights, dtype=np.float64))
+    if kept_sources:
+        all_sources = np.concatenate(kept_sources)
+        all_targets = np.concatenate(kept_targets)
+        all_weights = np.concatenate(kept_weights)
+    else:  # no nodes
+        all_sources = np.empty(0, dtype=np.int64)
+        all_targets = np.empty(0, dtype=np.int64)
+        all_weights = np.empty(0, dtype=np.float64)
+    edges = np.stack([all_sources, all_targets], axis=1)
+    projected = Graph(graph.num_nodes, edges, all_weights, directed=True)
+    projected.is_directed = graph.is_directed
+    return projected
+
+
+# --------------------------------------------------------------------------- #
 # scalar random walk with restart
 # --------------------------------------------------------------------------- #
 # Algorithm 1 and Algorithm 3's ``FreqSampling`` share one walk skeleton —
@@ -714,7 +746,7 @@ def serial_naive(graph, config, rng) -> SerialSample:
     start walking its r-hop ball."""
     generator = ensure_rng(rng)
     stats = SamplingStats(chunk_size=config.chunk_size)
-    projected = project_in_degree(graph, config.theta, generator)
+    projected = reference_project_in_degree(graph, config.theta, generator)
     selected = np.flatnonzero(generator.random(projected.num_nodes) < config.sampling_rate)
     root = derive_root_entropy(generator)
     stats.starts_selected = len(selected)
@@ -798,23 +830,3 @@ def serial_dual_stage(graph, config, rng) -> SerialSample:
     return SerialSample(
         container, stats, frequency=frequency, stage1_count=stage1, stage2_count=stage2
     )
-
-
-def coordinator_projection(shard_set: ShardSet, theta: int, rng) -> Graph:
-    """The θ-projected graph the naive sampler's engine walks on.
-
-    Runs the coordinator's distributed projection — the first consumer of
-    the master generator, as in :func:`serial_naive` — on fresh shard
-    views, and reassembles the per-shard projected rows into one graph.
-    """
-    views = [ShardView(shard) for shard in shard_set.shards]
-    _distributed_projection(views, shard_set, theta, ensure_rng(rng))
-    shards = [view.projected for view in views]
-    return ShardSet(
-        shards=shards,
-        assignment=shard_set.assignment,
-        num_nodes=shard_set.num_nodes,
-        num_arcs=sum(len(shard.out_local) for shard in shards),
-        directed=shard_set.directed,
-        method=shard_set.method,
-    ).reassemble()

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import GraphError
 from repro.graphs.builders import from_adjacency_matrix, from_networkx, to_networkx
@@ -10,6 +11,23 @@ from repro.graphs.graph import Graph
 from repro.graphs.io import read_edge_list, write_edge_list
 from repro.graphs.neighborhoods import k_hop_nodes, k_hop_subgraph
 from repro.graphs.partition import partition_graph
+from tests.oracles import reference_project_in_degree
+
+
+@st.composite
+def projection_cases(draw):
+    """A small graph — self-loops, duplicate arcs, isolated nodes, unit or
+    drawn weights, directed or not — and a θ below or above its in-degrees."""
+    num_nodes = draw(st.integers(0, 25))
+    node = st.integers(0, max(num_nodes - 1, 0))
+    pairs = draw(st.lists(st.tuples(node, node), max_size=120)) if num_nodes else []
+    weights = draw(
+        st.none()
+        | st.lists(st.floats(0.0, 1.0), min_size=len(pairs), max_size=len(pairs))
+    )
+    edges = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    graph = Graph(num_nodes, edges, weights, directed=draw(st.booleans()))
+    return graph, draw(st.integers(1, 12))
 
 
 class TestBuilders:
@@ -81,6 +99,35 @@ class TestDegreeProjection:
         first = project_in_degree(social_graph, 3, 42)
         second = project_in_degree(social_graph, 3, 42)
         assert first == second
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=projection_cases(), seed=st.integers(0, 2**32 - 1))
+    @example(case=(Graph(0, []), 1), seed=0)
+    @example(case=(Graph(4, []), 1), seed=0)
+    @example(case=(Graph(5, [(0, 4), (1, 4), (2, 4), (4, 4), (1, 4)]), 1), seed=3)
+    @example(
+        case=(Graph(4, [(0, 1), (1, 2), (2, 0), (3, 3)], directed=False), 1), seed=1
+    )
+    @example(
+        case=(Graph(3, [(0, 2), (1, 2)], weights=[0.25, 0.75]), 2), seed=5
+    )
+    def test_matches_the_reference_loop(self, case, seed):
+        """The vectorized projection is the per-node loop of
+        ``tests/oracles.py``, byte for byte: every CSR array, the directed
+        flag, and the master generator's state after the draws."""
+        graph, theta = case
+        generator = np.random.default_rng(seed)
+        reference_generator = np.random.default_rng(seed)
+        projected = project_in_degree(graph, theta, generator)
+        reference = reference_project_in_degree(graph, theta, reference_generator)
+        for got, expected in zip(
+            projected.out_csr() + projected.in_csr(),
+            reference.out_csr() + reference.in_csr(),
+        ):
+            assert got.dtype == expected.dtype
+            assert got.tobytes() == expected.tobytes()
+        assert projected.is_directed == reference.is_directed == graph.is_directed
+        assert generator.random() == reference_generator.random()
 
 
 class TestNeighborhoods:

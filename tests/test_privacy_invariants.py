@@ -3,9 +3,9 @@
 Lemma 1: the naive sampler (Algorithm 1, out-directed walks on the
 θ-in-bounded graph) never lets a node join more than ``N_g = Σ_{i=0..r} θ^i``
 subgraphs.  Algorithm 3's frequency cap gives the hard bound ``N_g* = M``.
-These invariants must hold for *every* graph, config, and seed — and for
-every shard layout — so hypothesis drives random graphs and configs through
-the flat samplers and through two-shard sets.
+These invariants must hold for *every* graph, config, and seed — and, for
+the dual-stage sampler, every shard layout — so hypothesis drives random
+graphs and configs through the flat samplers and through two-shard sets.
 """
 
 import numpy as np
@@ -20,11 +20,7 @@ from repro.sampling import (
     sample_dual_stage,
     sample_naive,
 )
-from repro.sharding import (
-    build_shard_set,
-    sample_dual_stage_sharded,
-    sample_naive_sharded,
-)
+from repro.sharding import build_shard_set, sample_dual_stage_sharded
 
 
 def random_graph(seed: int, num_nodes: int, num_edges: int) -> Graph:
@@ -48,11 +44,8 @@ class TestNaiveOccurrenceBound:
         theta=st.integers(1, 8),
         hops=st.integers(1, 3),
         subgraph_size=st.integers(2, 10),
-        num_shards=st.sampled_from([1, 2]),
     )
-    def test_lemma1_holds_for_all_engines(
-        self, params, theta, hops, subgraph_size, num_shards
-    ):
+    def test_lemma1_holds_for_all_engines(self, params, theta, hops, subgraph_size):
         seed, num_nodes, num_edges = params
         graph = random_graph(seed, num_nodes, num_edges)
         config = NaiveSamplingConfig(
@@ -63,12 +56,7 @@ class TestNaiveOccurrenceBound:
             walk_length=120,
             chunk_size=8,
         )
-        if num_shards == 1:
-            container = sample_naive(graph, config, rng=seed).container
-        else:
-            container = sample_naive_sharded(
-                build_shard_set(graph, num_shards, rng=seed), config, rng=seed
-            ).container
+        container = sample_naive(graph, config, rng=seed).container
         bound = max_occurrences_naive(theta, hops)
         assert container.max_occurrence(graph.num_nodes) <= bound
         # Subgraphs are induced on the θ-projected rows.

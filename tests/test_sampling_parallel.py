@@ -1,11 +1,11 @@
 """Engine-vs-oracle equivalence tests for the sampling engine.
 
 Every sampler runs on the shard coordinator: the flat entry points hand
-it the graph as one in-process shard, the sharded ones an edge-cut shard
-set.  The contract is that for a fixed seed every layout reproduces the
-serial oracle of :mod:`tests.oracles` bit for bit (same subgraphs, same
-order, same node maps, same edges), so the shard count is a pure memory
-layout.
+it the graph as one in-process shard, and the sharded dual-stage entry an
+edge-cut shard set.  The contract is that for a fixed seed every layout
+reproduces the serial oracle of :mod:`tests.oracles` bit for bit (same
+subgraphs, same order, same node maps, same edges), so the shard count is
+a pure memory layout.
 """
 
 import numpy as np
@@ -20,11 +20,7 @@ from repro.sampling import (
     sample_dual_stage,
     sample_naive,
 )
-from repro.sharding import (
-    build_shard_set,
-    sample_dual_stage_sharded,
-    sample_naive_sharded,
-)
+from repro.sharding import build_shard_set, sample_dual_stage_sharded
 from tests.oracles import serial_dual_stage, serial_naive
 
 SHARD_COUNTS = [1, 2, 4]
@@ -57,30 +53,18 @@ class TestNaiveEquivalence:
         assert len(oracle.container) > 0
         return oracle
 
-    @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
-    def test_bit_identical_across_shard_counts(
-        self, clustered_graph, reference, num_shards
-    ):
-        flat = sample_naive(clustered_graph, self.CONFIG, rng=7)
-        assert_containers_identical(flat.container, reference.container)
-        run = sample_naive_sharded(
-            shards_for(clustered_graph, num_shards), self.CONFIG, rng=7
-        )
+    def test_bit_identical_to_oracle(self, clustered_graph, reference):
+        run = sample_naive(clustered_graph, self.CONFIG, rng=7)
         assert_containers_identical(run.container, reference.container)
-        assert run.stats.num_shards == num_shards
 
-    def test_stats_identical_across_shard_counts(self, clustered_graph):
+    def test_stats_identical_to_oracle(self, clustered_graph):
         config = NaiveSamplingConfig(subgraph_size=8, sampling_rate=0.5)
         oracle = serial_naive(clustered_graph, config, rng=3).stats
-        runs = [sample_naive(clustered_graph, config, rng=3)] + [
-            sample_naive_sharded(shards_for(clustered_graph, n), config, rng=3)
-            for n in (1, 4)
-        ]
-        for run in runs:
-            assert run.stats.walks_attempted == oracle.walks_attempted
-            assert run.stats.walks_failed == oracle.walks_failed
-            assert run.stats.starts_selected == oracle.starts_selected
-            assert run.stats.subgraphs_emitted == len(run.container)
+        run = sample_naive(clustered_graph, config, rng=3)
+        assert run.stats.walks_attempted == oracle.walks_attempted
+        assert run.stats.walks_failed == oracle.walks_failed
+        assert run.stats.starts_selected == oracle.starts_selected
+        assert run.stats.subgraphs_emitted == len(run.container)
 
 
 class TestDualStageEquivalence:
@@ -144,8 +128,6 @@ class TestEdgeCases:
         result = sample_dual_stage(graph, DualStageSamplingConfig(), rng=0)
         assert len(result.container) == 0
         shard_set = shards_for(graph, num_shards)
-        naive = sample_naive_sharded(shard_set, NaiveSamplingConfig(), rng=0)
-        assert len(naive.container) == 0
         dual = sample_dual_stage_sharded(shard_set, DualStageSamplingConfig(), rng=0)
         assert len(dual.container) == 0
 
@@ -154,11 +136,9 @@ class TestEdgeCases:
         graph = Graph(1, [])
         shard_set = shards_for(graph, num_shards)
         naive = NaiveSamplingConfig(subgraph_size=1, sampling_rate=1.0)
-        flat = sample_naive(graph, naive, rng=0)
-        sharded = sample_naive_sharded(shard_set, naive, rng=0)
-        for pool in (flat.container, sharded.container):
-            assert len(pool) == 1
-            assert pool[0].node_map.tolist() == [0]
+        pool = sample_naive(graph, naive, rng=0).container
+        assert len(pool) == 1
+        assert pool[0].node_map.tolist() == [0]
 
         dual = DualStageSamplingConfig(subgraph_size=1, sampling_rate=1.0)
         reference = serial_dual_stage(graph, dual, rng=0)
@@ -179,11 +159,8 @@ class TestEdgeCases:
 
     @pytest.mark.parametrize(
         "sampler, config",
-        [
-            (sample_naive_sharded, NaiveSamplingConfig()),
-            (sample_dual_stage_sharded, DualStageSamplingConfig()),
-        ],
-        ids=["naive", "dual_stage"],
+        [(sample_dual_stage_sharded, DualStageSamplingConfig())],
+        ids=["dual_stage"],
     )
     def test_multiple_workers_rejected(self, clustered_graph, sampler, config):
         """Every shard is hosted in process: ``workers`` accepts only 1."""

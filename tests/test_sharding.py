@@ -1,21 +1,20 @@
-"""Sharded-engine equivalence: sharded sampling must be bit-identical to
-the serial oracle of :mod:`tests.oracles` on the reassembled graph.
+"""Sharded-engine equivalence: sharded dual-stage sampling must be
+bit-identical to the serial oracle of :mod:`tests.oracles` on the
+reassembled graph.
 
 The contract mirrors :mod:`tests.test_sampling_parallel`: ``num_shards``
 is a pure memory layout.  For a fixed seed every shard count must produce
 the same subgraphs, in the same order, with the same node maps, frequency
 counts, and stats — and the dual-stage occurrence caps must stay
-*globally* exact.
+*globally* exact.  The naive sampler runs on flat graphs only, and the
+grid checks it against the same oracle.
 """
-
-import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import SamplingError
-from repro.graphs.degree import project_in_degree
 from repro.graphs.generators import erdos_renyi_graph, powerlaw_cluster_graph
 from repro.sampling.dual_stage import DualStageSamplingConfig
 from repro.sampling.naive import NaiveSamplingConfig
@@ -25,10 +24,9 @@ from repro.sharding import (
     ShardSet,
     build_shard_set,
     sample_dual_stage_sharded,
-    sample_naive_sharded,
     whole_graph_shard_set,
 )
-from tests.oracles import coordinator_projection, serial_dual_stage, serial_naive
+from tests.oracles import serial_dual_stage, serial_naive
 
 SHARD_COUNTS = [1, 2, 4]
 
@@ -148,28 +146,6 @@ class TestDualStageSharded:
         np.testing.assert_array_equal(counts, run.frequency.counts)
 
 
-class TestNaiveSharded:
-    @pytest.fixture(scope="class")
-    def reference(self, graph):
-        run = serial_naive(graph, NAIVE_CONFIG, rng=13)
-        assert len(run.container) > 0
-        return run
-
-    @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
-    def test_bit_identical_to_serial(self, graph, reference, num_shards):
-        shard_set = build_shard_set(graph, num_shards, rng=1)
-        run = sample_naive_sharded(shard_set, NAIVE_CONFIG, rng=13)
-        assert_containers_identical(run.container, reference.container)
-
-    def test_distributed_projection_matches_serial(self, graph, reference):
-        """The 4-phase distributed θ-projection equals Graph-level
-        projection: reassembling the projected shards reproduces the
-        serial projected graph."""
-        shard_set = build_shard_set(graph, 3, rng=1)
-        projected = coordinator_projection(shard_set, NAIVE_CONFIG.theta, 13)
-        assert projected == reference.projected
-
-
 GRID = [
     pytest.param(
         directed,
@@ -185,9 +161,9 @@ GRID = [
 
 
 class TestOracleGrid:
-    """Flat, 2-shard and 4-shard runs match the serial oracle on directed
-    and undirected graphs, with and without BES, walking out, in or both
-    ways."""
+    """Flat runs, and 2- and 4-shard dual-stage runs, match the serial
+    oracle on directed and undirected graphs, with and without BES,
+    walking out, in or both ways."""
 
     @staticmethod
     def grid_graph(directed):
@@ -232,19 +208,9 @@ class TestOracleGrid:
         )
         reference = serial_naive(graph, config, rng=9)
         assert len(reference.container) > 0
-        flat = sample_naive(graph, config, rng=9)
-        assert coordinator_projection(
-            whole_graph_shard_set(graph), config.theta, 9
-        ) == project_in_degree(graph, config.theta, 9)
-        sharded = [
-            sample_naive_sharded(
-                build_shard_set(graph, num_shards, rng=1), config, rng=9
-            )
-            for num_shards in (2, 4)
-        ]
-        for run in [flat] + sharded:
-            assert_containers_identical(run.container, reference.container)
-            assert run.stats.starts_skipped == reference.stats.starts_skipped
+        run = sample_naive(graph, config, rng=9)
+        assert_containers_identical(run.container, reference.container)
+        assert run.stats.starts_skipped == reference.stats.starts_skipped
 
     @pytest.mark.parametrize(
         "sampler, config",
@@ -327,78 +293,3 @@ class TestShardedStoreTrainEndToEnd:
             )
         finally:
             store.close()
-
-
-class TestPipelineSharded:
-    BASE = dict(
-        epsilon=2.0,
-        subgraph_size=8,
-        threshold=4,
-        walk_length=80,
-        sampling_rate=0.6,
-        iterations=3,
-        batch_size=8,
-        hidden_features=8,
-        rng=42,
-    )
-
-    def test_fit_bit_identical_to_flat(self, tmp_path):
-        from repro.core.pipeline import PrivIMConfig, PrivIMStar
-
-        graph = powerlaw_cluster_graph(120, 3, 0.3, rng=21)
-        flat = PrivIMStar(PrivIMConfig(**self.BASE)).fit(graph)
-        sharded = PrivIMStar(
-            PrivIMConfig(
-                **self.BASE,
-                num_shards=2,
-                shard_dir=str(tmp_path / "shards"),
-            )
-        ).fit(graph)
-        assert flat.history.losses == sharded.history.losses
-        assert flat.sigma == sharded.sigma
-        assert flat.num_subgraphs == sharded.num_subgraphs
-        # A second run reloads the persisted shard set and still agrees.
-        reloaded = PrivIMStar(
-            PrivIMConfig(**self.BASE, num_shards=2, shard_dir=str(tmp_path / "shards"))
-        ).fit(graph)
-        assert flat.history.losses == reloaded.history.losses
-
-    def test_sharded_store_fit_matches_flat_memory_fit(self, tmp_path):
-        """A sharded run spills into the one configured store, in emission
-        order: it trains like the flat in-memory run, leaves nothing else
-        on disk, and can run again once its store is removed."""
-        import shutil
-
-        from repro.core.pipeline import PrivIMConfig, PrivIMStar
-
-        graph = powerlaw_cluster_graph(120, 3, 0.3, rng=21)
-        flat = PrivIMStar(PrivIMConfig(**self.BASE)).fit(graph)
-        store_path = str(tmp_path / "pool")
-        config = PrivIMConfig(**self.BASE, num_shards=2, subgraph_store=store_path)
-        sharded = PrivIMStar(config).fit(graph)
-        assert sharded.history.losses == flat.history.losses
-        assert sharded.epsilon == flat.epsilon
-        assert sorted(os.listdir(tmp_path)) == ["pool"]
-        shutil.rmtree(store_path)
-        again = PrivIMStar(config).fit(graph)
-        assert again.history.losses == flat.history.losses
-
-    def test_shard_dir_node_count_mismatch_rejected(self, tmp_path):
-        from repro.core.pipeline import PrivIMConfig, PrivIMStar
-        from repro.errors import TrainingError
-
-        build_shard_set(powerlaw_cluster_graph(60, 2, 0.2, rng=1), 2, rng=1).save(
-            tmp_path
-        )
-        graph = powerlaw_cluster_graph(80, 2, 0.2, rng=2)
-        pipeline = PrivIMStar(
-            PrivIMConfig(
-                epsilon=2.0,
-                subgraph_size=6,
-                iterations=2,
-                shard_dir=str(tmp_path),
-                rng=1,
-            )
-        )
-        with pytest.raises(TrainingError, match="rebuild the shard set"):
-            pipeline.fit(graph)
