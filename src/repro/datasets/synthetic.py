@@ -6,7 +6,7 @@ import numpy as np
 
 from repro.errors import DatasetError
 from repro.graphs.graph import Graph
-from repro.utils.rng import ensure_rng
+from repro.utils.rng import draw_stream, ensure_rng
 
 
 def scale_free_directed_graph(
@@ -36,22 +36,24 @@ def scale_free_directed_graph(
     edges: set[tuple[int, int]] = set()
     # Preferential pool: node ids repeated once per received arc (+1 smoothing).
     pool: list[int] = list(range(start))
-    for new_node in range(start, num_nodes):
-        arcs = min(out_degree, new_node)
-        chosen: set[int] = set()
-        while len(chosen) < arcs:
-            if generator.random() < 0.2:  # uniform exploration keeps pool fresh
-                candidate = int(generator.integers(0, new_node))
-            else:
-                candidate = pool[int(generator.integers(0, len(pool)))]
-            if candidate != new_node:
-                chosen.add(candidate)
-        for target in chosen:
-            edges.add((new_node, target))
-            pool.append(target)
-            if generator.random() < reciprocity:
-                edges.add((target, new_node))
-                pool.append(new_node)
+    with draw_stream(generator) as draws:
+        random, integers = draws.random, draws.integers
+        for new_node in range(start, num_nodes):
+            arcs = min(out_degree, new_node)
+            chosen: set[int] = set()
+            while len(chosen) < arcs:
+                if random() < 0.2:  # uniform exploration keeps pool fresh
+                    candidate = integers(new_node)
+                else:
+                    candidate = pool[integers(len(pool))]
+                if candidate != new_node:
+                    chosen.add(candidate)
+            for target in chosen:
+                edges.add((new_node, target))
+                pool.append(target)
+                if random() < reciprocity:
+                    edges.add((target, new_node))
+                    pool.append(new_node)
     return Graph(num_nodes, np.asarray(sorted(edges), dtype=np.int64), directed=True)
 
 
@@ -76,21 +78,24 @@ def community_directed_graph(
     generator = ensure_rng(rng)
 
     community = generator.integers(0, num_communities, size=num_nodes)
-    members = [np.flatnonzero(community == c) for c in range(num_communities)]
+    members = [np.flatnonzero(community == c).tolist() for c in range(num_communities)]
     # Guard against empty communities on tiny graphs.
-    members = [m if len(m) else np.array([0]) for m in members]
+    members = [m if m else [0] for m in members]
+    homes = [members[c] for c in community.tolist()]
 
     total_arcs = int(round(avg_degree * num_nodes))
     edges: set[tuple[int, int]] = set()
     attempts = 0
-    while len(edges) < total_arcs and attempts < 20 * total_arcs:
-        attempts += 1
-        source = int(generator.integers(0, num_nodes))
-        if generator.random() < mixing:
-            target = int(generator.integers(0, num_nodes))
-        else:
-            home = members[community[source]]
-            target = int(home[int(generator.integers(0, len(home)))])
-        if source != target:
-            edges.add((source, target))
+    with draw_stream(generator) as draws:
+        random, integers = draws.random, draws.integers
+        while len(edges) < total_arcs and attempts < 20 * total_arcs:
+            attempts += 1
+            source = integers(num_nodes)
+            if random() < mixing:
+                target = integers(num_nodes)
+            else:
+                home = homes[source]
+                target = home[integers(len(home))]
+            if source != target:
+                edges.add((source, target))
     return Graph(num_nodes, np.asarray(sorted(edges), dtype=np.int64), directed=True)

@@ -13,11 +13,13 @@ given one.
 
 from __future__ import annotations
 
+from itertools import filterfalse, islice
+
 import numpy as np
 
 from repro.errors import GraphError
 from repro.graphs.graph import Graph
-from repro.utils.rng import ensure_rng
+from repro.utils.rng import draw_stream, ensure_rng
 
 
 def erdos_renyi_graph(
@@ -193,39 +195,41 @@ def powerlaw_cluster_graph(
 
     repeated: list[int] = list(range(attachment))
     adjacency: list[set[int]] = [set() for _ in range(num_nodes)]
-    edges: list[tuple[int, int]] = []
-
-    def add_edge(u: int, v: int) -> None:
-        adjacency[u].add(v)
-        adjacency[v].add(u)
-        edges.append((u, v))
-        repeated.append(u)
-        repeated.append(v)
-
-    for new_node in range(attachment, num_nodes):
-        added = 0
-        last_target: int | None = None
-        while added < attachment:
-            close_triangle = (
-                last_target is not None
-                and generator.random() < triangle_probability
-                and adjacency[last_target]
-            )
-            if close_triangle:
-                candidates = [c for c in adjacency[last_target] if c != new_node]
-                candidates = [c for c in candidates if c not in adjacency[new_node]]
-                if candidates:
-                    target = candidates[int(generator.integers(0, len(candidates)))]
-                    add_edge(new_node, target)
-                    last_target = target
-                    added += 1
+    targets: list[int] = []
+    with draw_stream(generator) as draws:
+        random, integers = draws.random, draws.integers
+        for new_node in range(attachment, num_nodes):
+            mine = adjacency[new_node]
+            added = 0
+            last_target: int | None = None
+            while added < attachment:
+                count = 0
+                if last_target is not None and random() < triangle_probability:
+                    # Triad closure: the candidates are last_target's
+                    # neighbours other than new_node (always one of them)
+                    # and new_node's own neighbours.
+                    nbrs = adjacency[last_target]
+                    count = len(nbrs) - 1 - len(mine & nbrs)
+                if count:
+                    # The pick walks the set in its iteration order, which
+                    # decides the graph, so no set is mutated to filter it.
+                    excluded = mine | {new_node}
+                    candidates = filterfalse(excluded.__contains__, nbrs)
+                    target = next(islice(candidates, integers(count), None))
+                else:
+                    target = repeated[integers(len(repeated))]
+                if target == new_node or target in mine:
                     continue
-            target = repeated[int(generator.integers(0, len(repeated)))]
-            if target != new_node and target not in adjacency[new_node]:
-                add_edge(new_node, target)
+                mine.add(target)
+                adjacency[target].add(new_node)
+                targets.append(target)
+                repeated += (new_node, target)
                 last_target = target
                 added += 1
-    return Graph(num_nodes, np.asarray(edges, dtype=np.int64), directed=False)
+    # Every new node gains exactly ``attachment`` edges, in node order.
+    sources = np.repeat(np.arange(attachment, num_nodes, dtype=np.int64), attachment)
+    edges = np.stack([sources, np.asarray(targets, dtype=np.int64)], axis=1)
+    return Graph(num_nodes, edges, directed=False)
 
 
 def stochastic_block_graph(

@@ -18,6 +18,7 @@ kept as metadata so dataset statistics report the undirected edge count).
 
 from __future__ import annotations
 
+from math import isqrt
 from typing import Callable, Hashable, Iterator, Sequence, TypeVar
 
 import numpy as np
@@ -35,11 +36,56 @@ def _check_probabilities(weights: np.ndarray) -> None:
         )
 
 
+def _stable_argsort(values: np.ndarray, bound: int) -> np.ndarray:
+    """``np.argsort(values, kind="stable")`` for int64 ``values`` in ``[0, bound)``.
+
+    Sorts by 16-bit digits, least significant first.  numpy's stable sort
+    of 16-bit integers is a radix sort, so each pass is linear, and a
+    stable order is unique, so the result is the same array.
+    """
+    order = None
+    shift = 0
+    while True:
+        digits = ((values >> shift) & 0xFFFF).astype(np.uint16)
+        if order is None:
+            order = np.argsort(digits, kind="stable")
+        else:
+            order = order[np.argsort(digits[order], kind="stable")]
+        shift += 16
+        if bound <= 1 << shift:
+            return order
+
+
+#: Largest node count whose arc keys ``u * num_nodes + v`` fit in int64.
+_MAX_KEYED_NODES = isqrt(2**63 - 1)
+
+
+def _unique_arcs(num_nodes: int, arcs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(arcs, axis=0, return_index=True)`` for int64 ``(E, 2)``
+    arcs with endpoints in ``[0, num_nodes)``.
+
+    Each arc is keyed as ``u * num_nodes + v``, which orders arcs as the
+    row-wise unique does; a stable sort of the keys then gives the same
+    distinct rows and the same first-occurrence indices at a fraction of
+    the cost.  Node counts whose keys would overflow int64 take the
+    row-wise unique.
+    """
+    if num_nodes > _MAX_KEYED_NODES:
+        return np.unique(arcs, axis=0, return_index=True)
+    keys = arcs[:, 0] * num_nodes + arcs[:, 1]
+    order = _stable_argsort(keys, num_nodes * num_nodes)
+    sorted_keys = keys[order]
+    first = np.ones(len(keys), dtype=bool)
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=first[1:])
+    first_index = order[first]
+    return arcs[first_index], first_index
+
+
 def _build_csr(
     num_nodes: int, sources: np.ndarray, targets: np.ndarray, weights: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sort edges by ``sources`` and build (indptr, indices, weights)."""
-    order = np.argsort(sources, kind="stable")
+    order = _stable_argsort(sources, num_nodes)
     sorted_sources = sources[order]
     indices = targets[order]
     sorted_weights = weights[order]
@@ -103,7 +149,7 @@ class Graph:
             backward = edge_array[:, ::-1]
             edge_array = np.concatenate([forward, backward], axis=0)
             weight_array = np.concatenate([weight_array, weight_array])
-            edge_array, unique_idx = np.unique(edge_array, axis=0, return_index=True)
+            edge_array, unique_idx = _unique_arcs(num_nodes, edge_array)
             weight_array = weight_array[unique_idx]
 
         sources, targets = edge_array[:, 0], edge_array[:, 1]
@@ -434,7 +480,7 @@ class Graph:
         if not self.is_directed:
             edge_array = np.concatenate([edge_array, edge_array[:, ::-1]], axis=0)
             weight_array = np.concatenate([weight_array, weight_array])
-        unique_rows, first_index = np.unique(edge_array, axis=0, return_index=True)
+        unique_rows, first_index = _unique_arcs(self.num_nodes, edge_array)
         if not self.is_directed:
             # Both directions of a self-loop collapse to one arc.
             edge_array = unique_rows
@@ -488,7 +534,7 @@ class Graph:
         edge_array = self._validate_edge_delta(edges)
         if not self.is_directed:
             edge_array = np.concatenate([edge_array, edge_array[:, ::-1]], axis=0)
-            edge_array = np.unique(edge_array, axis=0)
+            edge_array, _ = _unique_arcs(self.num_nodes, edge_array)
 
         def filtered(indptr, indices, csr_weights, bucket_of, other_of):
             keep = np.ones(len(indices), dtype=bool)

@@ -185,7 +185,9 @@ def _bfs_partition(
     """Grow ``num_parts`` balanced partitions by breadth-first expansion."""
     target_size = int(np.ceil(graph.num_nodes / num_parts))
     assignment = np.full(graph.num_nodes, -1, dtype=np.int64)
-    visit_order = generator.permutation(graph.num_nodes)
+    visit_order = generator.permutation(graph.num_nodes).tolist()
+    out_indptr, out_indices, _ = graph.out_csr()
+    in_indptr, in_indices, _ = graph.in_csr()
     order_position = 0
     part = 0
     part_size = 0
@@ -194,7 +196,7 @@ def _bfs_partition(
     def next_unassigned() -> int | None:
         nonlocal order_position
         while order_position < len(visit_order):
-            candidate = int(visit_order[order_position])
+            candidate = visit_order[order_position]
             order_position += 1
             if assignment[candidate] < 0:
                 return candidate
@@ -216,10 +218,8 @@ def _bfs_partition(
             part_size = 0
             frontier.clear()
             continue
-        for neighbor in graph.out_neighbors(node):
-            if assignment[neighbor] < 0:
-                frontier.append(int(neighbor))
-        for neighbor in graph.in_neighbors(node):
-            if assignment[neighbor] < 0:
-                frontier.append(int(neighbor))
+        # Unassigned out-neighbours, then in-neighbours, each in row order.
+        for indptr, indices in ((out_indptr, out_indices), (in_indptr, in_indices)):
+            row = indices[indptr[node] : indptr[node + 1]]
+            frontier.extend(row[assignment[row] < 0].tolist())
     return assignment

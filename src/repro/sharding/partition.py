@@ -37,11 +37,7 @@ import numpy as np
 from repro.errors import GraphError
 from repro.core.checkpoint import map_checksummed, read_checksummed, write_checksummed
 from repro.graphs.graph import Graph
-from repro.graphs.partition import (
-    PartitionStats,
-    compute_partition_stats,
-    partition_assignment,
-)
+from repro.graphs.partition import PartitionStats, partition_assignment
 
 SHARD_MAGIC = b"REPRO-SHARD-v1"
 SHARDSET_MAGIC = b"REPRO-SHARDSET-v1"
@@ -173,23 +169,6 @@ class GraphShard:
     @property
     def num_halo(self) -> int:
         return len(self.halo)
-
-    @property
-    def nbytes(self) -> int:
-        return sum(
-            arr.nbytes
-            for arr in (
-                self.owned,
-                self.halo,
-                self.halo_owner,
-                self.out_indptr,
-                self.out_local,
-                self.out_weights,
-                self.in_indptr,
-                self.in_local,
-                self.in_weights,
-            )
-        )
 
     def walk_row(self, node: int, direction: str) -> np.ndarray | None:
         """Global ids a walk at owned ``node`` may step to walking

@@ -9,6 +9,8 @@ both to a ``Generator`` so results are reproducible end to end.
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
+from typing import Iterator
 
 import numpy as np
 
@@ -69,6 +71,153 @@ def child_generator(root_entropy: int, *key: int) -> np.random.Generator:
         entropy=int(root_entropy), spawn_key=tuple(int(k) for k in key)
     )
     return np.random.default_rng(sequence)
+
+
+#: Bit generators whose ``Generator.random()`` is ``(raw >> 11) * 2**-53``
+#: of one 64-bit raw draw and whose 32-bit draws split a raw draw into its
+#: low half, returned, and its high half, buffered in the state's
+#: ``has_uint32``/``uinteger``.  Any other bit generator (MT19937 makes
+#: native 32-bit draws) gets the generator's own scalar methods.
+_SPLIT_RAW_BIT_GENERATORS = frozenset({"PCG64", "PCG64DXSM", "Philox", "SFC64"})
+
+_TWO_POW_32 = 1 << 32
+_HALF_MASK = _TWO_POW_32 - 1
+_TWO_POW_MINUS_53 = 1.0 / (1 << 53)
+
+
+class DrawStream:
+    """Scalar draws of a ``Generator``, pulled from its bit generator in bulk.
+
+    :meth:`random` and :meth:`integers` return exactly what
+    ``generator.random()`` and ``int(generator.integers(0, k))`` would
+    return, call for call, but read Python ints from one
+    ``bit_generator.random_raw`` chunk instead of crossing into numpy per
+    draw.  Open it with :func:`draw_stream`, which puts the generator where
+    the scalar calls would have left it when the block ends.
+    """
+
+    #: Raw 64-bit draws fetched per refill.
+    CHUNK = 8192
+
+    def __init__(self, bit_generator: np.random.BitGenerator) -> None:
+        self._bit_generator = bit_generator
+        state = bit_generator.state
+        self._has_half = bool(state["has_uint32"])
+        self._half = int(state["uinteger"])
+        # The state before the current chunk and the chunk's length, so
+        # close() can redraw exactly the raws this stream consumed.
+        self._chunk_state = state
+        self._chunk_len = 0
+        self._raws: Iterator[int] = iter(())
+        self._closed = False
+
+    def _refill(self) -> int:
+        """Fetch the next chunk and return its first raw draw."""
+        if self._closed:
+            raise RuntimeError("draw stream is closed")
+        self._chunk_state = self._bit_generator.state
+        chunk = self._bit_generator.random_raw(self.CHUNK).tolist()
+        self._chunk_len = len(chunk)
+        self._raws = iter(chunk)
+        return next(self._raws)
+
+    def random(self) -> float:
+        """One uniform float in ``[0, 1)``, as ``Generator.random()``."""
+        raw = next(self._raws, None)
+        if raw is None:
+            raw = self._refill()
+        return (raw >> 11) * _TWO_POW_MINUS_53
+
+    def _uint32(self) -> int:
+        """The bit generator's ``next_uint32``: a buffered high half first."""
+        if self._has_half:
+            self._has_half = False
+            return self._half
+        raw = next(self._raws, None)
+        if raw is None:
+            raw = self._refill()
+        self._has_half = True
+        self._half = raw >> 32
+        return raw & _HALF_MASK
+
+    def integers(self, k: int) -> int:
+        """One integer in ``[0, k)``, as ``int(Generator.integers(0, k))``.
+
+        ``k`` is a Python int with ``1 <= k <= 2**32``.  This is numpy's
+        Lemire rejection over 32-bit draws: ``k == 1`` draws nothing, and
+        ``k == 2**32`` returns a raw half (its rejection threshold is 0).
+        """
+        if k == 1:
+            return 0
+        if not 1 < k <= _TWO_POW_32:
+            raise ValueError(f"k must be in [1, 2**32], got {k}")
+        product = self._uint32() * k
+        leftover = product & _HALF_MASK
+        if leftover < k:
+            threshold = (_TWO_POW_32 - k) % k
+            while leftover < threshold:
+                product = self._uint32() * k
+                leftover = product & _HALF_MASK
+        return product >> 32
+
+    def close(self) -> None:
+        """Leave the bit generator where the scalar draws would have.
+
+        Restores the state snapshotted before the current chunk, redraws
+        the raws consumed from it, and sets the 32-bit buffer.
+        """
+        if self._closed:
+            return
+        consumed = self._chunk_len - self._raws.__length_hint__()
+        bit_generator = self._bit_generator
+        bit_generator.state = self._chunk_state
+        if consumed:
+            bit_generator.random_raw(consumed, output=False)
+        state = bit_generator.state
+        state["has_uint32"] = int(self._has_half)
+        state["uinteger"] = self._half
+        bit_generator.state = state
+        # Every later draw reaches _refill, which refuses.
+        self._closed = True
+        self._raws = iter(())
+        self._has_half = False
+
+
+class _GeneratorDraws:
+    """:class:`DrawStream`'s interface over the generator's own methods."""
+
+    def __init__(self, generator: np.random.Generator) -> None:
+        self.random = generator.random
+        self._integers = generator.integers
+
+    def integers(self, k: int) -> int:
+        return int(self._integers(0, k))
+
+
+@contextmanager
+def draw_stream(generator: np.random.Generator) -> Iterator[DrawStream]:
+    """Open an exact bulk stream of ``generator``'s scalar draws.
+
+    Usage::
+
+        with draw_stream(generator) as draws:
+            u = draws.random()        # == generator.random()
+            i = draws.integers(k)     # == int(generator.integers(0, k))
+
+    On exit, exceptions included, ``generator`` is in the state the same
+    sequence of scalar calls would have left it in, so later draws
+    (vectorized ones too) continue the stream.  Do not draw from
+    ``generator`` itself while the block is open.  Bit generators outside
+    PCG64, PCG64DXSM, Philox and SFC64 get the generator's own methods.
+    """
+    if generator.bit_generator.state["bit_generator"] not in _SPLIT_RAW_BIT_GENERATORS:
+        yield _GeneratorDraws(generator)  # type: ignore[misc]
+        return
+    stream = DrawStream(generator.bit_generator)
+    try:
+        yield stream
+    finally:
+        stream.close()
 
 
 def _state_to_jsonable(value):

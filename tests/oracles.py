@@ -59,12 +59,19 @@ validation against a :class:`FrequencyVector`, and ``Graph.subgraph``
 induction.  The sampling engine (the shard coordinator, flat or sharded)
 must reproduce it bit for bit, and the vectorized ``project_in_degree``
 must match the projection loop byte for byte.
+
+Graph generation and partitioning keep their scalar loops:
+:func:`reference_powerlaw_cluster_graph` (the Holme–Kim generator with
+per-draw ``Generator`` calls, which the exact draw stream in
+:mod:`repro.utils.rng` must match edge for edge and draw for draw) and
+:func:`reference_bfs_partition` (BFS growth neighbour by neighbour).
 """
 
 from __future__ import annotations
 
 import dataclasses
 
+from collections import deque
 from types import SimpleNamespace
 from typing import Callable
 
@@ -74,7 +81,7 @@ from scipy.special import gammaln, logsumexp
 from repro.core.trainer import DPGNNTrainer, DPTrainingConfig
 from repro.dp.accountant import _log_binomial_pmf
 from repro.dp.rdp import DEFAULT_ALPHAS, rdp_to_dp
-from repro.errors import CalibrationError, PrivacyError, SamplingError
+from repro.errors import CalibrationError, GraphError, PrivacyError, SamplingError
 from repro.gnn.features import degree_features
 from repro.gnn.models import build_gnn
 from repro.graphs.graph import Graph
@@ -107,6 +114,8 @@ __all__ = [
     "reference_ledger_events",
     "reference_calibrate_sigma",
     "reference_project_in_degree",
+    "reference_powerlaw_cluster_graph",
+    "reference_bfs_partition",
     "walk_neighbors",
     "uniform_chooser",
     "random_walk_nodes",
@@ -570,6 +579,110 @@ def reference_project_in_degree(graph: Graph, theta: int, rng) -> Graph:
     projected = Graph(graph.num_nodes, edges, all_weights, directed=True)
     projected.is_directed = graph.is_directed
     return projected
+
+
+# --------------------------------------------------------------------------- #
+# graph generation and partitioning
+# --------------------------------------------------------------------------- #
+def reference_powerlaw_cluster_graph(
+    num_nodes: int,
+    attachment: int,
+    triangle_probability: float,
+    *,
+    rng: int | np.random.Generator | None = None,
+) -> Graph:
+    """The Holme–Kim loop with scalar ``Generator`` draws and list
+    filters: :func:`repro.graphs.generators.powerlaw_cluster_graph` must
+    match its edges and leave the generator in the same state."""
+    if not 1 <= attachment < max(num_nodes, 1):
+        raise GraphError(f"attachment must be in [1, num_nodes), got {attachment}")
+    if not 0.0 <= triangle_probability <= 1.0:
+        raise GraphError("triangle_probability must be in [0, 1]")
+    generator = ensure_rng(rng)
+
+    repeated: list[int] = list(range(attachment))
+    adjacency: list[set[int]] = [set() for _ in range(num_nodes)]
+    edges: list[tuple[int, int]] = []
+
+    def add_edge(u: int, v: int) -> None:
+        adjacency[u].add(v)
+        adjacency[v].add(u)
+        edges.append((u, v))
+        repeated.append(u)
+        repeated.append(v)
+
+    for new_node in range(attachment, num_nodes):
+        added = 0
+        last_target: int | None = None
+        while added < attachment:
+            close_triangle = (
+                last_target is not None
+                and generator.random() < triangle_probability
+                and adjacency[last_target]
+            )
+            if close_triangle:
+                candidates = [c for c in adjacency[last_target] if c != new_node]
+                candidates = [c for c in candidates if c not in adjacency[new_node]]
+                if candidates:
+                    target = candidates[int(generator.integers(0, len(candidates)))]
+                    add_edge(new_node, target)
+                    last_target = target
+                    added += 1
+                    continue
+            target = repeated[int(generator.integers(0, len(repeated)))]
+            if target != new_node and target not in adjacency[new_node]:
+                add_edge(new_node, target)
+                last_target = target
+                added += 1
+    return Graph(num_nodes, np.asarray(edges, dtype=np.int64), directed=False)
+
+
+def reference_bfs_partition(
+    graph: Graph, num_parts: int, generator: np.random.Generator
+) -> np.ndarray:
+    """BFS partition growth with a per-neighbour loop over numpy scalars:
+    :func:`repro.graphs.partition.partition_assignment` (``method="bfs"``)
+    must match its assignment."""
+    target_size = int(np.ceil(graph.num_nodes / num_parts))
+    assignment = np.full(graph.num_nodes, -1, dtype=np.int64)
+    visit_order = generator.permutation(graph.num_nodes)
+    order_position = 0
+    part = 0
+    part_size = 0
+    frontier: deque[int] = deque()
+
+    def next_unassigned() -> int | None:
+        nonlocal order_position
+        while order_position < len(visit_order):
+            candidate = int(visit_order[order_position])
+            order_position += 1
+            if assignment[candidate] < 0:
+                return candidate
+        return None
+
+    while True:
+        if not frontier:
+            seed = next_unassigned()
+            if seed is None:
+                break
+            frontier.append(seed)
+        node = frontier.popleft()
+        if assignment[node] >= 0:
+            continue
+        assignment[node] = part
+        part_size += 1
+        if part_size >= target_size and part < num_parts - 1:
+            part += 1
+            part_size = 0
+            frontier.clear()
+            continue
+        for neighbor in graph.out_neighbors(node):
+            if assignment[neighbor] < 0:
+                frontier.append(int(neighbor))
+        for neighbor in graph.in_neighbors(node):
+            if assignment[neighbor] < 0:
+                frontier.append(int(neighbor))
+    return assignment
 
 
 # --------------------------------------------------------------------------- #

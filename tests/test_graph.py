@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.errors import GraphError
-from repro.graphs.graph import Graph
+from repro.graphs.graph import _MAX_KEYED_NODES, Graph, _unique_arcs, _stable_argsort
 
 
 class TestConstruction:
@@ -66,6 +68,57 @@ class TestConstruction:
     def test_undirected_duplicate_edges_deduped(self):
         graph = Graph(2, [(0, 1), (1, 0)], directed=False)
         assert graph.num_edges == 2  # just 0->1 and 1->0
+
+
+@st.composite
+def arc_lists(draw):
+    """``(num_nodes, (E, 2) int64 arcs)`` with self-loops and duplicates."""
+    num_nodes = draw(st.integers(1, 40))
+    count = draw(st.integers(0, 60))
+    arcs = draw(hnp.arrays(np.int64, (count, 2), elements=st.integers(0, num_nodes - 1)))
+    return num_nodes, arcs
+
+
+class TestArcDedup:
+    @settings(max_examples=200, deadline=None)
+    @given(case=arc_lists())
+    def test_matches_row_wise_unique(self, case):
+        num_nodes, arcs = case
+        rows, first_index = _unique_arcs(num_nodes, arcs)
+        expected_rows, expected_index = np.unique(arcs, axis=0, return_index=True)
+        assert rows.dtype == np.int64 and rows.shape == expected_rows.shape
+        assert np.array_equal(rows, expected_rows)
+        assert np.array_equal(first_index, expected_index)
+
+    def test_self_loops_duplicates_and_empty_input(self):
+        arcs = np.array([[2, 2], [1, 0], [2, 2], [0, 1], [1, 0]], dtype=np.int64)
+        rows, first_index = _unique_arcs(3, arcs)
+        assert rows.tolist() == [[0, 1], [1, 0], [2, 2]]
+        assert first_index.tolist() == [3, 1, 0]
+        rows, first_index = _unique_arcs(3, np.empty((0, 2), dtype=np.int64))
+        assert rows.shape == (0, 2) and first_index.shape == (0,)
+
+    def test_node_counts_whose_keys_overflow_take_the_row_wise_unique(self):
+        num_nodes = _MAX_KEYED_NODES + 1
+        big = num_nodes - 1
+        arcs = np.array([[big, 0], [0, big], [big, 0], [big, big]], dtype=np.int64)
+        rows, first_index = _unique_arcs(num_nodes, arcs)
+        expected_rows, expected_index = np.unique(arcs, axis=0, return_index=True)
+        assert np.array_equal(rows, expected_rows)
+        assert np.array_equal(first_index, expected_index)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        bound=st.sampled_from([1, 2, 2**16, 2**16 + 1, 2**32, 2**40, 2**63 - 1])
+        | st.integers(1, 2**63 - 1),
+        data=st.data(),
+    )
+    def test_stable_argsort_matches_numpy(self, bound, data):
+        values = data.draw(
+            hnp.arrays(np.int64, st.integers(0, 80), elements=st.integers(0, bound - 1))
+        )
+        expected = np.argsort(values, kind="stable")
+        assert np.array_equal(_stable_argsort(values, bound), expected)
 
 
 class TestNeighbors:

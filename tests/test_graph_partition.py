@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import GraphError
 from repro.graphs.generators import erdos_renyi_graph, powerlaw_cluster_graph
+from repro.graphs.graph import Graph
 from repro.graphs.partition import (
     PartitionStats,
     compute_partition_stats,
@@ -23,6 +24,8 @@ from repro.graphs.partition import (
 )
 from repro.serving import graph_fingerprint
 from repro.sharding import ShardSet, build_shard_set, load_shard
+from repro.utils.rng import ensure_rng
+from tests.oracles import reference_bfs_partition
 
 
 def _graph_for(seed: int, directed: bool):
@@ -54,6 +57,37 @@ class TestPartitionAssignment:
         assert 0 <= stats.cut_arcs <= stats.total_arcs
         assert 0.0 <= stats.cut_fraction <= 1.0
         assert stats.balance >= 1.0 - 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32),
+        num_nodes=st.integers(1, 120),
+        num_parts=st.integers(1, 8),
+        directed=st.booleans(),
+        data=st.data(),
+    )
+    def test_bfs_matches_the_per_neighbour_loop(
+        self, seed, num_nodes, num_parts, directed, data
+    ):
+        # Arbitrary arc lists: isolated nodes, self-loops, duplicate arcs.
+        arcs = data.draw(
+            st.lists(
+                st.tuples(st.integers(0, num_nodes - 1), st.integers(0, num_nodes - 1)),
+                max_size=4 * num_nodes,
+            )
+        )
+        graph = Graph(num_nodes, arcs, directed=directed)
+        num_parts = min(num_parts, num_nodes)
+        assignment = partition_assignment(graph, num_parts, method="bfs", rng=seed)
+        expected = reference_bfs_partition(graph, num_parts, ensure_rng(seed))
+        assert np.array_equal(assignment, expected)
+
+    def test_bfs_matches_the_per_neighbour_loop_on_a_clustered_graph(self):
+        graph = powerlaw_cluster_graph(2_000, 6, 0.3, rng=4)
+        for num_parts in (1, 4, 7):
+            assignment = partition_assignment(graph, num_parts, method="bfs", rng=0)
+            expected = reference_bfs_partition(graph, num_parts, ensure_rng(0))
+            assert np.array_equal(assignment, expected)
 
     def test_partition_graph_drop_mode_loses_cut_arcs(self):
         graph = powerlaw_cluster_graph(80, 3, 0.3, rng=5)
