@@ -44,7 +44,7 @@ class ComputePlan(kernels.EdgeSetMemo):
     :meth:`~repro.nn.kernels.EdgeSetMemo.memo`, a build-once store keyed by
     the caller.  Layers use it for derived structures the plan cannot know
     about (GCN's self-loop-normalised edge set, attention-softmax sort
-    permutations, flattened scatter indices), which also deduplicates work
+    permutations, CSR scatter matrices), which also deduplicates work
     across layers: every GCN layer of a stack shares one normalisation,
     every GRAT layer one source-sort.
 

@@ -10,16 +10,18 @@ autograd forward under ``no_grad``.  The attention layers go further: their
 construction.
 
 What changes is where the large edge-rowed intermediates live.  A training
-forward allocates the ``(E, 2W)`` attention pair matrix, the ``(E, W)``
-messages and the ``(E, W)`` flat scatter index afresh in every layer,
-because its backward reads them.  At serving sizes those are multi-MB
-blocks that the allocator returns to the kernel when they are freed, so
-every call pays page faults to touch them again.  An
-:class:`InferenceWorkspace` keeps them: grow-only buffers that every layer
-of a forward, and every later forward handed the same workspace, writes
-into.  Index structures that depend only on the edge set (the scatter
-indices, the softmax segment sort, GCN's normalised edges) are built once
-per forward and shared by all its layers.
+forward allocates the ``(E, 2W)`` attention pair matrix afresh in every
+layer, because its backward reads it.  At serving sizes that is a
+multi-MB block that the allocator returns to the kernel when it is freed,
+so every call pays page faults to touch it again.  An
+:class:`InferenceWorkspace` keeps such blocks: grow-only buffers that every
+layer of a forward, and every later forward handed the same workspace,
+writes into.  Aggregation and the single-head unweighted attention write
+no ``(E, W)`` messages at all: one CSR product gathers, scales and
+scatters the source rows (see :mod:`repro.nn.kernels`).  Structures that
+depend only on the edge set (the CSR scatter matrices, the softmax
+segment sorts, GCN's normalised edges) are built once per forward and
+shared by all its layers.
 
 A workspace is scratch for one forward at a time: two concurrent forwards
 must not share one.
@@ -31,17 +33,13 @@ import math
 from typing import Hashable
 
 import numpy as np
+from scipy import sparse
 
 from repro.errors import ShapeError
 from repro.gnn.message_passing import check_edge_index, unit_edge_weights
 from repro.nn import kernels
 
 __all__ = ["EdgePass", "InferenceWorkspace"]
-
-#: Memo keys of the flat scatter indices onto the pass's own edge targets
-#: and sources (the training plan's names for them).
-TARGETS = ("gather.flat", "target")
-SOURCES = ("gather.flat", "source")
 
 
 class InferenceWorkspace:
@@ -159,56 +157,27 @@ class EdgePass(kernels.EdgeSetMemo):
         out = self.array(name, (len(index),) + x.shape[1:])
         return np.take(x, index, axis=0, out=out, mode="clip")
 
-    def scatter_add(
-        self, messages: np.ndarray, segments: np.ndarray, key: tuple = TARGETS
-    ) -> np.ndarray:
-        """Row scatter-add onto ``segments`` (a fresh ``(N, W)`` array).
+    def gather_scatter_matrix(self) -> sparse.csr_array:
+        """Cached :func:`~repro.nn.kernels.scatter_matrix` gathering at
+        sources onto targets, with the edge weights as its data.
 
-        Dispatches exactly as the autograd scatter does for this width.
+        ``matrix @ x`` is ``out[v] = Σ_{(u, v)} w_uv · x[u]`` (see
+        ``aggregate_neighbors``): each term is the autograd path's single
+        rounded product ``x[u]·w`` (exact for ``w = 1``), added in edge
+        order, so it is byte-equal to that path's gather, weight multiply
+        and scatter.
         """
-        width = math.prod(messages.shape[1:])
-        flat = self.flat_index(segments, width, key) if messages.ndim > 1 else None
-        return kernels.segment_sum(messages, segments, self.num_nodes, flat_index=flat)
-
-    def flat_index(self, segments: np.ndarray, width: int, key: tuple) -> np.ndarray | None:
-        """The scatter onto ``segments`` at ``width``'s flat index, if it uses one.
-
-        Memoised under ``key + (width,)``, where ``key`` names the segment
-        array, so it is built once per pass (per plan, in training).
-        """
-        if width <= kernels.COLUMN_WIDTH_THRESHOLD:
-            return None
-        name = key + (width,)
-        return self.memo(name, lambda: self._flat_index(name, segments, width))
-
-    def _flat_index(self, name: tuple, segments: np.ndarray, width: int) -> np.ndarray:
-        # Same integers as kernels.flat_scatter_index, without its two
-        # (E, W) temporaries.
-        index = self.array(name, (len(segments), width), np.int64)
-        np.multiply(segments[:, None], width, out=index)
-        index += np.arange(width, dtype=np.int64)
-        return index.reshape(-1)
-
-    def aggregate(
-        self,
-        x: np.ndarray,
-        *,
-        key: tuple = TARGETS,
-        sources: np.ndarray | None = None,
-        targets: np.ndarray | None = None,
-        weight_column: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """``out[v] = Σ_{(u, v)} w_uv · x[u]`` (see ``aggregate_neighbors``).
-
-        Defaults to this pass's own edges; ``key`` names any other edge set
-        (GCN's self-loop-augmented one) so its scatter index is kept apart.
-        """
-        sources = self.sources if sources is None else sources
-        targets = self.targets if targets is None else targets
-        messages = self.gather(x, sources, "messages")
-        if weight_column is not None:
-            np.multiply(messages, weight_column, out=messages)
-        return self.scatter_add(messages, targets, key)
+        return self.memo(
+            ("scatter_matrix", "source", "target"),
+            lambda: kernels.scatter_matrix(
+                self.targets,
+                self.num_nodes,
+                columns=self.sources,
+                num_columns=self.num_nodes,
+                data=self.edge_weight,
+                sort=self.segment_sort("target"),
+            ),
+        )
 
 
 def relu_(values: np.ndarray) -> np.ndarray:

@@ -22,13 +22,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.gnn.inference import SOURCES, TARGETS, EdgePass, InferenceWorkspace, relu_
+from repro.gnn.inference import EdgePass, InferenceWorkspace, relu_
 from repro.gnn.message_passing import (
     add_self_loops,
     aggregate_neighbors,
     check_edge_index,
     inverse_in_degree,
-    unit_edge_weights,
 )
 from repro.nn import functional as F
 from repro.nn import kernels, per_example
@@ -139,20 +138,22 @@ class GCNConv(_Conv):
         return self.linear(aggregated)
 
     def _infer(self, x: np.ndarray, edges: EdgePass) -> np.ndarray:
-        key = ("gcn", self.self_loops)
-
-        def build() -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        def build():
+            # One CSR product with the normalised weights as data, byte-equal
+            # to forward's gather, multiply and scatter (see
+            # EdgePass.gather_scatter_matrix).
             loop_edges, norm = _normalised_edges(
                 edges.edge_index, edges.edge_weight, edges.num_nodes, self.self_loops
             )
-            column = None if unit_edge_weights(norm) else norm.reshape(-1, 1)
-            return loop_edges[0], loop_edges[1], column
+            return kernels.scatter_matrix(
+                loop_edges[1],
+                edges.num_nodes,
+                columns=loop_edges[0],
+                num_columns=edges.num_nodes,
+                data=norm,
+            )
 
-        sources, targets, column = edges.memo(key, build)
-        aggregated = edges.aggregate(
-            x, key=key, sources=sources, targets=targets, weight_column=column
-        )
-        return self.linear.infer(aggregated)
+        return self.linear.infer(edges.memo(("gcn", self.self_loops), build) @ x)
 
 
 class SAGEConv(_Conv):
@@ -182,7 +183,7 @@ class SAGEConv(_Conv):
         return self.linear(concat([x, aggregated], axis=1))
 
     def _infer(self, x: np.ndarray, edges: EdgePass) -> np.ndarray:
-        aggregated = edges.aggregate(x, weight_column=edges.edge_weight_column())
+        aggregated = edges.gather_scatter_matrix() @ x
         aggregated *= edges.memo(
             "inv_degree", lambda: inverse_in_degree(edges.targets, edges.num_nodes)
         )
@@ -192,17 +193,6 @@ class SAGEConv(_Conv):
 def _matmul(left: np.ndarray, right: np.ndarray, *, edges: bool = False) -> np.ndarray:
     """Plain ``left @ right`` in :func:`per_example.capture_matmul`'s signature."""
     return left @ right
-
-
-def _column_selector(width: int, start: int, count: int) -> np.ndarray:
-    """Constant 0/1 ``(width, count)`` matrix selecting columns ``start ..``.
-
-    Each head takes its slice of the transformed features through this
-    product, and its gradient back through the transposed one.
-    """
-    selector = np.zeros((width, count))
-    selector[np.arange(start, start + count), np.arange(count)] = 1.0
-    return selector
 
 
 class _AttentionConv(_Conv):
@@ -249,6 +239,15 @@ class _AttentionConv(_Conv):
         ]
         self.negative_slope = float(negative_slope)
         self.normalize_over = normalize_over
+        # Each head's constant 0/1 (out_features, head_dim) column selector,
+        # built once per layer: the head takes its slice of the transformed
+        # features through this product, and its gradient back through the
+        # transposed one.
+        identity = np.eye(out_features)
+        self.selectors = [
+            np.ascontiguousarray(identity[:, h * self.head_dim : (h + 1) * self.head_dim])
+            for h in range(heads)
+        ]
 
     @property
     def attention(self) -> Parameter:
@@ -268,16 +267,10 @@ class _AttentionConv(_Conv):
         edges = EdgePass(edge_index, edge_weight, inputs.shape[0], plan=plan)
         saved: list = []
         out = self._attend(inputs.data, edges, saved)
-        # The backward scatters both gathers' gradients at the full width.
-        width = self.linear.out_features
-        flat = (
-            edges.flat_index(edges.targets, width, TARGETS),
-            edges.flat_index(edges.sources, width, SOURCES),
-        )
         return inputs._make(
             out,
             (inputs, self.linear.weight, *self.attentions),
-            lambda grad: self._attend_backward(grad, inputs, edges, saved, flat),
+            lambda grad: self._attend_backward(grad, inputs, edges, saved),
         )
 
     def _infer(self, x: np.ndarray, edges: EdgePass) -> np.ndarray:
@@ -307,8 +300,6 @@ class _AttentionConv(_Conv):
         if self.heads > 1:
             source_feats = edges.gather(transformed, edges.sources, "sources")
             target_feats = edges.gather(transformed, edges.targets, "targets")
-        # One head scatters its messages with the target gather's index.
-        scatter_key = ("attn.flat",) if self.heads > 1 else TARGETS
         outputs = []
         for head, attention in enumerate(self.attentions):
             if self.heads == 1:
@@ -318,7 +309,7 @@ class _AttentionConv(_Conv):
                 pair = pair.reshape(num_edges, 2 * width)
                 head_sources = pair[:, :width]
             else:
-                selector = _column_selector(width, head * head_dim, head_dim)
+                selector = self.selectors[head]
                 head_sources = matmul(source_feats, selector)
                 pair = edges.array("pair", (num_edges, 2 * head_dim))
                 head_targets = matmul(target_feats, selector)
@@ -330,20 +321,32 @@ class _AttentionConv(_Conv):
             )
             if saved is not None:
                 saved.append((pair, alpha, exp, denominator, scale))
-            # Drop these references before the messages are written.  In
+            # Drop these references before the output is written.  In
             # inference nothing else holds them, and the allocator then
             # reuses their blocks while warm (held to the layer's end, they
             # cost serve-mutate 4 %).
             del scores, logits, scale, exp, denominator
-            messages = edges.array("messages", (num_edges, head_dim))
+            if self.heads == 1 and weight_column is None:
+                # One CSR product gathers, scales and scatters the source
+                # rows: each term is the one rounding of x·α, then an add.
+                matrix = edges.gather_scatter_matrix()
+                by_target = edges.segment_sort("target")
+                outputs.append(kernels.gather_scale_scatter(transformed, alpha, matrix, by_target))
+                continue
+            # (x·α)·w rounds twice, so weighted messages are written out;
+            # so are a head's, whose selected columns are a product of
+            # their own.  A head's selected sources are its own fresh array.
+            messages = (
+                head_sources if self.heads > 1 else edges.array("messages", (num_edges, width))
+            )
             np.multiply(head_sources, alpha.reshape(-1, 1), out=messages)
             if weight_column is not None:
                 np.multiply(messages, weight_column, out=messages)
-            outputs.append(edges.scatter_add(messages, edges.targets, scatter_key))
+            outputs.append(edges.scatter(messages, "target", num_nodes))
         return outputs[0] if self.heads == 1 else np.concatenate(outputs, axis=1)
 
     def _attend_backward(
-        self, grad: np.ndarray, inputs: Tensor, edges: EdgePass, saved: list, flat
+        self, grad: np.ndarray, inputs: Tensor, edges: EdgePass, saved: list
     ) -> None:
         capture = per_example.active_capture()
         weight = self.linear.weight
@@ -351,7 +354,7 @@ class _AttentionConv(_Conv):
             # The edgeless ``transformed * 0.0``.
             g_transformed = grad * 0.0
         else:
-            g_transformed = self._pairs_backward(grad, edges, saved, flat, capture)
+            g_transformed = self._pairs_backward(grad, edges, saved, capture)
         if inputs.requires_grad:
             inputs._accumulate_owned(
                 per_example.capture_matmul(g_transformed, weight.data.T)
@@ -362,13 +365,12 @@ class _AttentionConv(_Conv):
             else:
                 weight._accumulate_owned(inputs.data.T @ g_transformed)
 
-    def _pairs_backward(self, grad, edges, saved, flat, capture) -> np.ndarray:
+    def _pairs_backward(self, grad, edges, saved, capture) -> np.ndarray:
         """The transformed features' gradient; accumulates the attention
         vectors' on the way.  Heads fire last to first, as composed."""
         num_nodes, targets = edges.num_nodes, edges.targets
         segments, weight_column = self._segments(edges), edges.edge_weight_column()
         head_dim = self.head_dim
-        width = head_dim * self.heads
         g_source_feats = g_target_feats = None
         for head in reversed(range(self.heads)):
             attention = self.attentions[head]
@@ -399,7 +401,7 @@ class _AttentionConv(_Conv):
             if self.heads == 1:
                 g_source_feats, g_target_feats = g_sources, g_targets
                 continue
-            selector_t = _column_selector(width, head * head_dim, head_dim).T
+            selector_t = self.selectors[head].T
             g_targets = per_example.capture_matmul(g_targets, selector_t)
             g_sources = per_example.capture_matmul(g_sources, selector_t)
             if g_target_feats is None:
@@ -407,12 +409,8 @@ class _AttentionConv(_Conv):
             else:
                 g_target_feats += g_targets
                 g_source_feats += g_sources
-        g_transformed = kernels.segment_sum(
-            g_target_feats, targets, num_nodes, flat_index=flat[0]
-        )
-        g_transformed += kernels.segment_sum(
-            g_source_feats, edges.sources, num_nodes, flat_index=flat[1]
-        )
+        g_transformed = edges.scatter(g_target_feats, "target", num_nodes)
+        g_transformed += edges.scatter(g_source_feats, "source", num_nodes)
         return g_transformed
 
 
@@ -504,6 +502,6 @@ class GINConv(_Conv):
         return self.mlp_out(self.mlp_in(combined).relu())
 
     def _infer(self, x: np.ndarray, edges: EdgePass) -> np.ndarray:
-        combined = edges.aggregate(x, weight_column=edges.edge_weight_column())
+        combined = edges.gather_scatter_matrix() @ x
         combined += x * (self.epsilon.data + np.asarray(1.0, dtype=np.float64))
         return self.mlp_out.infer(relu_(self.mlp_in.infer(combined)))

@@ -21,14 +21,6 @@ from repro.nn import kernels
 from repro.nn.tensor import Tensor
 
 
-def _row_width(shape: tuple[int, ...]) -> int:
-    """Product of the non-leading dimensions (1 for 1-D shapes)."""
-    width = 1
-    for dim in shape[1:]:
-        width *= dim
-    return width
-
-
 def unit_edge_weights(weights: np.ndarray, plan=None) -> bool:
     """Whether every edge weight is exactly 1.0 (making weighting a no-op).
 
@@ -97,7 +89,7 @@ def aggregate_neighbors(
             counting only present edges; isolated nodes stay zero).
         plan: optional :class:`repro.core.compute_plan.ComputePlan` holding
             build-once derived data (validated edges, in-degrees, scatter
-            indices).  The plan changes nothing numerically — only how
+            matrices).  The plan changes nothing numerically — only how
             often the static arrays are rebuilt.
         plan_key: identifies the edge set within the plan.  Callers passing
             anything other than the plan's own edges (e.g. the GCN's
@@ -110,18 +102,19 @@ def aggregate_neighbors(
     else:
         edges = check_edge_index(edge_index, num_nodes)
     sources, targets = edges[0], edges[1]
-    gather_flat = None
-    x_width = _row_width(x.shape)
-    if (
-        plan is not None
-        and x.ndim > 1
-        and x_width > kernels.COLUMN_WIDTH_THRESHOLD
-    ):
-        gather_flat = plan.memo(
-            ("agg.gather_flat", plan_key, x_width),
-            lambda: kernels.flat_scatter_index(sources, x_width),
+    by_source = by_target = None
+    if plan is not None and x.data.size > x.shape[0]:
+        # Rows wider than one column scatter through CSR products (see
+        # repro.nn.kernels); the plan builds each direction's matrix once.
+        by_source = plan.memo(
+            ("agg.scatter", plan_key, "source"),
+            lambda: kernels.scatter_matrix(sources, num_nodes),
         )
-    messages = x.gather_rows(sources, flat_index=gather_flat)
+        by_target = plan.memo(
+            ("agg.scatter", plan_key, "target"),
+            lambda: kernels.scatter_matrix(targets, num_nodes),
+        )
+    messages = x.gather_rows(sources, matrix=by_source)
     if edge_weight is not None:
         weights = np.asarray(edge_weight, dtype=np.float64)
         if weights.shape != (edges.shape[1],):
@@ -133,18 +126,7 @@ def aggregate_neighbors(
         # multiply and its two backward products per aggregation.
         if not unit_edge_weights(weights, plan):
             messages = messages * Tensor(weights.reshape(-1, 1))
-    flat_index = None
-    width = _row_width(messages.shape)
-    if (
-        plan is not None
-        and messages.ndim > 1
-        and width > kernels.COLUMN_WIDTH_THRESHOLD
-    ):
-        flat_index = plan.memo(
-            ("agg.flat", plan_key, width),
-            lambda: kernels.flat_scatter_index(targets, width),
-        )
-    aggregated = F.scatter_add_rows(messages, targets, num_nodes, flat_index=flat_index)
+    aggregated = F.scatter_add_rows(messages, targets, num_nodes, matrix=by_target)
     if reduce == "sum":
         return aggregated
     if reduce == "mean":

@@ -57,12 +57,15 @@ def erdos_renyi_graph(
         log_q = np.log1p(-edge_probability)
         picks_list = []
         position = -1
-        while True:
-            gap = int(np.floor(np.log(generator.random()) / log_q)) + 1
-            position += gap
-            if position >= total_pairs:
-                break
-            picks_list.append(position)
+        # The skip before the next pick.  A draw of 0.0, or a tiny p, makes
+        # it infinite, which int() cannot hold: compare it first.
+        with np.errstate(divide="ignore", over="ignore"):
+            while True:
+                skip = float(np.floor(np.log(generator.random()) / log_q))
+                if skip >= total_pairs - 1 - position:
+                    break
+                position += int(skip) + 1
+                picks_list.append(position)
         picks = np.asarray(picks_list, dtype=np.int64)
 
     if directed:

@@ -24,6 +24,7 @@ from typing import Callable, Hashable, Iterator, Sequence, TypeVar
 import numpy as np
 
 from repro.errors import GraphError
+from repro.utils.sorting import stable_argsort
 
 T = TypeVar("T")
 
@@ -34,26 +35,6 @@ def _check_probabilities(weights: np.ndarray) -> None:
         raise GraphError(
             "edge weights must be finite influence probabilities in [0, 1]"
         )
-
-
-def _stable_argsort(values: np.ndarray, bound: int) -> np.ndarray:
-    """``np.argsort(values, kind="stable")`` for int64 ``values`` in ``[0, bound)``.
-
-    Sorts by 16-bit digits, least significant first.  numpy's stable sort
-    of 16-bit integers is a radix sort, so each pass is linear, and a
-    stable order is unique, so the result is the same array.
-    """
-    order = None
-    shift = 0
-    while True:
-        digits = ((values >> shift) & 0xFFFF).astype(np.uint16)
-        if order is None:
-            order = np.argsort(digits, kind="stable")
-        else:
-            order = order[np.argsort(digits[order], kind="stable")]
-        shift += 16
-        if bound <= 1 << shift:
-            return order
 
 
 #: Largest node count whose arc keys ``u * num_nodes + v`` fit in int64.
@@ -73,7 +54,7 @@ def _unique_arcs(num_nodes: int, arcs: np.ndarray) -> tuple[np.ndarray, np.ndarr
     if num_nodes > _MAX_KEYED_NODES:
         return np.unique(arcs, axis=0, return_index=True)
     keys = arcs[:, 0] * num_nodes + arcs[:, 1]
-    order = _stable_argsort(keys, num_nodes * num_nodes)
+    order = stable_argsort(keys, num_nodes * num_nodes)
     sorted_keys = keys[order]
     first = np.ones(len(keys), dtype=bool)
     np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=first[1:])
@@ -85,7 +66,7 @@ def _build_csr(
     num_nodes: int, sources: np.ndarray, targets: np.ndarray, weights: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sort edges by ``sources`` and build (indptr, indices, weights)."""
-    order = _stable_argsort(sources, num_nodes)
+    order = stable_argsort(sources, num_nodes)
     sorted_sources = sources[order]
     indices = targets[order]
     sorted_weights = weights[order]

@@ -44,7 +44,7 @@ def scatter_add_rows(
     indices: np.ndarray,
     num_rows: int,
     *,
-    flat_index: np.ndarray | None = None,
+    matrix=None,
 ) -> Tensor:
     """Scatter-add rows of ``tensor`` into a ``(num_rows, ...)`` output.
 
@@ -52,9 +52,9 @@ def scatter_add_rows(
     message passing.  The gradient is a row gather.
 
     The forward runs through :func:`repro.nn.kernels.segment_sum`, which is
-    bit-identical to the ``np.add.at`` reference; ``flat_index`` optionally
-    carries the precomputed combined index a compute plan caches for wide
-    features.
+    bit-identical to the ``np.add.at`` reference; ``matrix`` optionally
+    carries the :func:`~repro.nn.kernels.scatter_matrix` of ``indices`` a
+    compute plan caches.
     """
     source = Tensor._lift(tensor)
     idx = (
@@ -66,11 +66,11 @@ def scatter_add_rows(
         raise ShapeError(
             f"indices must be 1-D with length {source.shape[0]}, got shape {idx.shape}"
         )
-    # A caller-supplied flat_index comes from a compute plan built over
+    # A caller-supplied matrix comes from a compute plan built over
     # already-validated edges, so the range scan can be skipped.
-    if flat_index is None and len(idx) and (idx.min() < 0 or idx.max() >= num_rows):
+    if matrix is None and len(idx) and (idx.min() < 0 or idx.max() >= num_rows):
         raise AutogradError("scatter indices out of range")
-    out_data = kernels.segment_sum(source.data, idx, num_rows, flat_index=flat_index)
+    out_data = kernels.segment_sum(source.data, idx, num_rows, matrix=matrix)
 
     def backward_fn(grad: np.ndarray) -> None:
         if source.requires_grad:

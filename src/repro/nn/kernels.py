@@ -1,32 +1,37 @@
 """Fused segment kernels: ``np.add.at``-free scatter reductions.
 
 ``np.add.at`` is the natural way to express "sum rows that share a segment
-id" but NumPy executes it through the unbuffered ``ufunc.at`` machinery,
-which walks the index array in interpreted-strength code — in practice 6-7x
-slower than an equivalent ``np.bincount``.  Crucially, ``np.bincount``
-accumulates its weights *sequentially in input order*, exactly like
-``np.add.at``, so every kernel here is **bit-identical** to the reference
-(same floating-point operations in the same order), not merely close.  That
-property is load-bearing: DP-SGD noise calibration and the trainer's
-checkpoint/resume guarantees are stated in terms of byte-equal gradients.
+id" but NumPy executes it through the unbuffered ``ufunc.at`` machinery —
+in practice 6-7x slower than ``np.bincount``.  Every kernel here is
+**bit-identical** to that reference (the same floating-point operations in
+the same order), not merely close.  That property is load-bearing: DP-SGD
+noise calibration and the trainer's checkpoint/resume guarantees are stated
+in terms of byte-equal gradients.
+
+:func:`segment_sum` dispatches by row width.  1-D values and one column go
+through ``np.bincount``, which adds its weights sequentially in input
+order, exactly like ``np.add.at``.  Rows go through one CSR sparse–dense
+product (``scipy.sparse.csr_array @ rows``) with the segments'
+:func:`scatter_matrix`: scipy's ``csr_matvecs`` computes ``y[i] += a * x[j]``
+over each row's stored entries in order, from ``+0.0``, and the matrix
+stores each row's entries in stable segment order with ``a = 1``, so every
+output adds the same terms in the same order.  :func:`gather_scale_scatter`
+runs the same product with ``a`` a per-entry coefficient and ``j`` a
+gathered row, in place of a gather, an ``(E, W)`` scale and a scatter: each
+term is still one rounded product, then one add.  Both rest on scipy's
+compiled loop neither reordering the adds nor fusing ``y += a * x`` into an
+FMA; ``tests/test_nn_kernels.py`` checks each against the ``np.add.at``
+oracle, so a scipy build that does either fails there.  One thing no path
+pins: which of two NaNs of different bits survives an add is the compiled
+loop's operand order.
 
 ``np.add.reduceat`` is deliberately *not* used for sums — it reduces runs
-with pairwise/blocked summation whose operation order differs from the
-serial reference.  It is only safe for :func:`segment_max`, where the
-maximum is exactly order-independent.
-
-Dispatch for 2-D scatter-adds is chosen by feature width:
-
-* width ``<= COLUMN_WIDTH_THRESHOLD`` — one ``np.bincount`` per column
-  (avoids materialising a combined index);
-* wider — a single flattened ``np.bincount`` over the combined index
-  ``segment * width + column``; callers that precompute this index (the
-  static compute plan does) skip its construction entirely.
+pairwise, in another order.  It is only safe for :func:`segment_max`,
+where the maximum is exactly order-independent.
 
 These kernels are the only scatter path in the autograd layer; the
-``np.add.at`` reference lives in the test oracles, which check the
-bit-identity.  The module keeps dispatch counters the trainer mirrors into
-``train.kernel.*`` metrics.
+``np.add.at`` reference lives in the test oracles.  The module keeps
+dispatch counters the trainer mirrors into ``train.kernel.*`` metrics.
 
 It also holds what the autograd forward and the autograd-free inference
 forward must compute identically: the edge-set memo both per-edge-set plans
@@ -37,21 +42,25 @@ cannot drift apart by a single rounding.
 
 from __future__ import annotations
 
+import copy
 from collections import namedtuple
 from typing import Callable, Hashable, TypeVar
 
 import numpy as np
+from scipy import sparse
+
+from repro.utils.sorting import stable_argsort
 
 __all__ = [
-    "COLUMN_WIDTH_THRESHOLD",
     "EdgeSetMemo",
     "SegmentSort",
     "build_segment_sort",
-    "flat_scatter_index",
+    "gather_scale_scatter",
     "kernel_stats",
     "leaky_relu",
     "relu",
     "reset_kernel_stats",
+    "scatter_matrix",
     "segment_sum",
     "segment_mean",
     "segment_max",
@@ -62,10 +71,6 @@ __all__ = [
     "segment_matmul_t",
     "sigmoid",
 ]
-
-#: 2-D widths up to this use the per-column bincount path; wider feature
-#: matrices use one flattened bincount over the combined index.
-COLUMN_WIDTH_THRESHOLD = 4
 
 _F64 = np.dtype(np.float64)
 _I64 = np.dtype(np.int64)
@@ -99,9 +104,9 @@ SegmentSort = namedtuple("SegmentSort", ["order", "starts", "unique"])
 
 
 def build_segment_sort(segments: np.ndarray) -> SegmentSort:
-    """Precompute the stable target-sort permutation for ``segments``."""
+    """Precompute the stable sort permutation of non-negative ``segments``."""
     idx = np.asarray(segments, dtype=np.int64)
-    order = np.argsort(idx, kind="stable")
+    order = stable_argsort(idx, int(idx.max()) + 1) if len(idx) else np.zeros(0, np.int64)
     sorted_segments = idx[order]
     if len(sorted_segments):
         boundaries = np.flatnonzero(
@@ -141,17 +146,60 @@ class EdgeSetMemo:
 
     def segment_sort(self, which: str) -> SegmentSort:
         """Cached stable sort of the edge ``"source"``/``"target"`` array."""
-        row = 0 if which == "source" else 1
         return self.memo(
             ("segment_sort", which),
-            lambda: build_segment_sort(self.edge_index[row]),
+            lambda: build_segment_sort(self.edge_index[0 if which == "source" else 1]),
         )
 
+    def scatter(self, values: np.ndarray, which: str, num_nodes: int) -> np.ndarray:
+        """:func:`segment_sum` of edge-rowed ``values`` onto the ``which`` endpoints.
 
-def flat_scatter_index(segments: np.ndarray, width: int) -> np.ndarray:
-    """Combined index ``segment * width + column`` for the flattened path."""
+        Rows wider than one column go through a cached :func:`scatter_matrix`;
+        narrower ones never build it.
+        """
+        segments = self.edge_index[0 if which == "source" else 1]
+        matrix = None
+        if values.size > len(values):
+            matrix = self.memo(
+                ("scatter_matrix", which),
+                lambda: scatter_matrix(segments, num_nodes, sort=self.segment_sort(which)),
+            )
+        return segment_sum(values, segments, num_nodes, matrix=matrix)
+
+
+
+def scatter_matrix(
+    segments: np.ndarray,
+    num_segments: int,
+    *,
+    columns: np.ndarray | None = None,
+    num_columns: int | None = None,
+    data: np.ndarray | None = None,
+    sort: SegmentSort | None = None,
+) -> sparse.csr_array:
+    """CSR matrix with entry ``j`` at ``(segments[j], columns[j])``.
+
+    Each row stores its entries in stable segment order (increasing ``j``),
+    so ``matrix @ x`` computes
+    ``out[s] = Σ_{j : segments[j] == s} data[j] · x[columns[j]]`` adding
+    the terms in ``j`` order, as ``np.add.at`` does.  ``columns`` defaults
+    to ``arange(E)`` (a plain scatter of ``(E, W)`` rows, with
+    ``num_columns = E``), ``data`` to ones, and ``sort`` to
+    :func:`build_segment_sort` of ``segments``.
+    """
     idx = np.asarray(segments, dtype=np.int64)
-    return (idx[:, None] * int(width) + np.arange(int(width), dtype=np.int64)).ravel()
+    if sort is None:
+        sort = build_segment_sort(idx)
+    indptr = np.zeros(int(num_segments) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(idx, minlength=num_segments), out=indptr[1:])
+    if columns is None:
+        indices, num_columns = sort.order, len(idx)
+    else:
+        indices = np.asarray(columns, dtype=np.int64)[sort.order]
+    values = np.ones(len(idx)) if data is None else np.asarray(data, dtype=np.float64)[sort.order]
+    return sparse.csr_array(
+        (values, indices, indptr), shape=(int(num_segments), int(num_columns))
+    )
 
 
 # --------------------------------------------------------------------------- #
@@ -182,70 +230,67 @@ def segment_sum(
     segments: np.ndarray,
     num_segments: int,
     *,
-    flat_index: np.ndarray | None = None,
+    matrix: sparse.csr_array | None = None,
 ) -> np.ndarray:
     """``out[s] = Σ_{j : segments[j] == s} values[j]`` without ``np.add.at``.
 
-    Accumulation order matches ``np.add.at`` exactly (``np.bincount`` adds
-    weights sequentially in input order), so results are bit-identical to
-    the reference, including for ragged/empty/duplicated segments.
+    Accumulation order matches ``np.add.at`` exactly (see the module
+    docstring), so results are bit-identical to the reference, including
+    for ragged/empty/duplicated segments.
 
     Args:
         values: ``(E,)`` or ``(E, ...)`` float array of per-entry values.
         segments: ``(E,)`` int array of segment ids in ``[0, num_segments)``.
         num_segments: number of output rows ``S``.
-        flat_index: optional precomputed :func:`flat_scatter_index` of
-            ``segments`` for ``width = prod(values.shape[1:])`` — skips
-            rebuilding the combined index on the wide path.
+        matrix: optional precomputed :func:`scatter_matrix` of ``segments``
+            (plans and passes cache one per edge direction) — rows wider
+            than one column then skip building it.
     """
     data = (
         values
         if type(values) is np.ndarray and values.dtype == _F64
         else np.asarray(values, dtype=np.float64)
     )
-    if flat_index is not None and data.shape[0]:
-        # Hottest path: a compute plan supplied the combined index, so the
-        # segment ids themselves are never touched.
-        _count("segment_sum.flat")
-        rows = data.shape[0]
-        width = data.size // rows
-        summed = np.bincount(
-            flat_index, weights=data.reshape(rows * width), minlength=num_segments * width
-        )
-        return summed.reshape((int(num_segments),) + data.shape[1:])
-    idx = (
-        segments
-        if type(segments) is np.ndarray and segments.dtype == _I64
-        else np.asarray(segments, dtype=np.int64)
-    )
+    rows = data.shape[0]
     out_shape = (int(num_segments),) + data.shape[1:]
-    if data.shape[0] == 0:
+    if rows == 0:
         return np.zeros(out_shape, dtype=np.float64)
+    if data.size == rows:
+        # 1-D values, or one column.
+        _count("segment_sum.bincount")
+        idx = (
+            segments
+            if type(segments) is np.ndarray and segments.dtype == _I64
+            else np.asarray(segments, dtype=np.int64)
+        )
+        summed = np.bincount(idx, weights=data.reshape(rows), minlength=num_segments)
+        return summed.reshape(out_shape)
+    _count("segment_sum.csr")
+    if matrix is None:
+        matrix = scatter_matrix(segments, num_segments)
+    return (matrix @ data.reshape(rows, -1)).reshape(out_shape)
 
-    if data.ndim == 1:
-        _count("segment_sum.vec")
-        return np.bincount(idx, weights=data, minlength=num_segments)
 
-    width = 1
-    for dim in data.shape[1:]:
-        width *= dim
-    flat = data.reshape(data.shape[0], width)
-    if width <= COLUMN_WIDTH_THRESHOLD and flat_index is None:
-        _count("segment_sum.col")
-        out = np.empty((num_segments, width), dtype=np.float64)
-        for column in range(width):
-            out[:, column] = np.bincount(
-                idx, weights=flat[:, column], minlength=num_segments
-            )
-        return out.reshape(out_shape)
+def gather_scale_scatter(
+    x: np.ndarray,
+    coefficients: np.ndarray,
+    matrix: sparse.csr_array,
+    sort: SegmentSort,
+) -> np.ndarray:
+    """``out[s] = Σ_{j : segments[j] == s} coefficients[j] · x[columns[j]]``.
 
-    _count("segment_sum.flat")
-    if flat_index is None:
-        flat_index = flat_scatter_index(idx, width)
-    summed = np.bincount(
-        flat_index, weights=flat.ravel(), minlength=num_segments * width
-    )
-    return summed.reshape(out_shape)
+    One CSR product in place of a row gather, an ``(E, W)`` scale and a
+    :func:`segment_sum`, and byte-equal to them: every term is the same
+    single rounded product, added in the same order.  ``matrix`` is the
+    :func:`scatter_matrix` of ``segments`` with ``columns`` (its own data
+    is not read) and ``sort`` the :class:`SegmentSort` it was built from.
+    The cached matrix is never written: the product runs on a shallow
+    copy holding the permuted coefficients.
+    """
+    _count("gather_scale_scatter")
+    scaled = copy.copy(matrix)
+    scaled.data = np.take(coefficients, sort.order)
+    return scaled @ x
 
 
 def segment_bounds(sizes) -> np.ndarray:
@@ -316,11 +361,9 @@ def segment_mean(
     values: np.ndarray,
     segments: np.ndarray,
     num_segments: int,
-    *,
-    flat_index: np.ndarray | None = None,
 ) -> np.ndarray:
     """Per-segment mean; empty segments yield 0 (matching message passing)."""
-    totals = segment_sum(values, segments, num_segments, flat_index=flat_index)
+    totals = segment_sum(values, segments, num_segments)
     _count("segment_mean")
     counts = np.bincount(
         np.asarray(segments, dtype=np.int64), minlength=num_segments

@@ -543,9 +543,7 @@ class Tensor:
     # ------------------------------------------------------------------ #
     # Indexing
     # ------------------------------------------------------------------ #
-    def gather_rows(
-        self, indices: np.ndarray, *, flat_index: np.ndarray | None = None
-    ) -> "Tensor":
+    def gather_rows(self, indices: np.ndarray, *, matrix=None) -> "Tensor":
         """Select rows ``self[indices]`` (indices may repeat).
 
         Gradient scatters back so repeated rows accumulate — the exact
@@ -554,11 +552,10 @@ class Tensor:
 
         Args:
             indices: row indices, repeats allowed.
-            flat_index: optional precomputed
-                :func:`repro.nn.kernels.flat_scatter_index` of ``indices``
-                for this tensor's row width — the backward scatter then
-                skips rebuilding the combined index (compute plans cache
-                one per edge direction).
+            matrix: optional precomputed
+                :func:`repro.nn.kernels.scatter_matrix` of ``indices`` —
+                the backward scatter then skips building it (compute plans
+                cache one per edge direction).
         """
         idx = (
             indices
@@ -570,7 +567,7 @@ class Tensor:
         def backward_fn(grad: np.ndarray) -> None:
             if self.requires_grad:
                 full = kernels.segment_sum(
-                    grad, idx, self.data.shape[0], flat_index=flat_index
+                    grad, idx, self.data.shape[0], matrix=matrix
                 )
                 self._accumulate_owned(full)
 

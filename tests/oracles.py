@@ -241,13 +241,13 @@ def assert_outcomes_identical(candidate: TrainOutcome, oracle: TrainOutcome,
 # --------------------------------------------------------------------------- #
 # scatter oracle for the fused segment kernels
 # --------------------------------------------------------------------------- #
-def reference_segment_sum(values, segments, num_segments, *, flat_index=None):
+def reference_segment_sum(values, segments, num_segments, *, matrix=None):
     """``np.add.at`` reference for :func:`repro.nn.kernels.segment_sum`.
 
-    ``flat_index`` is accepted (so this can stand in for the kernel) and
+    ``matrix`` is accepted (so this can stand in for the kernel) and
     ignored: the reference always scatters by ``segments``.
     """
-    del flat_index
+    del matrix
     values = np.asarray(values, dtype=np.float64)
     out = np.zeros((int(num_segments),) + values.shape[1:], dtype=np.float64)
     np.add.at(out, np.asarray(segments, dtype=np.int64), values)
@@ -258,7 +258,7 @@ def reference_segment_max(values, segments, num_segments, *, fill=-np.inf,
                           sort=None):
     """``np.maximum.at`` reference for :func:`repro.nn.kernels.segment_max`.
 
-    ``sort`` is accepted and ignored, like ``flat_index`` above.
+    ``sort`` is accepted and ignored, like ``matrix`` above.
     """
     del sort
     values = np.asarray(values, dtype=np.float64)

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.errors import GraphError
-from repro.graphs.graph import _MAX_KEYED_NODES, Graph, _unique_arcs, _stable_argsort
+from repro.graphs.graph import _MAX_KEYED_NODES, Graph, _unique_arcs
+from repro.utils.sorting import stable_argsort
 
 
 class TestConstruction:
@@ -118,7 +119,7 @@ class TestArcDedup:
             hnp.arrays(np.int64, st.integers(0, 80), elements=st.integers(0, bound - 1))
         )
         expected = np.argsort(values, kind="stable")
-        assert np.array_equal(_stable_argsort(values, bound), expected)
+        assert np.array_equal(stable_argsort(values, bound), expected)
 
 
 class TestNeighbors:

@@ -52,6 +52,33 @@ class TestErdosRenyi:
         with pytest.raises(GraphError):
             erdos_renyi_graph(10, 1.5)
 
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_smallest_subnormal_probability(self, directed):
+        # log(u) / log1p(-5e-324) overflows to inf: the skip passes every pair.
+        assert erdos_renyi_graph(2, 5e-324, directed=directed, rng=0).num_edges == 0
+        assert erdos_renyi_graph(50, 5e-324, directed=directed, rng=1).num_edges == 0
+
+    def test_a_draw_of_zero_ends_the_skip_loop(self):
+        class ZeroDraws(np.random.Generator):
+            def random(self, *args, **kwargs):
+                return 0.0
+
+        graph = erdos_renyi_graph(5, 0.5, rng=ZeroDraws(np.random.PCG64(0)))
+        assert graph.num_edges == 0
+
+    def test_draw_sequence_is_pinned(self):
+        generator = np.random.default_rng(7)
+        graph = erdos_renyi_graph(12, 0.25, rng=generator)
+        assert sorted((u, v) for u, v, _ in graph.edges() if u < v) == [
+            (0, 2), (0, 3), (0, 4), (0, 10), (1, 5), (1, 6), (3, 8), (3, 9),
+            (3, 10), (4, 6), (4, 11), (5, 10), (6, 10), (7, 9), (8, 9),
+            (9, 10), (9, 11), (10, 11),
+        ]
+        # One draw per pick plus the one that ended the loop.
+        reference = np.random.default_rng(7)
+        reference.random(19)
+        assert generator.random() == reference.random()
+
 
 class TestBarabasiAlbert:
     def test_edge_count(self):
