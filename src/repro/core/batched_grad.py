@@ -86,7 +86,7 @@ def _union_gradients(
     union = BatchedComputePlan(member_plans)
     features = Tensor(union.features(model.config.in_features))
     model.zero_grad()
-    capture = PerExampleCapture(union.node_bounds, union.edge_bounds)
+    capture = PerExampleCapture(union.node_bounds)
     with capturing(capture):
         seed_probabilities = model(
             features, union.edge_index, union.edge_weight, plan=union

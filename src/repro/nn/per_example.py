@@ -20,10 +20,11 @@ capture-aware site (``Tensor.__matmul__``/``__add__``/``__sub__``, the
 GAT/GRAT layers' fused node, :func:`repro.nn.functional.scale_rows_one_plus`).
 A Parameter receiving a gradient anywhere else raises
 :class:`~repro.errors.AutogradError` — failing loudly instead of silently
-mixing examples.  Generic matmul/add interception always uses the *node*
-segment bounds; the one edge-rowed parameter reduction in the model zoo,
-the attention vector's, is captured per edge segment by the attention
-layers themselves.
+mixing examples.  Every parameter reduction in the model zoo is
+node-rowed, so the capture needs only the *node* segment bounds: the
+attention vectors' gradient is ``Sᵀ x`` over per-node score gradients
+``S`` (see :class:`repro.gnn.layers.GATConv`), and a union edge's two
+ends lie in its own member's node segment.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ def reject_uncaptured(parameter) -> None:
     )
 
 
-def capture_matmul(left: np.ndarray, right: np.ndarray, *, edges: bool = False) -> np.ndarray:
+def capture_matmul(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """``left @ right``, one segment at a time when a capture covers its rows.
 
     BLAS products are not row-stable in general: GEMV tail rows, any
@@ -79,14 +80,12 @@ def capture_matmul(left: np.ndarray, right: np.ndarray, *, edges: bool = False) 
     accumulate over k in an order that depends on the total row count.
     Under per-example capture the disjoint union must replay the serial
     loop's per-subgraph products to stay bit-identical, so a product whose
-    row count matches the active capture's node (or, with ``edges``, edge)
-    bounds is computed per segment (see :func:`kernels.segment_matmul`).
+    row count matches the active capture's node bounds is computed per
+    segment (see :func:`kernels.segment_matmul`).
     """
     capture = _ACTIVE
-    if capture is not None:
-        bounds = capture.edge_bounds if edges else capture.node_bounds
-        if left.shape[0] == int(bounds[-1]):
-            return kernels.segment_matmul(left, right, bounds)
+    if capture is not None and left.shape[0] == int(capture.node_bounds[-1]):
+        return kernels.segment_matmul(left, right, capture.node_bounds)
     return left @ right
 
 
@@ -102,11 +101,10 @@ class PerExampleCapture:
     exactly like ``Tensor._accumulate``.
     """
 
-    __slots__ = ("node_bounds", "edge_bounds", "num_examples", "_slots")
+    __slots__ = ("node_bounds", "num_examples", "_slots")
 
-    def __init__(self, node_bounds: np.ndarray, edge_bounds: np.ndarray) -> None:
+    def __init__(self, node_bounds: np.ndarray) -> None:
         self.node_bounds = np.asarray(node_bounds, dtype=np.int64)
-        self.edge_bounds = np.asarray(edge_bounds, dtype=np.int64)
         self.num_examples = len(self.node_bounds) - 1
         # id(param) -> (param, buffer); holding the parameter pins its id
         # against reuse for the capture's lifetime.
@@ -131,19 +129,14 @@ class PerExampleCapture:
 
     # ------------------------------------------------------------------ #
     def matmul_nodes(self, parameter, x: np.ndarray, grad: np.ndarray) -> None:
-        """Capture ``x.T @ grad`` per node segment (Linear weights)."""
+        """Capture ``x.T @ grad`` per node segment, laid out in the
+        parameter's shape (Linear weights; attention vectors, whose
+        ``(2, head_dim)`` product is their ``[a_s; a_t]`` in row order)."""
         self._require_rows(x.shape[0], self.node_bounds, "matmul input")
         buffer, fresh = self._buffer(parameter)
+        blocks = buffer.reshape((self.num_examples, x.shape[1], grad.shape[1]))
         kernels.segment_matmul_t(
-            x, grad, self.node_bounds, buffer, accumulate=not fresh
-        )
-
-    def matmul_edges(self, parameter, x: np.ndarray, grad: np.ndarray) -> None:
-        """Capture ``x.T @ grad`` per edge segment (attention vectors)."""
-        self._require_rows(x.shape[0], self.edge_bounds, "edge matmul input")
-        buffer, fresh = self._buffer(parameter)
-        kernels.segment_matmul_t(
-            x, grad, self.edge_bounds, buffer, accumulate=not fresh
+            x, grad, self.node_bounds, blocks, accumulate=not fresh
         )
 
     def reduce_nodes(self, parameter, grad: np.ndarray) -> None:

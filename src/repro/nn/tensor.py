@@ -374,7 +374,7 @@ class Tensor:
             if other.requires_grad:
                 # Right-operand parameters (``x @ W``, every Linear) are
                 # node-rowed throughout the model zoo; the attention layers
-                # capture their edge-rowed attention vectors themselves.  A
+                # capture their attention vectors themselves.  A
                 # left-operand Parameter under capture falls through to the
                 # accumulate guard.
                 capture = per_example._ACTIVE

@@ -6,6 +6,11 @@ reproduce the composed chain it replaces (``tests/oracles.py``): the
 output, every gradient, and — under an active per-example capture — every
 capture-buffer row.  Every comparison is on ``tobytes()``, so a ``-0.0``
 that turns into ``+0.0`` counts as a difference.
+
+The attention layer's logits come from per-node scores.  The former pair
+form of the same function (an ``(E, 2W)`` matrix of ``[x_src ∥ x_tgt]``
+rows times ``a``) rounds differently, so it is checked within a relative
+1e-9, capture rows included.
 """
 
 from __future__ import annotations
@@ -22,7 +27,13 @@ from repro.nn import kernels
 from repro.nn.per_example import PerExampleCapture, capturing
 from repro.nn.tensor import Tensor
 
-from tests.oracles import reference_attention_forward, reference_member_losses
+from repro.gnn.inference import EdgePass
+
+from tests.oracles import (
+    reference_attention_forward,
+    reference_member_losses,
+    reference_pair_attention_forward,
+)
 
 #: Exact values that stress signed zeros, mixed in with arbitrary ones.
 SPECIAL = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0])
@@ -95,7 +106,7 @@ class TestAttentionNode:
         def capture():
             if not captured:
                 return None
-            return PerExampleCapture(union.node_bounds, union.edge_bounds)
+            return PerExampleCapture(union.node_bounds)
 
         fused = backward_bytes(
             layer,
@@ -140,9 +151,140 @@ class TestAttentionNode:
             raise AssertionError("inference read the per-example capture")
 
         monkeypatch.setattr(kernels, "segment_matmul", segmented)
-        with capturing(PerExampleCapture(np.array([0, 2, 4]), np.array([0, 2, 4]))):
+        with capturing(PerExampleCapture(np.array([0, 2, 4]))):
             inferred = layer.infer(x, edges)
         assert inferred.tobytes() == expected.tobytes()
+
+
+#: Explicit cases for both oracles: (name, member graphs).  Isolated nodes
+#: (3 and 4 in the first), an edgeless member, repeated arcs and self-loops.
+CASES = {
+    "isolated nodes": [Graph(5, [(0, 1), (1, 2), (2, 0), (0, 2)], directed=True)],
+    "edgeless": [Graph(3, [], directed=True)],
+    "union with an edgeless member": [
+        Graph(4, [(0, 1), (1, 1), (1, 2), (2, 1), (0, 1)], directed=True),
+        Graph(2, [], directed=True),
+        Graph(3, [(2, 0), (0, 1)], directed=True),
+    ],
+}
+
+
+def case_inputs(name, weighted, width):
+    """The union plan of a case, its weights, features and upstream gradient."""
+    graphs = CASES[name]
+    if weighted:
+        rng = np.random.default_rng(3)
+        graphs = [
+            Graph(g.num_nodes, g.edge_index().T, rng.uniform(0.1, 1.0, g.num_edges), directed=True)
+            for g in graphs
+        ]
+    union = BatchedComputePlan([ComputePlan(graph) for graph in graphs])
+    rng = np.random.default_rng(len(name) + width)
+    features = rng.normal(size=(union.num_nodes, 3))
+    upstream = rng.normal(size=(union.num_nodes, width))
+    return union, union.edge_weight if weighted else None, features, upstream
+
+
+def assert_close(actual: np.ndarray, expected: np.ndarray) -> None:
+    """Within 1e-9 of ``expected``, relative to its largest entry."""
+    scale = max(float(np.abs(expected).max(initial=0.0)), 1e-300)
+    np.testing.assert_allclose(actual, expected, rtol=1e-9, atol=1e-9 * scale)
+
+
+ATTENTION_GRID = pytest.mark.parametrize(
+    "layer_type, heads, weighted, name",
+    [
+        (layer_type, heads, weighted, name)
+        for layer_type in (GATConv, GRATConv)
+        for heads in (1, 2)
+        for weighted in (False, True)
+        for name in CASES
+    ],
+)
+
+
+class TestAttentionOracles:
+    @ATTENTION_GRID
+    def test_node_form_chain_is_the_byte_oracle(self, layer_type, heads, weighted, name):
+        layer = layer_type(3, 2 * heads, heads=heads, rng=11)
+        union, edge_weight, features, upstream = case_inputs(name, weighted, 2 * heads)
+        for capture in (None, PerExampleCapture(union.node_bounds)):
+            fused = backward_bytes(
+                layer,
+                lambda x: layer(x, union.edge_index, edge_weight, plan=union),
+                features,
+                upstream,
+                capture,
+            )
+            if capture is not None:
+                capture = PerExampleCapture(union.node_bounds)
+            composed = backward_bytes(
+                layer,
+                lambda x: reference_attention_forward(layer, x, union.edge_index, edge_weight),
+                features,
+                upstream,
+                capture,
+            )
+            assert fused == composed
+
+    @ATTENTION_GRID
+    def test_pair_form_agrees_within_tolerance(self, layer_type, heads, weighted, name):
+        layer = layer_type(3, 4 * heads, heads=heads, rng=12)
+        union, edge_weight, features, upstream = case_inputs(name, weighted, 4 * heads)
+
+        def gradients(forward, x_values, g_values):
+            layer.zero_grad()
+            x = Tensor(x_values.copy(), requires_grad=True)
+            out = forward(x)
+            out.backward(g_values)
+            grads = [p.grad if p.grad is not None else np.zeros_like(p.data)
+                     for p in layer.parameters()]
+            return [out.data, x.grad, *grads]
+
+        node = gradients(
+            lambda x: layer(x, union.edge_index, edge_weight), features, upstream
+        )
+        pair = gradients(
+            lambda x: reference_pair_attention_forward(layer, x, union.edge_index, edge_weight),
+            features,
+            upstream,
+        )
+        for actual, expected in zip(node, pair):
+            assert_close(actual, expected)
+
+        # Capture rows against the pair form run one member at a time.
+        layer.zero_grad()
+        capture = PerExampleCapture(union.node_bounds)
+        with capturing(capture):
+            out = layer(Tensor(features.copy(), requires_grad=True), union.edge_index,
+                        edge_weight, plan=union)
+            out.backward(upstream)
+        rows = capture.gradient_matrix(layer.parameters())
+        nodes, arcs = union.node_bounds, union.edge_bounds
+        for k in range(len(union.plans)):
+            member = slice(int(nodes[k]), int(nodes[k + 1]))
+            edges = union.edge_index[:, int(arcs[k]) : int(arcs[k + 1])] - nodes[k]
+            weights = None if edge_weight is None else edge_weight[int(arcs[k]) : int(arcs[k + 1])]
+            expected = gradients(
+                lambda x: reference_pair_attention_forward(layer, x, edges, weights),
+                features[member],
+                upstream[member],
+            )[2:]
+            assert_close(rows[k], np.concatenate([g.reshape(-1) for g in expected]))
+
+    @pytest.mark.parametrize("heads", [1, 2])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_training_forward_saves_no_edge_by_width_array(self, heads, weighted):
+        graph = Graph(6, [(u, v) for u in range(6) for v in range(6) if u != v], directed=True)
+        num_edges = graph.num_edges
+        layer = GRATConv(3, 8, heads=heads, rng=13)
+        weights = np.linspace(0.1, 0.9, num_edges) if weighted else None
+        saved: list = []
+        layer._attend(np.ones((6, 3)), EdgePass(graph.edge_index(), weights, 6), saved)
+        arrays = [item for entry in saved for item in (entry if isinstance(entry, tuple) else (entry,))]
+        assert len(saved) == 1 + heads
+        assert all(a.shape == (num_edges,) for entry in saved[1:] for a in entry)
+        assert not [a.shape for a in arrays if a.shape[0] == num_edges and a.ndim > 1]
 
 
 class TestLossNode:
