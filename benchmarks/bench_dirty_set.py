@@ -28,7 +28,7 @@ import numpy as np
 from repro import datasets
 from repro.core.pipeline import PrivIMConfig, PrivIMStar
 from repro.gnn.features import degree_features
-from repro.gnn.inference import EdgePass, InferenceWorkspace, relu_
+from repro.gnn.inference import EdgePass, relu_
 
 
 def layer_activations(model, graph) -> list[np.ndarray]:
@@ -36,9 +36,7 @@ def layer_activations(model, graph) -> list[np.ndarray]:
     computes them."""
     hidden = degree_features(graph, dim=model.config.in_features)
     activations = [hidden]
-    edges = EdgePass(
-        graph.edge_index(), graph.edge_arrays()[2], graph.num_nodes, InferenceWorkspace()
-    )
+    edges = EdgePass(graph.edge_index(), graph.edge_arrays()[2], graph.num_nodes)
     for conv in model.convs:
         hidden = relu_(conv._infer(hidden, edges))
         activations.append(hidden)

@@ -3,9 +3,7 @@
 After training, the GNN scores every node of the evaluation graph with its
 seed probability ``φ(h_u)``; the top-``k`` nodes form the seed set
 (Section III-C).  Scoring runs the model's autograd-free ``infer`` path,
-byte-equal to its ``forward``: it builds no tape, and a caller that scores
-repeatedly can hand it an :class:`~repro.gnn.inference.InferenceWorkspace`
-to reuse the large per-edge buffers.
+byte-equal to its ``forward``: it builds no tape.
 
 Score ties are broken by a seeded random permutation, not by node id: a
 stable argsort on ``-scores`` silently preferred low-id nodes whenever the
@@ -22,7 +20,6 @@ import numpy as np
 
 from repro.errors import TrainingError
 from repro.gnn.features import degree_features
-from repro.gnn.inference import InferenceWorkspace
 from repro.gnn.models import GNN
 from repro.graphs.graph import Graph
 from repro.utils.rng import ensure_rng
@@ -37,7 +34,6 @@ def score_nodes(
     graph: Graph,
     *,
     features: np.ndarray | None = None,
-    workspace: InferenceWorkspace | None = None,
 ) -> np.ndarray:
     """Per-node seed probabilities on ``graph`` (shape ``(|V|,)``).
 
@@ -48,9 +44,6 @@ def score_nodes(
             ``None`` uses :func:`repro.gnn.features.degree_features`, which
             ``graph`` builds once and stores, so scoring the same graph
             again pays no featurisation.
-        workspace: optional scratch buffers reused across calls (see
-            :meth:`repro.gnn.models.GNN.infer`); ``None`` allocates fresh
-            ones.  Never share one between concurrent calls.
     """
     if features is None:
         feature_array = degree_features(graph, dim=model.config.in_features)
@@ -62,9 +55,7 @@ def score_nodes(
                 f"precomputed features must have shape {expected}, "
                 f"got {feature_array.shape}"
             )
-    return model.infer(
-        feature_array, graph.edge_index(), graph.edge_arrays()[2], workspace=workspace
-    )
+    return model.infer(feature_array, graph.edge_index(), graph.edge_arrays()[2])
 
 
 def top_k_by_score(

@@ -1,6 +1,5 @@
 """GNN layers and models (GCN, GraphSAGE, GAT, GRAT, GIN) on the autograd engine."""
 
-from repro.gnn.inference import InferenceWorkspace
 from repro.gnn.message_passing import add_self_loops, aggregate_neighbors
 from repro.gnn.layers import GATConv, GCNConv, GINConv, GRATConv, SAGEConv
 from repro.gnn.models import GNN, GNNConfig, available_models, build_gnn
@@ -16,7 +15,6 @@ __all__ = [
     "GINConv",
     "GNN",
     "GNNConfig",
-    "InferenceWorkspace",
     "build_gnn",
     "available_models",
     "degree_features",

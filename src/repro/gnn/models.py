@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import TrainingError
-from repro.gnn.inference import EdgePass, InferenceWorkspace, relu_
+from repro.gnn.inference import EdgePass, relu_
 from repro.gnn.layers import GATConv, GCNConv, GINConv, GRATConv, SAGEConv
 from repro.nn import kernels
 from repro.nn.module import Linear, Module
@@ -143,21 +143,14 @@ class GNN(Module):
         x: np.ndarray,
         edge_index: np.ndarray,
         edge_weight: np.ndarray | None = None,
-        *,
-        workspace: InferenceWorkspace | None = None,
     ) -> np.ndarray:
         """Autograd-free :meth:`forward`: the same ``(N,)`` scores, byte for byte.
 
         Every layer replays ``forward``'s floating-point operations on plain
-        arrays and writes its large edge-rowed intermediates into
-        ``workspace``; pass the same workspace to later calls to reuse its
-        buffers (never to two concurrent calls).  ``None`` uses fresh
-        buffers.  The scores never alias the workspace.
+        arrays; the layers share one :class:`~repro.gnn.inference.EdgePass`.
         """
         hidden = np.asarray(x, dtype=np.float64)
-        if workspace is None:
-            workspace = InferenceWorkspace()
-        edges = EdgePass(edge_index, edge_weight, hidden.shape[0], workspace)
+        edges = EdgePass(edge_index, edge_weight, hidden.shape[0])
         for conv in self.convs:
             hidden = relu_(conv._infer(hidden, edges))
         logits = self.head.infer(hidden)

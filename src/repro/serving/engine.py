@@ -10,10 +10,7 @@ Three cost tiers, each cached:
   requests for an uncached vector are *coalesced* (single-flight): the
   first thread computes, the rest wait on its result, so a 32-request
   burst costs a single forward pass.  This is the serving path's only
-  batching.  The forward runs the autograd-free inference path in an
-  :class:`~repro.gnn.inference.InferenceWorkspace` the engine lends to
-  one leader at a time, so its multi-MB edge buffers are allocated once,
-  not per request.
+  batching.  The forward runs the autograd-free inference path.
 * **Request results** — top-k seed sets and spread estimates land in a
   bounded LRU keyed by the full request tuple, so hot queries (the same
   ``k`` against the same graph) are answered without touching the model.
@@ -38,7 +35,6 @@ from repro.core.seed_selection import score_nodes as _score_nodes
 from repro.core.seed_selection import top_k_by_score
 from repro.errors import TrainingError
 from repro.gnn.features import degree_features
-from repro.gnn.inference import InferenceWorkspace
 from repro.graphs.graph import Graph
 from repro.im.spread import estimate_spread as _estimate_spread
 from repro.obs import Observability, ensure_obs
@@ -151,11 +147,6 @@ class ScoringEngine:
         self._results = _LRUCache(result_cache_size)
         #: key -> Event for score vectors currently being computed.
         self._inflight: dict[str, threading.Event] = {}
-        #: Idle inference workspaces.  A leader borrows one under the lock
-        #: for its forward and returns it after, so concurrent leaders
-        #: (different graphs) never share one; there are at most as many
-        #: as leaders ever ran at once.
-        self._workspaces: list[InferenceWorkspace] = []
         #: how many requests were answered by waiting on another thread's
         #: forward pass instead of running their own.
         self.coalesced = 0
@@ -215,17 +206,8 @@ class ScoringEngine:
             features = self.features(graph, fingerprint=key)
             with self._lock:
                 self.forward_passes += 1
-                workspace = (
-                    self._workspaces.pop() if self._workspaces else InferenceWorkspace()
-                )
-            try:
-                with self.obs.span("serve.engine.forward"):
-                    scores = _score_nodes(
-                        self.model, graph, features=features, workspace=workspace
-                    )
-            finally:
-                with self._lock:
-                    self._workspaces.append(workspace)
+            with self.obs.span("serve.engine.forward"):
+                scores = _score_nodes(self.model, graph, features=features)
             with self._lock:
                 self._scores.put(key, scores)
             return scores

@@ -210,7 +210,7 @@ class TestConcurrency:
         assert not errors
 
 
-    def test_concurrent_leaders_on_different_graphs_use_their_own_workspace(
+    def test_overlapping_leaders_on_two_graphs_get_own_scores(
         self, eval_graph, monkeypatch
     ):
         import repro.serving.engine as engine_module
@@ -218,15 +218,15 @@ class TestConcurrency:
         engine = ScoringEngine(make_artifact())
         other_graph = barabasi_albert_graph(70, 3, rng=4)
         both_inside = threading.Barrier(2)
-        lent = []
+        entered = []
         real_score_nodes = engine_module._score_nodes
 
-        def overlapping(model, graph, features=None, workspace=None):
-            lent.append(workspace)
+        def overlapping(model, graph, features=None):
+            entered.append(graph)
             # Both leaders are mid-forward before either computes.
-            if len(lent) <= 2:
+            if len(entered) <= 2:
                 both_inside.wait(timeout=30)
-            return real_score_nodes(model, graph, features=features, workspace=workspace)
+            return real_score_nodes(model, graph, features=features)
 
         monkeypatch.setattr(engine_module, "_score_nodes", overlapping)
         results = {}
@@ -242,39 +242,18 @@ class TestConcurrency:
             thread.start()
         for thread in threads:
             thread.join(timeout=30)
-        assert len(lent) == 2 and lent[0] is not lent[1]
+        assert len(entered) == 2 and entered[0] is not entered[1]
         for name, graph in (("eval", eval_graph), ("other", other_graph)):
             expected = reference_score_nodes(engine.model, graph)
             assert results[name].tobytes() == expected.tobytes(), name
         assert engine.stats()["forward_passes"] == 2
-        # A later leader borrows an idle workspace instead of a new one.
-        engine.scores(barabasi_albert_graph(30, 2, rng=8))
-        assert lent[2] is lent[0] or lent[2] is lent[1]
 
 
-    def test_stress_no_workspace_is_lent_to_two_forwards_at_once(self, monkeypatch):
+    def test_stress_concurrent_leaders_score_their_own_graphs(self):
         import sys
-
-        import repro.serving.engine as engine_module
 
         engine = ScoringEngine(make_artifact(), score_cache_size=64)
         graphs = [barabasi_albert_graph(20 + index, 2, rng=index) for index in range(24)]
-        in_use, overlaps = set(), []
-        guard = threading.Lock()
-        real_score_nodes = engine_module._score_nodes
-
-        def checked(model, graph, features=None, workspace=None):
-            with guard:
-                if id(workspace) in in_use:
-                    overlaps.append(id(workspace))
-                in_use.add(id(workspace))
-            try:
-                return real_score_nodes(model, graph, features=features, workspace=workspace)
-            finally:
-                with guard:
-                    in_use.discard(id(workspace))
-
-        monkeypatch.setattr(engine_module, "_score_nodes", checked)
         results = {}
 
         def worker(offset):
@@ -292,8 +271,7 @@ class TestConcurrency:
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
-        assert overlaps == []
-        assert len(engine._workspaces) <= 8
+        assert engine.stats()["forward_passes"] == len(graphs)
         for index, graph in enumerate(graphs):
             expected = reference_score_nodes(engine.model, graph)
             assert results[index].tobytes() == expected.tobytes(), index
@@ -349,11 +327,9 @@ class TestCoalescedAccounting:
 
             real_score_nodes = engine_module._score_nodes
 
-            def stalled(model, graph, features=None, workspace=None):
+            def stalled(model, graph, features=None):
                 release.wait(timeout=30)
-                return real_score_nodes(
-                    model, graph, features=features, workspace=workspace
-                )
+                return real_score_nodes(model, graph, features=features)
 
             engine_module._score_nodes = stalled
             try:
