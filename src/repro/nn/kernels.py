@@ -16,7 +16,8 @@ product (``scipy.sparse.csr_array @ rows``) with the segments'
 over each row's stored entries in order, from ``+0.0``, and the matrix
 stores each row's entries in stable segment order with ``a = 1``, so every
 output adds the same terms in the same order.  :func:`gather_scale_scatter`
-runs the same product with ``a`` a per-entry coefficient and ``j`` a
+calls that compiled loop itself (from scipy's ``_sparsetools``, so it can
+write into a caller's buffer), with ``a`` a per-entry coefficient and ``j`` a
 gathered row, in place of a gather, an ``(E, W)`` scale and a scatter: each
 term is still one rounded product, then one add.  Both rest on scipy's
 compiled loop neither reordering the adds nor fusing ``y += a * x`` into an
@@ -43,12 +44,12 @@ cannot drift apart by a single rounding.
 
 from __future__ import annotations
 
-import copy
 from collections import namedtuple
 from typing import Callable, Hashable, TypeVar
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import _sparsetools
 
 from repro.utils.sorting import stable_argsort
 
@@ -298,6 +299,8 @@ def gather_scale_scatter(
     coefficients: np.ndarray,
     matrix: sparse.csr_array,
     sort: SegmentSort,
+    *,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """``out[s] = Σ_{j : segments[j] == s} coefficients[j] · x[columns[j]]``.
 
@@ -306,13 +309,40 @@ def gather_scale_scatter(
     single rounded product, added in the same order.  ``matrix`` is the
     :func:`scatter_matrix` of ``segments`` with ``columns`` (its own data
     is not read) and ``sort`` the :class:`SegmentSort` it was built from.
-    The cached matrix is never written: the product runs on a shallow
-    copy holding the permuted coefficients.
+
+    The product is the compiled loop ``matrix @ x`` runs, called on the
+    cached matrix's index arrays with the permuted coefficients as its
+    data, so the matrix is never written or copied: ``csr_matvec`` for
+    1-D or one-column ``x``, ``csr_matvecs`` for wider rows, each adding
+    into zeros.  Those are a fresh ``np.zeros`` array, or the C-contiguous
+    ``out``, zero-filled first.
     """
     _count("gather_scale_scatter")
-    scaled = copy.copy(matrix)
-    scaled.data = np.take(coefficients, sort.order)
-    return scaled @ x
+    num_rows, num_columns = matrix.shape
+    values = np.ascontiguousarray(x, dtype=np.float64)
+    if values.ndim not in (1, 2) or values.shape[0] != num_columns:
+        raise ValueError(f"x of shape {values.shape} does not match a matrix of {matrix.shape}")
+    shape = (num_rows,) + values.shape[1:]
+    if out is None:
+        out = np.zeros(shape)
+    elif out.shape != shape or out.dtype != _F64 or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous float64 array of shape {shape}")
+    else:
+        out.fill(0.0)
+    data = np.take(np.asarray(coefficients, dtype=np.float64), sort.order)
+    if data.shape != matrix.indices.shape:
+        raise ValueError(f"{len(data)} coefficients for a matrix of {len(matrix.indices)} entries")
+    if values.ndim == 1 or values.shape[1] == 1:
+        _sparsetools.csr_matvec(
+            num_rows, num_columns, matrix.indptr, matrix.indices, data,
+            values.ravel(), out.ravel(),
+        )
+    else:
+        _sparsetools.csr_matvecs(
+            num_rows, num_columns, values.shape[1], matrix.indptr, matrix.indices, data,
+            values.ravel(), out.ravel(),
+        )
+    return out
 
 
 def segment_bounds(sizes) -> np.ndarray:

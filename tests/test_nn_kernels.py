@@ -339,6 +339,51 @@ class TestCSRScatter:
         # The cached matrix is never written.
         assert matrix.data.tobytes() == before.tobytes()
 
+    @settings(max_examples=300, deadline=None)
+    @given(scatter_problem(), st.sampled_from(["fresh", "stale"]))
+    def test_gather_scale_scatter_into_out_is_the_csr_product(self, problem, start):
+        """Byte-equal to ``csr_array @ x`` of the matrix holding the permuted
+        coefficients, into a fresh array or over a buffer's stale values,
+        for every row layout (non-contiguous ``x`` included)."""
+        _, segments, num_segments, x, columns, coefficients = problem
+        sort = build_segment_sort(segments)
+        matrix = scatter_matrix(
+            segments, num_segments, columns=columns, num_columns=x.shape[0], sort=sort
+        )
+        weighted = scatter_matrix(
+            segments, num_segments, columns=columns, num_columns=x.shape[0],
+            data=coefficients, sort=sort,
+        )
+        expected = weighted @ x
+        if start == "fresh":
+            result = gather_scale_scatter(x, coefficients, matrix, sort)
+        else:
+            out = np.full(expected.shape, np.nan)
+            out.reshape(-1)[::3] = -0.0
+            result = gather_scale_scatter(x, coefficients, matrix, sort, out=out)
+            assert result is out
+        assert result.shape == expected.shape
+        assert result.tobytes() == expected.tobytes()
+        column = np.ascontiguousarray(x[:, :1])
+        for vector in (column, column.reshape(-1)):
+            out = np.full((num_segments,) + vector.shape[1:], 5.0)
+            assert gather_scale_scatter(vector, coefficients, matrix, sort, out=out).tobytes() == (
+                (weighted @ vector).tobytes()
+            )
+
+    def test_gather_scale_scatter_refuses_an_out_it_cannot_fill(self):
+        segments = np.array([0, 1, 1], dtype=np.int64)
+        sort = build_segment_sort(segments)
+        matrix = scatter_matrix(segments, 2, columns=segments, num_columns=2, sort=sort)
+        x, coefficients = np.ones((2, 3)), np.ones(3)
+        for out in (np.empty((2, 4)), np.empty((3, 2)).T, np.empty((2, 3), np.float32)):
+            with pytest.raises(ValueError, match="out must be"):
+                gather_scale_scatter(x, coefficients, matrix, sort, out=out)
+        with pytest.raises(ValueError, match="does not match"):
+            gather_scale_scatter(np.ones((3, 3)), coefficients, matrix, sort)
+        with pytest.raises(ValueError, match="entries"):
+            gather_scale_scatter(x, coefficients, matrix, build_segment_sort(segments[:2]))
+
     def test_no_fused_multiply_add(self):
         # With one rounding per product, (1 + 2^-30)^2 rounds to 1 + 2^-29
         # and cancels the first term exactly; an FMA keeps the 2^-60.
