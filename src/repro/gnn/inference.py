@@ -17,9 +17,21 @@ matrix.  Only weighted or multi-head attention writes ``(E, W)`` messages,
 as fresh arrays.  Structures that depend only on the edge set (the CSR
 scatter matrices, the softmax segment sorts, GCN's normalised edges) are
 built once per forward and shared by all its layers.
+
+:meth:`GNN.infer <repro.gnn.models.GNN.infer>` writes the attention
+layers' node-rowed arrays (the transformed features, and the single-head
+unweighted output) into :func:`node_scratch`, buffers that outlive the
+forward.  A fresh ``(N, W)`` block per layer would be freed at the end of
+the forward, the allocator would give its pages back to the system, and
+the next forward would fault them in again: ~115 minor faults per layer on
+a 1,900-node graph at width 32.
 """
 
 from __future__ import annotations
+
+import threading
+from contextlib import contextmanager
+from typing import Iterator
 
 import numpy as np
 
@@ -27,7 +39,7 @@ from repro.errors import ShapeError
 from repro.gnn.message_passing import check_edge_index, unit_edge_weights
 from repro.nn import kernels
 
-__all__ = ["EdgePass"]
+__all__ = ["EdgePass", "node_scratch"]
 
 
 class EdgePass(kernels.EdgeSetMemo):
@@ -37,10 +49,11 @@ class EdgePass(kernels.EdgeSetMemo):
     structures every layer shares.  Build one per forward: the memo is only
     valid for the edge set it was built with.  A training forward passes
     its compute ``plan`` (built for the same edges), whose memo then serves
-    every layer and iteration.
+    every layer and iteration.  ``scratch`` is the :func:`node_scratch`
+    dict its forward holds, or ``None``: layers then write fresh arrays.
     """
 
-    __slots__ = ("num_nodes", "sources", "targets", "edge_weight", "_weight_column")
+    __slots__ = ("num_nodes", "sources", "targets", "edge_weight", "_weight_column", "scratch")
 
     def __init__(
         self,
@@ -62,7 +75,7 @@ class EdgePass(kernels.EdgeSetMemo):
                 plan._memo,
             )
         self.sources, self.targets = self.edge_index[0], self.edge_index[1]
-        self.edge_weight = self._weight_column = None
+        self.edge_weight = self._weight_column = self.scratch = None
         if edge_weight is not None:
             self.edge_weight = np.asarray(edge_weight, dtype=np.float64)
             if self.edge_weight.shape != (self.num_edges,):
@@ -82,6 +95,30 @@ class EdgePass(kernels.EdgeSetMemo):
         """The ``(E, 1)`` weight column, or ``None`` when weighting is a no-op."""
         return self._weight_column
 
+    def node_buffer(self, name: str, shape: tuple[int, int]) -> np.ndarray | None:
+        """The scratch buffer ``name``, of exactly ``shape``, or ``None`` without scratch.
+
+        A buffer of another shape is replaced.
+        """
+        if self.scratch is None:
+            return None
+        buffer = self.scratch.get(name)
+        if buffer is None or buffer.shape != shape:
+            buffer = self.scratch[name] = np.empty(shape)
+        return buffer
+
+    def output_buffer(self, x: np.ndarray, shape: tuple[int, int]) -> np.ndarray | None:
+        """A layer's output buffer: of a ping-pong pair, the one not holding its input ``x``.
+
+        Writing over ``x`` would give the same bytes (a layer reads it only
+        for ``x @ W``), but then the forward's other temporaries kept
+        faulting: 146 minor faults per warm forward on a 1,900-node graph
+        at width 32, against none with the pair.
+        """
+        held = None if self.scratch is None else self.scratch.get("output.a")
+        name = "output.b" if held is not None and np.may_share_memory(held, x) else "output.a"
+        return self.node_buffer(name, shape)
+
     def aggregate(self, x: np.ndarray) -> np.ndarray:
         """``out[v] = Σ_{(u, v)} w_uv · x[u]`` (see ``aggregate_neighbors``).
 
@@ -98,3 +135,27 @@ class EdgePass(kernels.EdgeSetMemo):
 def relu_(values: np.ndarray) -> np.ndarray:
     """:func:`repro.nn.kernels.relu` written back into ``values``."""
     return kernels.relu(values, out=values)[0]
+
+
+_SCRATCH: dict[str, np.ndarray] = {}
+_SCRATCH_LOCK = threading.Lock()
+
+
+@contextmanager
+def node_scratch() -> Iterator[dict[str, np.ndarray] | None]:
+    """The process's named node-rowed float64 buffers, or ``None`` if taken.
+
+    One forward at a time holds them: the lock is taken without blocking,
+    and a forward that finds it held (another thread scoring, or a child
+    forked while a thread held it) gets ``None`` and runs on fresh arrays,
+    with the same bytes.  The buffers keep their exact shapes, so between
+    forwards they hold a few ``N × W`` blocks of the last graph scored.
+    Nothing they hold may leave the forward.
+    """
+    if not _SCRATCH_LOCK.acquire(blocking=False):
+        yield None
+        return
+    try:
+        yield _SCRATCH
+    finally:
+        _SCRATCH_LOCK.release()

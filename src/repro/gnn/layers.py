@@ -290,10 +290,19 @@ class _AttentionConv(_Conv):
         capture, the node-rowed products run segment by segment, as the
         composed chain's do.  Inference never reads the capture, so its
         scores cannot depend on a trainer running in another thread.
+        Inference writes the transformed features, and a single unweighted
+        head's output, into ``edges``' node scratch when it has one: the
+        same BLAS call and CSR loop, writing in place.
         """
         matmul = per_example.capture_matmul if saved is not None else _matmul
         num_nodes, num_edges = edges.num_nodes, edges.num_edges
-        transformed = matmul(x, self.linear.weight.data)
+        weight = self.linear.weight.data
+        if saved is None:
+            transformed = np.matmul(
+                x, weight, out=edges.node_buffer("transformed", (num_nodes, weight.shape[1]))
+            )
+        else:
+            transformed = matmul(x, weight)
         if num_edges == 0:
             return transformed * 0.0
         sources, targets = edges.sources, edges.targets
@@ -322,7 +331,10 @@ class _AttentionConv(_Conv):
                 # rows: each term is the one rounding of x·α, then an add.
                 matrix = edges.edge_matrix("target", "source", num_nodes)
                 by_target = edges.segment_sort("target")
-                outputs.append(kernels.gather_scale_scatter(features, alpha, matrix, by_target))
+                out = edges.output_buffer(x, features.shape)  # None without scratch
+                outputs.append(
+                    kernels.gather_scale_scatter(features, alpha, matrix, by_target, out=out)
+                )
                 continue
             # (x·α)·w rounds twice, so weighted messages are written out,
             # and so are a head's, which scatter on their own.

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import TrainingError
-from repro.gnn.inference import EdgePass, relu_
+from repro.gnn.inference import EdgePass, node_scratch, relu_
 from repro.gnn.layers import GATConv, GCNConv, GINConv, GRATConv, SAGEConv
 from repro.nn import kernels
 from repro.nn.module import Linear, Module
@@ -147,13 +147,16 @@ class GNN(Module):
         """Autograd-free :meth:`forward`: the same ``(N,)`` scores, byte for byte.
 
         Every layer replays ``forward``'s floating-point operations on plain
-        arrays; the layers share one :class:`~repro.gnn.inference.EdgePass`.
+        arrays; the layers share one :class:`~repro.gnn.inference.EdgePass`,
+        holding the process's :func:`~repro.gnn.inference.node_scratch`
+        when no other forward does.  The scores are a fresh array.
         """
         hidden = np.asarray(x, dtype=np.float64)
         edges = EdgePass(edge_index, edge_weight, hidden.shape[0])
-        for conv in self.convs:
-            hidden = relu_(conv._infer(hidden, edges))
-        logits = self.head.infer(hidden)
+        with node_scratch() as edges.scratch:
+            for conv in self.convs:
+                hidden = relu_(conv._infer(hidden, edges))
+            logits = self.head.infer(hidden)
         return kernels.sigmoid(logits).reshape(-1)
 
 

@@ -8,12 +8,17 @@ difference, and so does a NaN with another payload.
 
 from __future__ import annotations
 
+import sys
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.compute_plan import ComputePlan
 from repro.core.seed_selection import score_nodes
+from repro.gnn import inference
 from repro.gnn.features import degree_features
 from repro.gnn.models import build_gnn
 from repro.graphs.graph import Graph
@@ -143,3 +148,104 @@ def test_single_head_plan_keeps_one_target_scatter_index(heads, keys):
     plain = ("scatter_matrix", "target", None) in plan._memo
     fused = ("scatter_matrix", "target", "source") in plan._memo
     assert (int(plain), int(fused)) == (keys, 1 - keys)
+
+
+def _ring(num_nodes: int, chords: int = 0) -> Graph:
+    arcs = [(u, (u + 1) % num_nodes) for u in range(num_nodes)]
+    arcs += [(u, (u * 7 + 3) % num_nodes) for u in range(chords)]
+    return Graph(num_nodes, arcs)
+
+
+class TestNodeScratch:
+    """``GNN.infer`` writes its node-rowed arrays into the process's node
+    scratch when it can take it, and fresh arrays when it cannot; the
+    scores are the same bytes either way."""
+
+    def _hold_scratch(self):
+        """Hold the scratch in another thread until the returned event is set."""
+        held, release = threading.Event(), threading.Event()
+
+        def holder():
+            with inference.node_scratch() as scratch:
+                assert scratch is not None
+                held.set()
+                release.wait(30)
+
+        thread = threading.Thread(target=holder)
+        thread.start()
+        assert held.wait(30)
+        return thread, release
+
+    @pytest.mark.parametrize("kind, heads", [("grat", 1), ("gat", 1), ("grat", 2)])
+    def test_scores_are_the_same_while_another_thread_holds_the_scratch(self, kind, heads):
+        # Two graphs of one size: had the second's forward written the
+        # scratch, its buffers would no longer hold the first's bytes.
+        first, second = _ring(40, chords=25), _ring(40, chords=9)
+        model = build_gnn(kind, hidden_features=8, attention_heads=heads, rng=3)
+        expected = reference_score_nodes(model, second).tobytes()
+        score_nodes(model, first)  # scratch taken
+        buffers = {name: (id(b), b.tobytes()) for name, b in inference._SCRATCH.items()}
+        thread, release = self._hold_scratch()
+        try:
+            assert score_nodes(model, second).tobytes() == expected  # fresh arrays
+            after = {name: (id(b), b.tobytes()) for name, b in inference._SCRATCH.items()}
+            assert after == buffers
+        finally:
+            release.set()
+            thread.join(30)
+        assert not thread.is_alive()
+        assert score_nodes(model, second).tobytes() == expected
+
+    def test_threads_score_different_graphs_at_once(self):
+        # More threads than cores, switching often: whichever holds the
+        # scratch, every thread's scores stay its own graph's bytes.
+        # One size, so a thread's buffers have the shapes another's need.
+        model = build_gnn("grat", hidden_features=16, rng=7)
+        graphs = [_ring(300, chords=chords) for chords in (0, 40, 150, 300)]
+        expected = [reference_score_nodes(model, graph).tobytes() for graph in graphs]
+        start, failures = threading.Barrier(len(graphs)), []
+
+        def score(index):
+            start.wait(30)
+            for _ in range(25):
+                if score_nodes(model, graphs[index]).tobytes() != expected[index]:
+                    failures.append(index)
+
+        threads = [threading.Thread(target=score, args=(i,)) for i in range(len(graphs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+
+    def test_interleaved_graph_sizes_reuse_and_replace_the_buffers(self):
+        model = build_gnn("grat", hidden_features=8, rng=5)
+        graphs = [_ring(30, chords=10), _ring(12, chords=12), _ring(30, chords=10), _ring(50)]
+        scores = [score_nodes(model, graph) for graph in graphs + graphs[::-1]]
+        for graph, result in zip(graphs + graphs[::-1], scores):
+            assert result.tobytes() == reference_score_nodes(model, graph).tobytes()
+        # The last graph scored set every buffer's shape.
+        shapes = {buffer.shape for buffer in inference._SCRATCH.values()}
+        assert shapes == {(30, 8)}
+
+    def test_a_warm_forward_allocates_no_node_rowed_block(self):
+        # A sparse graph: one (N, W) block dwarfs every edge-length array.
+        graph, width = _ring(4000), 32
+        model = build_gnn("grat", hidden_features=width, rng=9)
+        features = degree_features(graph, dim=model.config.in_features)
+        edge_index = graph.edge_index()
+        expected = model.infer(features, edge_index).tobytes()
+        tracemalloc.start()
+        try:
+            scores = model.infer(features, edge_index)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert scores.tobytes() == expected
+        assert peak < graph.num_nodes * width * 8, peak
