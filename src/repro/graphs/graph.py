@@ -533,10 +533,8 @@ class Graph:
                 # Duplicate arcs: drop the earliest-inserted copy, which is
                 # the first in-bucket occurrence in *both* CSR directions.
                 keep[start + hits[0]] = False
-            kept_buckets = np.repeat(
-                np.arange(self.num_nodes, dtype=np.int64), np.diff(indptr)
-            )[keep]
-            counts = np.bincount(kept_buckets, minlength=self.num_nodes)
+            # Each removed arc leaves its own bucket one shorter.
+            counts = np.diff(indptr) - np.bincount(bucket_of, minlength=self.num_nodes)
             new_indptr = np.zeros(self.num_nodes + 1, dtype=np.int64)
             np.cumsum(counts, out=new_indptr[1:])
             return new_indptr, indices[keep], csr_weights[keep]

@@ -391,6 +391,21 @@ class TestIncrementalEdgeMutation:
         removed = tiny_graph.remove_edges([(0, 2), (3, 4)])
         assert removed == Graph(5, [(0, 1), (1, 2), (2, 3)])
 
+    def test_remove_duplicate_arcs_matches_full_rebuild(self):
+        # Each listed copy drops the earliest remaining one; both CSR
+        # directions' indptr, indices and weights match a rebuild without
+        # those copies, byte for byte.
+        arcs = [(0, 1), (0, 1), (1, 2), (0, 1), (2, 0), (1, 2), (3, 3), (3, 3)]
+        weights = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8]
+        graph = Graph(4, arcs, weights)
+        removed = graph.remove_edges([(0, 1), (1, 2), (0, 1), (3, 3)])
+        kept = [3, 4, 5, 7]  # arcs 0, 1 and 2 and the first (3, 3) go
+        rebuilt = Graph(4, [arcs[i] for i in kept], [weights[i] for i in kept])
+        for mine, theirs in zip(
+            removed.out_csr() + removed.in_csr(), rebuilt.out_csr() + rebuilt.in_csr()
+        ):
+            assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes()
+
     def test_undirected_remove_drops_both_arcs(self):
         graph = Graph(4, [(0, 1), (1, 2), (2, 3)], directed=False)
         removed = graph.remove_edges([(2, 1)])  # either orientation works
