@@ -28,6 +28,7 @@ body bytes would otherwise desynchronise HTTP/1.1 keep-alive framing.
 
 from __future__ import annotations
 
+import io
 import json
 import socket
 import threading
@@ -69,16 +70,45 @@ class LengthRequired(Exception):
     """
 
 
+class _ResponseBuffer(io.BytesIO):
+    """A handler's ``wfile``: holds what a response writes until ``flush``,
+    which sends it in one ``sendall``.
+
+    Written straight to the socket, a response's headers and body went out
+    as two writes, and on one CPU the client could wake between them.
+    """
+
+    def __init__(self, connection: socket.socket) -> None:
+        super().__init__()
+        self._connection = connection
+
+    def flush(self) -> None:
+        data = self.getvalue()
+        if data:
+            self.seek(0)
+            self.truncate()
+            self._connection.sendall(data)
+
+
 class _Handler(BaseHTTPRequestHandler):
     """Routes requests to the server's service; all responses are JSON."""
 
     server: "InfluenceHTTPServer"
     protocol_version = "HTTP/1.1"
-    #: headers and body are written as separate TCP segments; without
-    #: TCP_NODELAY, Nagle holds the body until the client ACKs the
-    #: headers, and the client's delayed ACK turns every keep-alive
-    #: response into a ~40ms stall.
+    #: a response is one write, but without TCP_NODELAY Nagle can still
+    #: hold it while an earlier segment waits for the client's delayed
+    #: ACK, a ~40ms stall per keep-alive response.
     disable_nagle_algorithm = True
+
+    def setup(self) -> None:
+        super().setup()
+        self.wfile = _ResponseBuffer(self.connection)
+
+    def handle_expect_100(self) -> bool:
+        # The client waits for the interim 100 before sending its body.
+        accepted = super().handle_expect_100()
+        self.wfile.flush()
+        return accepted
 
     # ------------------------------------------------------------------ #
     def _send_json(
@@ -93,6 +123,7 @@ class _Handler(BaseHTTPRequestHandler):
                 self.send_header(name, value)
             self.end_headers()
             self.wfile.write(body)
+            self.wfile.flush()
         except (BrokenPipeError, ConnectionResetError):
             # The client hung up mid-response.  Its answer is gone either
             # way; don't let the handler thread dump a traceback, just

@@ -30,6 +30,7 @@ scoring engine and enforces the capacity contract:
 from __future__ import annotations
 
 import math
+import resource
 import threading
 import time
 from dataclasses import dataclass
@@ -472,7 +473,9 @@ class InfluenceService:
         }
 
     def metrics(self) -> dict[str, Any]:
-        """``/metrics`` — counters, latency quantiles, queue, caches."""
+        """``/metrics`` — counters, latency quantiles, queue, caches, and
+        the serving process's page faults, CPU seconds and peak RSS, read
+        from ``getrusage`` on each scrape."""
         snapshot = self.obs.metrics.snapshot()
         latency = {}
         for name, histogram in self.obs.metrics.histograms().items():
@@ -497,9 +500,22 @@ class InfluenceService:
             "latency": latency,
             "engine": self.engine.stats(),
             "graph_mutations": self._mutations,
+            "process": _process_usage(),
             **self._provenance(),
         }
 
     def close(self) -> None:
         """Stop admitting work (existing requests drain normally)."""
         self._closed = True
+
+
+def _process_usage() -> dict[str, Any]:
+    """This process's page faults, CPU seconds and peak RSS (kB on Linux)."""
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    return {
+        "minor_faults": usage.ru_minflt,
+        "major_faults": usage.ru_majflt,
+        "user_seconds": usage.ru_utime,
+        "system_seconds": usage.ru_stime,
+        "max_rss_kb": usage.ru_maxrss,
+    }

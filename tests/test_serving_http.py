@@ -131,6 +131,18 @@ class TestEndpoints:
         assert payload["engine"]["results"]["hits"] >= 1  # repeat request hit
         assert payload["counters"]["serve.requests.seeds"] == 2
 
+    def test_metrics_report_the_process_usage(self, stack):
+        client, _, _ = stack
+        keys = {"minor_faults", "major_faults", "user_seconds", "system_seconds", "max_rss_kb"}
+        faults = []
+        for _ in range(3):
+            client.post("/v1/score", {"nodes": None})
+            status, payload, _ = client.get("/metrics")
+            assert status == 200 and set(payload["process"]) == keys
+            assert payload["process"]["max_rss_kb"] > 0
+            faults.append(payload["process"]["minor_faults"])
+        assert faults == sorted(faults)
+
     def test_unknown_path_404(self, stack):
         client, _, _ = stack
         assert client.get("/nope")[0] == 404
@@ -324,12 +336,51 @@ class TestFramingContract:
     """Regression tests: 413/411 body framing (previously 400 / desync)."""
 
     def test_handler_disables_nagle(self):
-        # Headers and body go out as separate segments; without
-        # TCP_NODELAY every keep-alive response stalls ~40ms on the
+        # Without TCP_NODELAY keep-alive responses stalled ~40ms on the
         # client's delayed ACK (measured: 46 -> 7600 QPS warm).
         from repro.serving.http import _Handler
 
         assert _Handler.disable_nagle_algorithm is True
+
+    def test_each_response_is_one_socket_write(self, stack, monkeypatch):
+        client, _, _ = stack
+        port = int(client.base.rsplit(":", 1)[1])
+        writes = []
+        sendall = socket.socket.sendall
+
+        def counting_sendall(sock, data, *args):
+            if sock.getsockname()[1] == port:  # the server's side
+                writes.append(bytes(data))
+            return sendall(sock, data, *args)
+
+        monkeypatch.setattr(socket.socket, "sendall", counting_sendall)
+        statuses = [
+            client.get("/healthz")[0],
+            client.get("/metrics")[0],
+            client.get("/nope")[0],
+            client.post("/v1/seeds", {"k": 3})[0],
+            client.post("/v1/score", {"nodes": None})[0],
+        ]
+        assert statuses == [200, 200, 404, 200, 200]
+        assert len(writes) == len(statuses)
+        for write in writes:
+            head, body = write.split(b"\r\n\r\n", 1)
+            assert head.startswith(b"HTTP/1.1 ")
+            assert b"Content-Length: %d" % len(body) in head
+            json.loads(body)
+
+    def test_interim_100_continue_is_sent_before_the_body(self, stack):
+        client, _, _ = stack
+        port = int(client.base.rsplit(":", 1)[1])
+        body = b'{"k": 2}'
+        with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+            sock.sendall(
+                b"POST /v1/seeds HTTP/1.1\r\nHost: x\r\nExpect: 100-continue\r\n"
+                b"Content-Length: %d\r\n\r\n" % len(body)
+            )
+            assert sock.recv(65536).startswith(b"HTTP/1.1 100 ")
+            sock.sendall(body)
+            assert sock.recv(65536).startswith(b"HTTP/1.1 200 ")
 
     def test_oversized_body_is_413_not_400(self, stack):
         client, _, _ = stack
